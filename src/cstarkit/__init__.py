@@ -11,7 +11,8 @@ from .errors import (HypothesisError, ParseError, PreconditionError,
                      UnsupportedPresentationError)
 from .operators import (DEFAULT_TOL, Tolerance, commutator, dagger, herm_part,
                         hermitian_eig, op_norm, polar_unitary, spectral_apply)
-from .rounding import (ROUNDING_KINDS, RoundingReport, povm_defect,
+from .rounding import (ROUNDING_KINDS, RoundingReport, isometry_defect,
+                       povm_defect, projection_defect, pvm_defect,
                        round_to_partial_isometry, round_to_povm,
                        round_to_projection, round_to_pvm, round_to_unitary,
                        stability_modulus)
@@ -19,7 +20,7 @@ from .sampling import (random_density, random_hermitian, random_povm,
                        random_projection, random_pvm, random_unitary,
                        rng_from_seed)
 from .games import (BestValue, CommutationCheck, Measurement, NonlocalGame,
-                    State, Strategy, best_value, chsh, commutator_defect,
+                    State, Strategy, best_value, chsh, commutator_defects,
                     correlation, game_element, game_value,
                     is_delta_op_commuting, sym_product)
 from .polynomials import (GaussianRational, NCPolynomial, generator,

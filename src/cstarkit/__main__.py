@@ -1,0 +1,7 @@
+"""Command-line entry point: ``python3 -m cstarkit <command> ...``."""
+import sys
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    sys.exit(console_main())

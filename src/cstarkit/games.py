@@ -163,8 +163,7 @@ def _psd_sqrt(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     low = float(spec.eigenvalues[0])
     if low < -tol.algebraic:
         raise ValueError(f"matrix must be positive within tolerance, min eigenvalue {low:.3e}")
-    roots = np.sqrt(np.maximum(spec.eigenvalues, 0.0))
-    return (spec.eigenvectors * roots) @ dagger(spec.eigenvectors)
+    return spec.apply(lambda w: np.sqrt(np.maximum(w, 0.0)))
 
 
 def sym_product(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -263,15 +262,13 @@ def best_value(game: NonlocalGame, alice: Measurement, bob: Measurement,
     return BestValue(value=float(spec.eigenvalues[-1]), state=State(rho))
 
 
-def commutator_defect(alice: Measurement, bob: Measurement, x: int, y: int) -> float:
-    """Sum over answers of |[A^x_a, B^y_b]| for one question pair."""
-    if not (0 <= x < alice.questions and 0 <= y < bob.questions):
-        raise IndexError(f"question index out of range: ({x}, {y})")
-    total = 0.0
-    for a in range(alice.outcomes):
-        for b in range(bob.outcomes):
-            total += op_norm(alice.ops[x, a] @ bob.ops[y, b] - bob.ops[y, b] @ alice.ops[x, a])
-    return total
+def commutator_defects(alice_ops: np.ndarray, bob_ops: np.ndarray) -> np.ndarray:
+    """(n_a, n_b) table of sum_{a,b} |[A^x_a, B^y_b]| from two (n, k, d, d) op arrays."""
+    table = np.zeros((len(alice_ops), len(bob_ops)))
+    for x, row in enumerate(alice_ops):
+        for y, col in enumerate(bob_ops):
+            table[x, y] = sum(op_norm(a @ b - b @ a) for a in row for b in col)
+    return table
 
 
 class CommutationCheck(NamedTuple):
@@ -285,12 +282,7 @@ def is_delta_op_commuting(alice: Measurement, bob: Measurement,
     """Strict check: every question pair's commutator defect is < delta."""
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
-    worst = -1.0
-    worst_pair = (0, 0)
-    for x in range(alice.questions):
-        for y in range(bob.questions):
-            d = commutator_defect(alice, bob, x, y)
-            if d > worst:
-                worst = d
-                worst_pair = (x, y)
-    return CommutationCheck(ok=worst < delta, worst_pair=worst_pair, worst_defect=worst)
+    table = commutator_defects(alice.ops, bob.ops)
+    x, y = np.unravel_index(np.argmax(table), table.shape)
+    worst = float(table[x, y])
+    return CommutationCheck(ok=worst < delta, worst_pair=(int(x), int(y)), worst_defect=worst)

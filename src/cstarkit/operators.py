@@ -29,7 +29,7 @@ class Tolerance:
         for name in ("spectral", "algebraic"):
             value = getattr(self, name)
             if not (0.0 < value < 1e-4):
-                raise ValueError(f"{name} tolerance must lie in (0, 1e-4), got {value!r}")
+                raise PreconditionError(f"{name} tolerance must lie in (0, 1e-4), got {value!r}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -82,8 +82,12 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def apply(self, f) -> np.ndarray:
+        """V f(w) V^H, with f mapping the eigenvalue array to an array of values."""
+        return (self.eigenvectors * f(self.eigenvalues)) @ dagger(self.eigenvectors)
+
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
+        return self.apply(lambda w: w)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -116,12 +120,12 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> HermitianSpectrum:
 def spectral_apply(m, f, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Apply a real function to a Hermitian matrix through its spectrum.
 
+    f maps the ascending eigenvalue array (float64, shape (d,)) to a real
+    array of the same shape, e.g. ``lambda w: (w >= 0.5).astype(float)``.
     f is evaluated only at the computed eigenvalues, so step functions are
     fine as long as the spectrum stays clear of the jump.
     """
-    spec = hermitian_eig(m, tol)
-    values = np.array([float(f(float(lam))) for lam in spec.eigenvalues])
-    return (spec.eigenvectors * values) @ dagger(spec.eigenvectors)
+    return hermitian_eig(m, tol).apply(f)
 
 
 def polar_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

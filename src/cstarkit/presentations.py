@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -25,8 +25,8 @@ from .dyadic import ceil_log2, is_dyadic
 from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError
 from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm
 from .polynomials import NCPolynomial, generator, lipschitz_bound
-from .rounding import (_isometry_cut, round_to_projection, round_to_pvm,
-                       round_to_unitary)
+from .rounding import (_isometry_cut, isometry_defect, round_to_projection,
+                       round_to_pvm, round_to_unitary)
 from .sampling import random_projection, random_unitary, rng_from_seed
 
 _NAME_KINDS = ("trivial", "free_unitaries", "projections", "matrix_units")
@@ -322,12 +322,12 @@ def _matrix_unit_isometry(a, p1, p2, tol: Tolerance) -> np.ndarray:
     {0} on the complement of ran(p1) and clustered at 1 on it, so the cut
     at 1/2 yields w with w^H w = p1 and w w^H = p2 at float accuracy.
     """
-    defect = max(op_norm(dagger(a) @ a - p1), op_norm(a @ dagger(a) - p2))
+    defect = isometry_defect(a, p1, p2)
     if defect > _ISOMETRY_ENTRY_GATE:
         raise HypothesisError("input too far from a partial isometry between the corners",
                               defect=defect, bound=_ISOMETRY_ENTRY_GATE)
     w = _isometry_cut(a, p1, p2, 0.5, tol)
-    resid = max(op_norm(dagger(w) @ w - p1), op_norm(w @ dagger(w) - p2))
+    resid = isometry_defect(w, p1, p2)
     if resid > tol.algebraic:
         raise ArithmeticError(
             f"matrix-unit isometry missed exactness: residual {resid:.3e}")

@@ -11,7 +11,8 @@ dyadic rationals sitting strictly inside the admissible ranges
     povm, pvm         delta <= eps^2/64
 
 so a defect within the modulus always satisfies the underlying hypothesis
-with room to spare.
+with room to spare.  The ``*_defect`` functions measure both the
+hypotheses and the exactness residuals.
 """
 from __future__ import annotations
 
@@ -79,15 +80,52 @@ def _check(kind: str, eps: float, defect: float) -> float:
     return delta
 
 
+def isometry_defect(a, p1, p2) -> float:
+    """max(|a^H a - p1|, |a a^H - p2|); with p1 = p2 = 1, the unitary defect."""
+    a = as_operator(a)
+    return max(op_norm(dagger(a) @ a - p1), op_norm(a @ dagger(a) - p2))
+
+
+def projection_defect(a) -> float:
+    """max(|a - a^H|, |a^2 - a|)."""
+    a = as_operator(a)
+    return max(op_norm(a - dagger(a)), op_norm(a @ a - a))
+
+
+def pvm_defect(mats) -> float:
+    """|sum A_i - 1| joined with the projection defect of every member."""
+    family = _family(mats)
+    total = op_norm(sum(family) - np.eye(family[0].shape[0]))
+    return max(total, max(projection_defect(m) for m in family))
+
+
+def _family(mats) -> list[np.ndarray]:
+    family = [as_operator(m) for m in mats]
+    if not family:
+        raise ValueError("empty family")
+    dim = family[0].shape[0]
+    if any(m.shape[0] != dim for m in family):
+        raise ValueError("family members must share one dimension")
+    return family
+
+
+def _step_at_half(w: np.ndarray) -> np.ndarray:
+    return (w >= 0.5).astype(float)
+
+
+def _positive(w: np.ndarray) -> np.ndarray:
+    return np.maximum(w, 0.0)
+
+
 def round_to_unitary(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     """Round an almost-unitary to the unitary polar factor.
 
-    Hypothesis: max(|a^H a - 1|, |a a^H - 1|) within the unitary modulus.
+    Hypothesis: isometry_defect(a, 1, 1) within the unitary modulus.
     Returns (u, report) with |a - u| < eps and u exactly unitary.
     """
     a = as_operator(a)
     eye = identity_like(a)
-    defect = max(op_norm(dagger(a) @ a - eye), op_norm(a @ dagger(a) - eye))
+    defect = isometry_defect(a, eye, eye)
     _check("unitary", eps, defect)
     u = polar_unitary(a, tol)
     report = RoundingReport(
@@ -99,17 +137,10 @@ def round_to_unitary(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     return u, report
 
 
-def _projection_cut(x, cut: float, tol: Tolerance) -> np.ndarray:
-    """Spectral step function: eigenvalues below `cut` to 0, the rest to 1."""
-    spec = hermitian_eig(x, tol)
-    ind = (spec.eigenvalues >= cut).astype(float)
-    return (spec.eigenvectors * ind) @ dagger(spec.eigenvectors)
-
-
 def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     """Round an almost-projection (|a| <= 2) to a spectral projection.
 
-    Hypothesis: max(|a - a^H|, |a - a^2|) within the projection modulus.
+    Hypothesis: projection_defect(a) within the projection modulus.
     The Hermitian part then has spectrum clustered near {0, 1}; cutting at
     1/2 lands on an exact projection within eps of a.
     """
@@ -117,13 +148,13 @@ def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     norm_a = op_norm(a)
     if norm_a > 2.0:
         raise HypothesisError(f"almost-projection must satisfy |a| <= 2, got {norm_a:.6f}")
-    defect = max(op_norm(a - dagger(a)), op_norm(a - a @ a))
+    defect = projection_defect(a)
     _check("projection", eps, defect)
-    p = _projection_cut(herm_part(a), 0.5, tol)
+    p = hermitian_eig(herm_part(a), tol).apply(_step_at_half)
     report = RoundingReport(
         input_defect=defect,
         output_distance=op_norm(a - p),
-        exactness_residual=max(op_norm(p @ p - p), op_norm(p - dagger(p))),
+        exactness_residual=projection_defect(p),
     )
     _guarantee(report, eps, tol)
     return p, report
@@ -137,18 +168,15 @@ def _isometry_cut(a, p1, p2, cut: float, tol: Tolerance) -> np.ndarray:
     partial isometry from ran(p1) onto ran(p2).
     """
     b = p2 @ a @ p1
-    h = herm_part(dagger(b) @ b)
-    spec = hermitian_eig(h, tol)
-    scale = np.where(spec.eigenvalues > cut,
-                     1.0 / np.sqrt(np.maximum(spec.eigenvalues, cut)), 0.0)
-    return b @ ((spec.eigenvectors * scale) @ dagger(spec.eigenvectors))
+    spec = hermitian_eig(herm_part(dagger(b) @ b), tol)
+    return b @ spec.apply(lambda w: np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0))
 
 
 def round_to_partial_isometry(a, p1, p2, eps: float, tol: Tolerance = DEFAULT_TOL):
     """Round a to a partial isometry w with w^H w = p1 and w w^H = p2.
 
     p1, p2 must be exact projections (within tolerance); the hypothesis is
-    max(|a^H a - p1|, |a a^H - p2|) within the partial-isometry modulus.
+    isometry_defect(a, p1, p2) within the partial-isometry modulus.
     """
     a = as_operator(a)
     p1 = as_operator(p1)
@@ -156,26 +184,20 @@ def round_to_partial_isometry(a, p1, p2, eps: float, tol: Tolerance = DEFAULT_TO
     if a.shape != p1.shape or a.shape != p2.shape:
         raise ValueError("a, p1, p2 must share one dimension")
     for name, p in (("p1", p1), ("p2", p2)):
-        resid = max(op_norm(p - dagger(p)), op_norm(p @ p - p))
+        resid = projection_defect(p)
         if resid > tol.algebraic:
             raise ValueError(f"{name} is not a projection within tolerance: residual {resid:.6e}")
-    defect = max(op_norm(dagger(a) @ a - p1), op_norm(a @ dagger(a) - p2))
+    defect = isometry_defect(a, p1, p2)
     delta = _check("partial_isometry", eps, defect)
     gamma = 7.0 * delta ** 0.25
     w = _isometry_cut(a, p1, p2, gamma, tol)
     report = RoundingReport(
         input_defect=defect,
         output_distance=op_norm(a - w),
-        exactness_residual=max(op_norm(dagger(w) @ w - p1), op_norm(w @ dagger(w) - p2)),
+        exactness_residual=isometry_defect(w, p1, p2),
     )
     _guarantee(report, eps, tol)
     return w, report
-
-
-def _positive_part(x, tol: Tolerance) -> np.ndarray:
-    spec = hermitian_eig(x, tol)
-    clipped = np.maximum(spec.eigenvalues, 0.0)
-    return (spec.eigenvectors * clipped) @ dagger(spec.eigenvectors)
 
 
 def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -185,14 +207,9 @@ def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
     through the positive part of the Hermitian part, a computable surrogate
     for the cone distance) joined with |sum A_i - 1|.
     """
-    family = [as_operator(m) for m in mats]
-    if not family:
-        raise ValueError("empty family")
-    dim = family[0].shape[0]
-    if any(m.shape[0] != dim for m in family):
-        raise ValueError("family members must share one dimension")
-    cone = max(op_norm(m - _positive_part(herm_part(m), tol)) for m in family)
-    total = op_norm(sum(family) - np.eye(dim))
+    family = _family(mats)
+    cone = max(op_norm(m - hermitian_eig(herm_part(m), tol).apply(_positive)) for m in family)
+    total = op_norm(sum(family) - np.eye(family[0].shape[0]))
     return max(cone, total)
 
 
@@ -208,14 +225,14 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     if defect >= 0.5:
         raise HypothesisError("family is too far from a POVM",
                               defect=defect, bound=0.5)
-    positives = [_positive_part(herm_part(m), tol) for m in family]
+    positives = [hermitian_eig(herm_part(m), tol).apply(_positive) for m in family]
     s = sum(positives)
     spec = hermitian_eig(s, tol)
     if float(spec.eigenvalues[0]) <= tol.spectral:
         raise HypothesisError(
             f"positive-part sum is singular within tolerance: smallest eigenvalue "
             f"{float(spec.eigenvalues[0]):.6e}")
-    root = (spec.eigenvectors * (spec.eigenvalues ** -0.5)) @ dagger(spec.eigenvectors)
+    root = spec.apply(lambda w: w ** -0.5)
     rounded = [herm_part(root @ p @ root) for p in positives]
     eye = np.eye(family[0].shape[0])
     min_eig = min(float(np.linalg.eigvalsh(b)[0]) for b in rounded)
@@ -236,15 +253,9 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     one at a time inside the corner left by the previous ones; the final
     block is the remaining corner identity, so the output sums to 1 exactly.
     """
-    family = [as_operator(m) for m in mats]
-    if not family:
-        raise ValueError("empty family")
-    dim = family[0].shape[0]
-    if any(m.shape[0] != dim for m in family):
-        raise ValueError("family members must share one dimension")
-    eye = np.eye(dim, dtype=np.complex128)
-    defect = max(op_norm(sum(family) - eye),
-                 max(max(op_norm(m - dagger(m)), op_norm(m - m @ m)) for m in family))
+    family = _family(mats)
+    eye = np.eye(family[0].shape[0], dtype=np.complex128)
+    defect = pvm_defect(family)
     budget = float(PVM_ENTRY_BUDGET)
     if defect > budget:
         raise HypothesisError("family is too far from a PVM", defect=defect, bound=budget)
@@ -252,18 +263,17 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     blocks: list[np.ndarray] = []
     for i, m in enumerate(family[:-1]):
         c = remaining @ m @ remaining
-        stage_defect = max(op_norm(c - dagger(c)), op_norm(c - c @ c))
+        stage_defect = projection_defect(c)
         if stage_defect > PVM_STAGE_GATE:
             raise HypothesisError("compressed block drifted out of the projection cluster",
                                   defect=stage_defect, bound=PVM_STAGE_GATE,
                                   stage=f"block {i}")
-        q = _projection_cut(herm_part(c), 0.5, tol)
+        q = hermitian_eig(herm_part(c), tol).apply(_step_at_half)
         blocks.append(q)
         # re-cut the corner so float drift cannot accumulate across stages
-        remaining = _projection_cut(herm_part(remaining - q), 0.5, tol)
+        remaining = hermitian_eig(herm_part(remaining - q), tol).apply(_step_at_half)
     blocks.append(remaining)
-    resid = max(op_norm(sum(blocks) - eye),
-                max(max(op_norm(q - dagger(q)), op_norm(q @ q - q)) for q in blocks))
+    resid = pvm_defect(blocks)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
             resid = max(resid, op_norm(blocks[i] @ blocks[j]))

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import DEFAULT_TOL, dagger, herm_part, op_norm
-from .rounding import povm_defect
+from .operators import dagger, herm_part, op_norm
+from .rounding import (isometry_defect, povm_defect, projection_defect,
+                       pvm_defect)
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -95,10 +96,7 @@ def almost_unitary_instance(rng: np.random.Generator, dim: int, delta: float):
     def build(scale):
         return u @ (eye + scale * h)
 
-    def measure(a):
-        return max(op_norm(dagger(a) @ a - eye), op_norm(a @ dagger(a) - eye))
-
-    return _shrink(build, measure, delta, delta / 4), u
+    return _shrink(build, lambda a: isometry_defect(a, eye, eye), delta, delta / 4), u
 
 
 def almost_projection_instance(rng: np.random.Generator, dim: int, delta: float):
@@ -112,10 +110,7 @@ def almost_projection_instance(rng: np.random.Generator, dim: int, delta: float)
     def build(scale):
         return p + scale * h + scale * skew
 
-    def measure(a):
-        return max(op_norm(a - dagger(a)), op_norm(a - a @ a))
-
-    return _shrink(build, measure, delta, delta / 8), p
+    return _shrink(build, projection_defect, delta, delta / 8), p
 
 
 def almost_partial_isometry_instance(rng: np.random.Generator, dim: int, delta: float):
@@ -132,10 +127,7 @@ def almost_partial_isometry_instance(rng: np.random.Generator, dim: int, delta: 
     def build(scale):
         return v + scale * e
 
-    def measure(a):
-        return max(op_norm(dagger(a) @ a - p1), op_norm(a @ dagger(a) - p2))
-
-    return _shrink(build, measure, delta, delta / 4), v, p1, p2
+    return _shrink(build, lambda a: isometry_defect(a, p1, p2), delta, delta / 4), v, p1, p2
 
 
 def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
@@ -153,13 +145,8 @@ def almost_pvm_instance(rng: np.random.Generator, dim: int, k: int, delta: float
     """(family, base): family within the PVM entry hypothesis at delta."""
     base = random_pvm(rng, dim, k)
     bumps = [random_hermitian(rng, dim, norm=1.0) for _ in range(k)]
-    eye = np.eye(dim)
 
     def build(scale):
         return [b + scale * h for b, h in zip(base, bumps)]
 
-    def measure(family):
-        return max(op_norm(sum(family) - eye),
-                   max(max(op_norm(m - dagger(m)), op_norm(m - m @ m)) for m in family))
-
-    return _shrink(build, measure, delta, delta / (4 * k)), base
+    return _shrink(build, pvm_defect, delta, delta / (4 * k)), base

@@ -21,12 +21,13 @@ import numpy as np
 
 from .errors import HypothesisError, PreconditionError
 from .games import (
+    CommutationCheck,
     Measurement,
     NonlocalGame,
     State,
     Strategy,
     best_value,
-    commutator_defect,
+    commutator_defects,
     game_element,
     is_delta_op_commuting,
 )
@@ -76,16 +77,16 @@ class CandidateStream:
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
-            raise ValueError("dims must be a nonempty sequence of positive integers")
+            raise PreconditionError("dims must be a nonempty sequence of positive integers")
         object.__setattr__(self, "dims", dims)
         q = int(self.grid_denominator)
         if q < 2 or q & (q - 1):
-            raise ValueError(
-                f"grid_denominator must be a power of two, at least 2, got {self.grid_denominator!r}")
+            raise PreconditionError("grid_denominator must be a power of two, at least 2, "
+                                    f"got {self.grid_denominator!r}")
         object.__setattr__(self, "grid_denominator", q)
         budget = int(self.budget)
         if budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget!r}")
+            raise PreconditionError(f"budget must be at least 1, got {self.budget!r}")
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "planted", tuple(self.planted))
@@ -186,15 +187,27 @@ def _raw_pairs(game: NonlocalGame, stream: CandidateStream,
         yield alice, bob
 
 
-def _indexed_candidates(game: NonlocalGame, stream: CandidateStream, delta: float,
-                        tol: Tolerance) -> Iterator[tuple[int, Measurement, Measurement]]:
+def _gated(game: NonlocalGame, stream: CandidateStream, delta: float, tol: Tolerance
+           ) -> Iterator[tuple[int, Measurement, Measurement, CommutationCheck]]:
+    """Budgeted candidates that pass the commutation gate, with stream position."""
     source = itertools.islice(_raw_pairs(game, stream, tol), stream.budget)
     for examined, pair in enumerate(source, start=1):
         if pair is None:
             continue
         alice, bob = pair
-        if is_delta_op_commuting(alice, bob, delta).ok:
-            yield examined, alice, bob
+        check = is_delta_op_commuting(alice, bob, delta)
+        if check.ok:
+            yield examined, alice, bob, check
+
+
+def _witnesses(game: NonlocalGame, stream: CandidateStream, delta: float,
+               tol: Tolerance) -> Iterator[tuple[int, Witness]]:
+    """Each gated candidate as a Witness at its best state and certified value."""
+    for examined, alice, bob, check in _gated(game, stream, delta, tol):
+        approx = best_value(game, alice, bob, tol)
+        yield examined, Witness(alice=alice, bob=bob, state=approx.state,
+                                certified_value=approx.value - CERTIFIED_EIG_ERROR,
+                                defect=check.worst_defect)
 
 
 def enumerate_candidates(game: NonlocalGame, stream: CandidateStream, delta: float,
@@ -206,7 +219,7 @@ def enumerate_candidates(game: NonlocalGame, stream: CandidateStream, delta: flo
     The stream examines at most stream.budget pairs; pairs failing the
     strict per-question-pair commutator check are dropped silently.
     """
-    for _, alice, bob in _indexed_candidates(game, stream, delta, tol):
+    for _, alice, bob, _ in _gated(game, stream, delta, tol):
         yield alice, bob
 
 
@@ -224,13 +237,8 @@ def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
     if not 0.0 <= delta <= 1.0:
         raise PreconditionError(f"delta({len(z)}) = {delta!r} must lie in [0, 1]")
     start = time.perf_counter()
-    for examined, alice, bob in _indexed_candidates(game, stream, delta, tol):
-        approx = best_value(game, alice, bob, tol)
-        certified = approx.value - CERTIFIED_EIG_ERROR
-        if certified > 0.5:
-            check = is_delta_op_commuting(alice, bob, delta)
-            witness = Witness(alice=alice, bob=bob, state=approx.state,
-                              certified_value=certified, defect=check.worst_defect)
+    for examined, witness in _witnesses(game, stream, delta, tol):
+        if witness.certified_value > 0.5:
             return SearchVerdict(outcome="accepted", witness=witness,
                                  candidates_tried=examined,
                                  wall_time=time.perf_counter() - start)
@@ -251,13 +259,9 @@ def evaluate_stream(game: NonlocalGame, stream: CandidateStream, delta: float,
     if not 0.0 <= delta <= 1.0:
         raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
     best: Witness | None = None
-    for _, alice, bob in _indexed_candidates(game, stream, delta, tol):
-        approx = best_value(game, alice, bob, tol)
-        certified = approx.value - CERTIFIED_EIG_ERROR
-        if best is None or certified > best.certified_value:
-            check = is_delta_op_commuting(alice, bob, delta)
-            best = Witness(alice=alice, bob=bob, state=approx.state,
-                           certified_value=certified, defect=check.worst_defect)
+    for _, witness in _witnesses(game, stream, delta, tol):
+        if best is None or witness.certified_value > best.certified_value:
+            best = witness
     return best, stream.budget
 
 
@@ -302,18 +306,15 @@ class SeesawRun(NamedTuple):
     trace: list[float]
 
 
-def _penalty(alice: Measurement, bob: Measurement, delta: float) -> float:
-    total = 0.0
-    for x in range(alice.questions):
-        for y in range(bob.questions):
-            total += max(0.0, commutator_defect(alice, bob, x, y) - delta)
-    return total
+def _penalty(alice_ops: np.ndarray, bob_ops: np.ndarray, delta: float) -> float:
+    """Sum over question pairs of the commutator defect in excess of delta."""
+    return sum(max(0.0, d - delta) for d in commutator_defects(alice_ops, bob_ops).ravel().tolist())
 
 
 def _objective(game: NonlocalGame, alice: Measurement, bob: Measurement,
                rho: np.ndarray, delta: float, mu: float, tol: Tolerance) -> float:
     value = float(np.trace(rho @ game_element(game, alice, bob, tol)).real)
-    return value - mu * _penalty(alice, bob, delta)
+    return value - mu * _penalty(alice.ops, bob.ops, delta)
 
 
 def _psd_sqrt_clip(m: np.ndarray) -> np.ndarray:
@@ -351,17 +352,6 @@ def _row_value(row: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
     return total
 
 
-def _row_penalty(row: np.ndarray, other_ops: np.ndarray, delta: float) -> float:
-    total = 0.0
-    for y in range(other_ops.shape[0]):
-        defect = 0.0
-        for a in range(row.shape[0]):
-            for b in range(other_ops.shape[1]):
-                defect += op_norm(row[a] @ other_ops[y, b] - other_ops[y, b] @ row[a])
-        total += max(0.0, defect - delta)
-    return total
-
-
 def _row_value_gradient(game: NonlocalGame, my_ops: np.ndarray, other_ops: np.ndarray,
                         rho: np.ndarray, x: int, side: str, tol: Tolerance,
                         floor: float = 1e-6) -> np.ndarray:
@@ -381,7 +371,8 @@ def _row_value_gradient(game: NonlocalGame, my_ops: np.ndarray, other_ops: np.nd
     roots = np.zeros_like(other_ops)
     for y in range(n):
         for b in range(k):
-            roots[y, b] = spectral_apply(other_ops[y, b], lambda t: math.sqrt(max(t, 0.0)), tol)
+            roots[y, b] = spectral_apply(other_ops[y, b],
+                                         lambda w: np.sqrt(np.maximum(w, 0.0)), tol)
     grads = np.zeros((k, dim, dim), dtype=np.complex128)
     for a in range(k):
         if not weights[a].any():
@@ -430,7 +421,7 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
     for x in range(n):
         weights = _row_weights(game, x, side)
         current_value = _row_value(ops[x], weights, other.ops, conjugated, rho)
-        current_pen = _row_penalty(ops[x], other.ops, delta)
+        current_pen = _penalty(ops[x][None], other.ops, delta)
         grad = _row_value_gradient(game, ops, other.ops, rho, x, side, tol,
                                    floor=_PROPOSAL_FLOOR)
         grad = grad - grad.mean(axis=0)
@@ -448,7 +439,7 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
                 continue
             trial = np.array(repaired)
             gain = (_row_value(trial, weights, other.ops, conjugated, rho) - current_value
-                    - mu * (_row_penalty(trial, other.ops, delta) - current_pen))
+                    - mu * (_penalty(trial[None], other.ops, delta) - current_pen))
             if gain > 1e-12:
                 ops[x] = trial
                 obj += gain
@@ -472,8 +463,10 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
     """
     if dim < 1:
         raise PreconditionError(f"dim must be at least 1, got {dim!r}")
-    if mu < 0:
-        raise PreconditionError(f"mu must be nonnegative, got {mu!r}")
+    if not 0.0 <= delta <= 1.0:
+        raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise PreconditionError(f"mu must be finite and nonnegative, got {mu!r}")
     if iters < 1:
         raise PreconditionError(f"iters must be at least 1, got {iters!r}")
     if init is not None:
@@ -493,7 +486,7 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
     trace = [obj]
     for _ in range(iters):
         top = best_value(game, alice, bob, tol)
-        cand = top.value - mu * _penalty(alice, bob, delta)
+        cand = top.value - mu * _penalty(alice.ops, bob.ops, delta)
         if cand >= obj:
             rho = top.state.rho
             obj = cand

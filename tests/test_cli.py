@@ -61,6 +61,24 @@ def test_unregistered_presentation_exit_three(capsys):
     assert "precondition error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["semidecide", "--game", DATA / "chsh.json", "--budget", 0],
+    ["game-value", "--game", DATA / "chsh.json", "--budget", 0],
+    ["semidecide", "--game", DATA / "chsh.json", "--grid-denominator", 3],
+    ["game-value", "--game", DATA / "chsh.json", "--grid-denominator", 3],
+    ["semidecide", "--game", DATA / "chsh.json", "--tol-algebraic", 1],
+    ["game-value", "--game", DATA / "chsh.json", "--tol-algebraic", 1],
+    ["seesaw", "--game", DATA / "chsh.json", "--delta", "nan", "--iters", 1],
+    ["seesaw", "--game", DATA / "chsh.json", "--delta", -1, "--iters", 1],
+    ["seesaw", "--game", DATA / "chsh.json", "--mu", "nan", "--iters", 1],
+])
+def test_invalid_parameters_exit_three(tmp_path, capsys, argv):
+    code = run_cli(argv + ["--out", tmp_path / "report.jsonl"])
+    assert code == 3
+    err_lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("precondition error: ") for line in err_lines)
+
+
 def test_semidecide_budget_exhausted_exit_four(tmp_path):
     out = tmp_path / "report.jsonl"
     code = run_cli(["semidecide", "--game", DATA / "never_win.json",
@@ -233,15 +251,17 @@ def test_different_seeds_differ(tmp_path):
 def test_module_invocation_matches_api(tmp_path):
     out = tmp_path / "report.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-m", "cstarkit.cli", "classical-value",
+        [sys.executable, "-m", "cstarkit", "classical-value",
          "--game", str(DATA / "chsh.json"), "--out", str(out)],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
     assert read_records(out)[1]["classical_value"] == "3/4"
 
 
 def test_module_invocation_bad_args_exit_two():
     proc = subprocess.run(
-        [sys.executable, "-m", "cstarkit.cli", "no-such-command"],
+        [sys.executable, "-m", "cstarkit", "no-such-command"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr

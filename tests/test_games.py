@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cstarkit.games import (Measurement, NonlocalGame, State, Strategy,
-                            best_value, chsh, commutator_defect, correlation,
+                            best_value, chsh, commutator_defects, correlation,
                             game_element, game_value, is_delta_op_commuting,
                             sym_product)
 from cstarkit.operators import dagger, herm_part, op_norm
@@ -259,7 +259,28 @@ def test_commutator_defect_pauli():
     ops[0, 1] = _projectors(X)[1]
     meas_x = Measurement(ops)
     # each of the four projector pairs contributes |[P, Q]| = 1/2
-    assert commutator_defect(meas_z, meas_x, 0, 0) == pytest.approx(2.0, abs=1e-12)
+    table = commutator_defects(meas_z.ops, meas_x.ops)
+    assert table.shape == (1, 1)
+    assert table[0, 0] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_commutator_defects_match_per_pair_loop():
+    """Entry [x, y] is the answer sum of |[A^x_a, B^y_b]|, for unequal shapes too."""
+    rng = rng_from_seed(70)
+    for n_a, n_b, k_a, k_b, dim in ((2, 2, 2, 2, 2), (3, 2, 2, 4, 3), (1, 3, 3, 2, 4)):
+        alice = np.array([random_povm(rng, dim, k_a) for _ in range(n_a)])
+        bob = np.array([random_povm(rng, dim, k_b) for _ in range(n_b)])
+        table = commutator_defects(alice, bob)
+        assert table.shape == (n_a, n_b)
+        for x in range(n_a):
+            for y in range(n_b):
+                expected = sum(op_norm(alice[x, a] @ bob[y, b] - bob[y, b] @ alice[x, a])
+                               for a in range(k_a) for b in range(k_b))
+                assert table[x, y] == pytest.approx(expected, rel=1e-14)
+                assert table[x, y] > 0
+        check = is_delta_op_commuting(Measurement(alice), Measurement(bob), 100.0)
+        assert check.worst_defect == table.max()
+        assert table[check.worst_pair] == table.max()
 
 
 def test_is_delta_op_commuting():

@@ -117,6 +117,18 @@ def test_spectral_apply_composition():
         assert op_norm(once - both) < 1e-8
 
 
+def test_spectral_apply_step_function_gives_projection():
+    """f maps the eigenvalue array; a step at 1/2 cuts out a spectral projection."""
+    rng = rng_from_seed(19)
+    for dim in (2, 5, 8):
+        h = random_hermitian(rng, dim, norm=1.0)
+        p = spectral_apply(h, lambda w: (w >= 0.5).astype(float))
+        assert op_norm(p @ p - p) < 1e-12
+        assert op_norm(p - dagger(p)) < 1e-12
+        rank = int(np.sum(np.linalg.eigvalsh(h) >= 0.5))
+        assert abs(np.trace(p).real - rank) < 1e-12
+
+
 def test_spectral_apply_identity_function():
     rng = rng_from_seed(18)
     h = random_hermitian(rng, 5)

@@ -7,7 +7,9 @@ import pytest
 
 from cstarkit.errors import HypothesisError
 from cstarkit.operators import dagger, op_norm
-from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET, povm_defect,
+from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET,
+                               isometry_defect, povm_defect,
+                               projection_defect, pvm_defect,
                                round_to_partial_isometry, round_to_povm,
                                round_to_projection, round_to_pvm,
                                round_to_unitary, stability_modulus)
@@ -315,6 +317,68 @@ def test_round_to_pvm_dimension_mismatch():
         round_to_pvm([np.eye(2), np.zeros((3, 3))])
     with pytest.raises(ValueError):
         round_to_pvm([])
+
+
+# --- defect functions --------------------------------------------------------
+
+def _norm(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def _cone_distance(m):
+    """|m - positive part of its Hermitian part|, the README's POVM surrogate."""
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    return _norm(m - (v * np.maximum(w, 0.0)) @ v.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_defects_vanish_on_exact_and_match_readme(dim):
+    """Each defect is <= 1e-12 on the exact structure the sampler perturbed,
+    and equals the README's "defect measured as" formula on the perturbation."""
+    rng = rng_from_seed(50 + dim)
+    delta = 1e-3
+    eye = np.eye(dim)
+
+    a, u = almost_unitary_instance(rng, dim, delta)
+    assert isometry_defect(u, eye, eye) <= 1e-12
+    expected = max(_norm(a.conj().T @ a - eye), _norm(a @ a.conj().T - eye))
+    assert isometry_defect(a, eye, eye) == pytest.approx(expected, rel=1e-12)
+    assert 0 < expected <= delta
+
+    a, p = almost_projection_instance(rng, dim, delta)
+    assert projection_defect(p) <= 1e-12
+    expected = max(_norm(a - a.conj().T), _norm(a - a @ a))
+    assert projection_defect(a) == pytest.approx(expected, rel=1e-12)
+    assert 0 < expected <= delta
+
+    a, v, p1, p2 = almost_partial_isometry_instance(rng, dim, delta)
+    assert isometry_defect(v, p1, p2) <= 1e-12
+    expected = max(_norm(a.conj().T @ a - p1), _norm(a @ a.conj().T - p2))
+    assert isometry_defect(a, p1, p2) == pytest.approx(expected, rel=1e-12)
+    assert 0 < expected <= delta
+
+    family, base = almost_povm_instance(rng, dim, 3, delta)
+    assert povm_defect(base) <= 1e-12
+    expected = max(max(_cone_distance(m) for m in family), _norm(sum(family) - eye))
+    assert povm_defect(family) == pytest.approx(expected, rel=1e-9)
+    assert 0 < expected <= delta
+
+    family, base = almost_pvm_instance(rng, dim, 3, delta)
+    assert pvm_defect(base) <= 1e-12
+    # a sum-preserving bump as well, so the member defects decide the max
+    h = 1e-4 * random_unitary(rng, dim)
+    for fam in (family, [base[0] + h, base[1] - h, base[2]]):
+        expected = max(_norm(sum(fam) - eye),
+                       max(max(_norm(m - m.conj().T), _norm(m - m @ m)) for m in fam))
+        assert pvm_defect(fam) == pytest.approx(expected, rel=1e-12)
+        assert 0 < expected <= delta
+
+
+def test_pvm_defect_validates_family():
+    with pytest.raises(ValueError):
+        pvm_defect([])
+    with pytest.raises(ValueError):
+        pvm_defect([np.eye(2), np.zeros((3, 3))])
 
 
 # --- degradation across eps ---------------------------------------------------

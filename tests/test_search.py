@@ -7,7 +7,7 @@ import pytest
 
 from cstarkit.errors import PreconditionError
 from cstarkit.games import (Measurement, NonlocalGame, State, Strategy, chsh,
-                            game_element, game_value)
+                            game_element, game_value, is_delta_op_commuting)
 from cstarkit.operators import op_norm
 from cstarkit.sampling import random_povm, rng_from_seed
 from cstarkit.search import (CandidateStream, GameFamily, classical_optimum,
@@ -169,6 +169,7 @@ def test_witness_reverifies():
     assert verdict.outcome == "accepted"
     audit = verify_witness(chsh(), verdict.witness, delta=1.0)
     assert audit.ok
+    assert verdict.witness.defect == audit.worst_defect
     assert audit.povm_residual <= 1e-10
     assert audit.value > 0.5
 
@@ -184,8 +185,52 @@ def test_evaluate_stream_scans_whole_budget():
     best, examined = evaluate_stream(game, stream, delta=1.0)
     assert examined == 30
     assert best is not None
+    assert best.defect == is_delta_op_commuting(best.alice, best.bob, 1.0).worst_defect
     # the deterministic prefix alone reaches the classical value 3/4
     assert best.certified_value >= 0.75 - 2.0 ** -7 - 1e-12
+
+
+def diluted_chsh_with_planted_pair(t=0.05):
+    """CHSH on questions {0, 1} at total weight 5/8; Alice's question 2 never wins.
+
+    The classical value is 15/32, so the deterministic prefix never clears
+    1/2.  The planted pair is the optimal tensor strategy with Bob's side
+    conjugated by exp(i t X(x)X), which breaks commutation slightly and
+    keeps the best state value near 5/8 cos^2(pi/8) ~ 0.53.
+    """
+    pi = np.zeros((3, 3))
+    pi[:2, :2] = 5 / 32
+    pi[2, :] = 1 / 8
+    predicate = np.zeros((3, 3, 2, 2), dtype=np.int8)
+    predicate[:2, :2] = chsh().predicate
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    eye = np.eye(2)
+    u = np.cos(t) * np.eye(4) + 1j * np.sin(t) * np.kron(x, x)
+
+    def rows(observables, lift):
+        return np.array([[lift((eye + sign * obs) / 2) for sign in (1, -1)]
+                         for obs in observables])
+
+    alice = rows([z, x, z], lambda p: np.kron(p, eye))
+    bob = rows([(z + x) / np.sqrt(2), (z - x) / np.sqrt(2), z],
+               lambda p: u @ np.kron(eye, p) @ u.conj().T)
+    return NonlocalGame(pi, predicate), (Measurement(alice), Measurement(bob))
+
+
+def test_witness_defect_is_the_gate_check():
+    """Both scorers report the defect their commutation gate measured."""
+    game, pair = diluted_chsh_with_planted_pair()
+    assert classical_value(game) == Fraction(15, 32)
+    stream = CandidateStream(dims=(2,), budget=70, planted=(pair,))
+    verdict = semidecide_membership(constant_family(game, 0.5), "", stream)
+    assert verdict.outcome == "accepted"
+    assert verdict.candidates_tried == 2 ** 6 + 1
+    best, _ = evaluate_stream(game, stream, 0.5)
+    for witness in (verdict.witness, best):
+        assert witness.alice is pair[0] and witness.bob is pair[1]
+        check = is_delta_op_commuting(witness.alice, witness.bob, 0.5)
+        assert witness.defect == check.worst_defect > 0
 
 
 def test_evaluate_stream_none_under_delta_zero():
