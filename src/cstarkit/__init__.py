@@ -12,17 +12,17 @@ from .errors import (HypothesisError, ParseError, PreconditionError,
 from .operators import (DEFAULT_TOL, Tolerance, commutator, dagger, herm_part,
                         hermitian_eig, op_norm, polar_unitary, spectral_apply)
 from .rounding import (ROUNDING_KINDS, RoundingReport, isometry_defect,
-                       povm_defect, projection_defect, pvm_defect,
-                       round_to_partial_isometry, round_to_povm,
+                       povm_defect, povm_residual, projection_defect,
+                       pvm_defect, round_to_partial_isometry, round_to_povm,
                        round_to_projection, round_to_pvm, round_to_unitary,
                        stability_modulus)
 from .sampling import (random_density, random_hermitian, random_povm,
                        random_projection, random_pvm, random_unitary,
                        rng_from_seed)
 from .games import (BestValue, CommutationCheck, Measurement, NonlocalGame,
-                    State, Strategy, best_value, chsh, commutator_defects,
-                    correlation, game_element, game_value,
-                    is_delta_op_commuting, sym_product)
+                    State, Strategy, best_value, check_shapes, chsh,
+                    commutator_defects, correlation, game_element,
+                    game_value, is_delta_op_commuting, sym_product)
 from .polynomials import (GaussianRational, NCPolynomial, generator,
                           lipschitz_bound, triangle_norm_bound)
 from .presentations import (Presentation, Representation,
@@ -36,8 +36,8 @@ from .search import (CERTIFIED_EIG_ERROR, CandidateStream, GameFamily,
                      SearchVerdict, SeesawRun, Witness, WitnessAudit,
                      classical_optimum, classical_value, constant_family,
                      deterministic_measurement, enumerate_candidates,
-                     evaluate_stream, measurement_residual, seesaw_optimize,
-                     semidecide_membership, verify_witness)
+                     evaluate_stream, seesaw_optimize, semidecide_membership,
+                     verify_witness)
 from .formats import (parse_game, parse_polynomial, parse_presentation,
                       report_lines, sha256_file, write_report)
 from .cli import RunConfig, console_main, run

@@ -26,7 +26,9 @@ from .formats import (FORMAT_VERSION, parse_game, parse_polynomial,
                       parse_presentation, report_lines, sha256_file,
                       write_report)
 from .games import Measurement, NonlocalGame, game_value
-from .operators import DEFAULT_TOL, Tolerance, op_norm
+# op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
+# checks that tracing rebinds cstarkit.cli.op_norm
+from .operators import DEFAULT_TOL, Tolerance, op_norm  # noqa: F401
 from .presentations import (RepresentationCatalog, norm_lower_enumerate,
                             registered_presentation)
 from .rounding import (ROUNDING_KINDS, round_to_partial_isometry,
@@ -74,6 +76,8 @@ class RunConfig:
             raise PreconditionError("seed and budget must be integers")
         if self.budget < 0:
             raise PreconditionError(f"budget must be nonnegative, got {self.budget}")
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     def tolerance(self) -> Tolerance:
@@ -210,32 +214,24 @@ def _cmd_seesaw(config: RunConfig, tol: Tolerance):
     return 0, inputs, records, summary, lines
 
 
-def _suite_distance(rounded, original) -> float:
-    if isinstance(rounded, list):
-        return max(op_norm(r - o) for r, o in zip(rounded, original))
-    return op_norm(rounded - original)
-
-
 def _suite_trial(kind: str, rng, dim: int, k: int, eps: float, tol: Tolerance):
     """One admissible instance of `kind`, rounded; (residual, distance)."""
     budget = float(stability_modulus(kind, eps))
     if kind == "unitary":
         a, _ = almost_unitary_instance(rng, dim, budget)
-        out, report = round_to_unitary(a, eps, tol)
+        _, report = round_to_unitary(a, eps, tol)
     elif kind == "projection":
         a, _ = almost_projection_instance(rng, dim, budget)
-        out, report = round_to_projection(a, eps, tol)
+        _, report = round_to_projection(a, eps, tol)
     elif kind == "partial_isometry":
         a, _, p1, p2 = almost_partial_isometry_instance(rng, dim, budget)
-        out, report = round_to_partial_isometry(a, p1, p2, eps, tol)
+        _, report = round_to_partial_isometry(a, p1, p2, eps, tol)
     elif kind == "povm":
         family, _ = almost_povm_instance(rng, dim, k, budget)
-        out, report = round_to_povm(family, tol)
-        return report.exactness_residual, _suite_distance(out, family)
+        _, report = round_to_povm(family, tol)
     else:
         family, _ = almost_pvm_instance(rng, dim, k, budget)
-        out, report = round_to_pvm(family, tol)
-        return report.exactness_residual, _suite_distance(out, family)
+        _, report = round_to_pvm(family, tol)
     return report.exactness_residual, report.output_distance
 
 

@@ -44,22 +44,16 @@ def _need(cond: bool, message: str, where: str) -> None:
         raise ParseError(message, where=where)
 
 
-def _as_weight(entry, where: str) -> float:
-    """A probability entry: JSON number or exact rational string "p/q"."""
-    if isinstance(entry, bool):
+def _as_weight(entry, where: str) -> Fraction:
+    """A probability entry, exactly: JSON number or rational string "p/q"."""
+    if isinstance(entry, bool) or not isinstance(entry, (int, float, str)):
         raise ParseError("probability entries must be numbers or 'p/q' strings", where=where)
-    if isinstance(entry, (int, float)):
-        value = float(entry)
-    elif isinstance(entry, str):
-        try:
-            value = float(Fraction(entry.strip()))
-        except (ValueError, ZeroDivisionError) as ex:
-            raise ParseError(f"not a rational number: {entry!r}", where=where) from ex
-    else:
-        raise ParseError("probability entries must be numbers or 'p/q' strings", where=where)
-    if not math.isfinite(value) or value < 0:
-        raise ParseError(f"probability entries must be finite and nonnegative, got {entry!r}",
-                         where=where)
+    try:
+        value = Fraction(entry.strip() if isinstance(entry, str) else entry)
+    except (ValueError, OverflowError, ZeroDivisionError) as ex:
+        raise ParseError(f"not a rational number: {entry!r}", where=where) from ex
+    if not 0 <= value <= 1:
+        raise ParseError(f"probability entries must lie in [0, 1], got {entry!r}", where=where)
     return value
 
 
@@ -67,9 +61,10 @@ def parse_game(text: str) -> NonlocalGame:
     """Parse a game document: fields n, k, pi, and one of win / d_table.
 
     Questions and answers are 0-indexed.  pi must be an n x n array of
-    nonnegative entries summing to 1 (within 1e-12); `win` lists the
-    [x, y, a, b] quadruples where the predicate is 1, while `d_table` gives
-    the dense n x n x k x k 0/1 table directly.
+    entries in [0, 1] summing to 1 (within 1e-12); the game keeps them
+    exact in pi_exact.  `win` lists the [x, y, a, b] quadruples where the
+    predicate is 1, while `d_table` gives the dense n x n x k x k 0/1
+    table directly.
     """
     doc = _load_json(text, "game")
     _need(isinstance(doc, dict), "game document must be a JSON object", "$")
@@ -87,11 +82,9 @@ def parse_game(text: str) -> NonlocalGame:
     _need(isinstance(pi_doc, list) and len(pi_doc) == n
           and all(isinstance(row, list) and len(row) == n for row in pi_doc),
           f"'pi' must be an {n}x{n} array", "pi")
-    pi = np.zeros((n, n))
-    for x, row in enumerate(pi_doc):
-        for y, entry in enumerate(row):
-            pi[x, y] = _as_weight(entry, f"pi[{x}][{y}]")
-    total = float(pi.sum())
+    pi = [[_as_weight(entry, f"pi[{x}][{y}]") for y, entry in enumerate(row)]
+          for x, row in enumerate(pi_doc)]
+    total = float(np.array(pi, dtype=float).sum())
     _need(abs(total - 1.0) <= 1e-12,
           f"'pi' must sum to 1 within 1e-12, got {total!r}", "pi")
 

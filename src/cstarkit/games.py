@@ -11,11 +11,13 @@ ordinary product when the measurements commute.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import PreconditionError
 from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, herm_part,
                         hermitian_eig, op_norm)
 
@@ -32,12 +34,15 @@ def _frozen_array(obj, name, value):
 class NonlocalGame:
     """Question distribution and winning predicate.
 
-    pi: (n, n) nonnegative array summing to 1 within 1e-12.
+    pi: (n, n) nonnegative array summing to 1 within 1e-12; entries may
+    be floats or Fractions, and pi_exact keeps them as Fractions (exact
+    for floats too) while pi holds the nearest floats.
     predicate: (n, n, k, k) array of {0, 1}, indexed [x, y, a, b].
     """
 
     pi: np.ndarray
     predicate: np.ndarray
+    pi_exact: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pi = np.asarray(self.pi, dtype=float)
@@ -47,13 +52,15 @@ class NonlocalGame:
         n = pi.shape[0]
         if pred.ndim != 4 or pred.shape[:2] != (n, n) or pred.shape[2] != pred.shape[3]:
             raise ValueError(f"predicate shape {pred.shape} does not match pi shape {pi.shape}")
-        if np.any(pi < 0):
-            raise ValueError("pi entries must be nonnegative")
+        if not np.all(np.isfinite(pi)) or np.any(pi < 0):
+            raise ValueError("pi entries must be finite and nonnegative")
         total = float(pi.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pi must sum to 1 within 1e-12, got {total!r}")
         if not np.isin(pred, (0, 1)).all():
             raise ValueError("predicate entries must be 0 or 1")
+        exact = np.asarray(self.pi, dtype=object)
+        object.__setattr__(self, "pi_exact", tuple(tuple(map(Fraction, row)) for row in exact))
         _frozen_array(self, "pi", pi)
         _frozen_array(self, "predicate", pred.astype(np.int8))
 
@@ -210,7 +217,7 @@ def game_element(game: NonlocalGame, alice: Measurement, bob: Measurement,
     Hermitian with spectrum in [0, 1] up to tolerance; the game value of a
     state is its expectation against this matrix.
     """
-    _check_shapes(game, alice, bob)
+    check_shapes(game, alice, bob)
     ra = _sqrt_family(alice.ops, tol)
     rb = _sqrt_family(bob.ops, tol)
     dim = alice.dim
@@ -226,13 +233,21 @@ def game_element(game: NonlocalGame, alice: Measurement, bob: Measurement,
     return herm_part(element)
 
 
-def _check_shapes(game: NonlocalGame, alice: Measurement, bob: Measurement) -> None:
-    if alice.questions != game.n or bob.questions != game.n:
-        raise ValueError("measurement question count does not match the game")
-    if alice.outcomes != game.k or bob.outcomes != game.k:
-        raise ValueError("measurement outcome count does not match the game")
+def check_shapes(game: NonlocalGame, alice: Measurement, bob: Measurement) -> None:
+    """Check that a measurement pair fits the game.
+
+    Raises PreconditionError unless both are Measurements with the game's
+    (questions, outcomes) shape on one shared dimension.
+    """
+    for side in (alice, bob):
+        if not isinstance(side, Measurement):
+            raise PreconditionError("players' strategies must be Measurement instances")
+        if (side.questions, side.outcomes) != (game.n, game.k):
+            raise PreconditionError(
+                f"measurement shape ({side.questions}, {side.outcomes}) does not "
+                f"match the game ({game.n}, {game.k})")
     if alice.dim != bob.dim:
-        raise ValueError("players must share one dimension")
+        raise PreconditionError("players must share one dimension")
 
 
 def game_value(game: NonlocalGame, strategy: Strategy,

@@ -18,18 +18,22 @@ from .errors import PreconditionError
 class Tolerance:
     """Numerical slack for "exactly satisfies" checks.
 
-    ``spectral`` guards invertibility thresholds, ``algebraic`` guards
-    identity checks such as ``p^2 = p``.  Both must lie in (0, 1e-4).
+    ``spectral`` guards invertibility thresholds and must lie in (0, 1e-4).
+    ``algebraic`` guards identity checks such as ``p^2 = p`` and must lie
+    in [1e-12, 1e-4): float64 roundings leave residuals of a few 1e-15,
+    so a tighter algebraic tolerance could not be met.
     """
 
     spectral: float = 1e-10
     algebraic: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("spectral", "algebraic"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1e-4):
-                raise PreconditionError(f"{name} tolerance must lie in (0, 1e-4), got {value!r}")
+        if not (0.0 < self.spectral < 1e-4):
+            raise PreconditionError(
+                f"spectral tolerance must lie in (0, 1e-4), got {self.spectral!r}")
+        if not (1e-12 <= self.algebraic < 1e-4):
+            raise PreconditionError(
+                f"algebraic tolerance must lie in [1e-12, 1e-4), got {self.algebraic!r}")
 
 
 DEFAULT_TOL = Tolerance()

@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -28,8 +29,6 @@ from .polynomials import NCPolynomial, generator, lipschitz_bound
 from .rounding import (_isometry_cut, isometry_defect, round_to_projection,
                        round_to_pvm, round_to_unitary)
 from .sampling import random_projection, random_unitary, rng_from_seed
-
-_NAME_KINDS = ("trivial", "free_unitaries", "projections", "matrix_units")
 
 
 @dataclass(frozen=True)
@@ -274,11 +273,11 @@ def registered_presentation(pres_id: str) -> RegisteredFamily:
     if kind == "free_unitaries":
         pres = free_unitaries(size)
         table = StabilityModulusTable(pres_id, lambda n: n + 1)
-        return RegisteredFamily(pres, table, _witness_unitaries)
+        return RegisteredFamily(pres, table, partial(_witness_each, round_to_unitary))
     if kind == "projections":
         pres = projections_presentation(size)
         table = StabilityModulusTable(pres_id, lambda n: 2 * n + 4)
-        return RegisteredFamily(pres, table, _witness_projections)
+        return RegisteredFamily(pres, table, partial(_witness_each, round_to_projection))
     pres = matrix_units(size)
     table = StabilityModulusTable(pres_id, _matrix_units_modulus)
     return RegisteredFamily(pres, table, _witness_matrix_units)
@@ -294,21 +293,13 @@ def _witness_trivial(pres, rep, eps, tol):
     return Representation(rep.dim, {}, unit=pres.unit_generator)
 
 
-def _witness_unitaries(pres, rep, eps, tol):
+def _witness_each(round_one, pres, rep, eps, tol):
+    """Round every non-unit generator image on its own with round_one."""
     images = {}
     for name, _ in pres.generators:
         if name == pres.unit_generator:
             continue
-        images[name], _ = round_to_unitary(rep.images[name], eps, tol)
-    return Representation(rep.dim, images, unit=pres.unit_generator)
-
-
-def _witness_projections(pres, rep, eps, tol):
-    images = {}
-    for name, _ in pres.generators:
-        if name == pres.unit_generator:
-            continue
-        images[name], _ = round_to_projection(rep.images[name], eps, tol)
+        images[name], _ = round_one(rep.images[name], eps, tol)
     return Representation(rep.dim, images, unit=pres.unit_generator)
 
 

@@ -213,6 +213,13 @@ def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
     return max(cone, total)
 
 
+def povm_residual(mats) -> float:
+    """Exactness residual of a POVM: max(|sum A_i - 1|, -min eig A_i)."""
+    family = _family(mats)
+    min_eig = min(float(np.linalg.eigvalsh(herm_part(m))[0]) for m in family)
+    return max(op_norm(sum(family) - np.eye(family[0].shape[0])), max(0.0, -min_eig))
+
+
 def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     """Round a family with povm_defect < 1/2 to an exact POVM.
 
@@ -234,12 +241,10 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
             f"{float(spec.eigenvalues[0]):.6e}")
     root = spec.apply(lambda w: w ** -0.5)
     rounded = [herm_part(root @ p @ root) for p in positives]
-    eye = np.eye(family[0].shape[0])
-    min_eig = min(float(np.linalg.eigvalsh(b)[0]) for b in rounded)
     report = RoundingReport(
         input_defect=defect,
         output_distance=max(op_norm(a - b) for a, b in zip(family, rounded)),
-        exactness_residual=max(op_norm(sum(rounded) - eye), max(0.0, -min_eig)),
+        exactness_residual=povm_residual(rounded),
     )
     _guarantee(report, None, tol)
     return rounded, report

@@ -27,12 +27,13 @@ from .games import (
     State,
     Strategy,
     best_value,
+    check_shapes,
     commutator_defects,
-    game_element,
+    game_value,
     is_delta_op_commuting,
 )
 from .operators import DEFAULT_TOL, Tolerance, herm_part, op_norm, spectral_apply
-from .rounding import povm_defect, round_to_povm
+from .rounding import povm_defect, povm_residual, round_to_povm
 from .sampling import random_povm, rng_from_seed
 
 # Certified bound on the eigenvalue error of the value estimate.  Dense
@@ -88,7 +89,10 @@ class CandidateStream:
         if budget < 1:
             raise PreconditionError(f"budget must be at least 1, got {self.budget!r}")
         object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = int(self.seed)
+        if seed < 0:
+            raise PreconditionError(f"seed must be nonnegative, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "planted", tuple(self.planted))
 
 
@@ -149,20 +153,6 @@ def _grid_measurement(rng: np.random.Generator, n: int, k: int, dim: int,
     return Measurement(np.array(rows))
 
 
-def _checked_plant(game: NonlocalGame, pair) -> tuple[Measurement, Measurement]:
-    alice, bob = pair
-    for side in (alice, bob):
-        if not isinstance(side, Measurement):
-            raise PreconditionError("planted candidates must be Measurement pairs")
-        if side.questions != game.n or side.outcomes != game.k:
-            raise PreconditionError(
-                f"planted measurement shape ({side.questions}, {side.outcomes}) does not "
-                f"match the game ({game.n}, {game.k})")
-    if alice.dim != bob.dim:
-        raise PreconditionError("planted pair must share one dimension")
-    return alice, bob
-
-
 def _raw_pairs(game: NonlocalGame, stream: CandidateStream,
                tol: Tolerance) -> Iterator[tuple[Measurement, Measurement] | None]:
     """Unfiltered candidate source; None marks a consumed-but-skipped slot."""
@@ -171,8 +161,9 @@ def _raw_pairs(game: NonlocalGame, stream: CandidateStream,
         alice = deterministic_measurement(fa, k)
         for fb in itertools.product(range(k), repeat=n):
             yield alice, deterministic_measurement(fb, k)
-    for pair in stream.planted:
-        yield _checked_plant(game, pair)
+    for alice, bob in stream.planted:
+        check_shapes(game, alice, bob)
+        yield alice, bob
     rng = rng_from_seed(stream.seed)
     i = 0
     while True:
@@ -187,9 +178,18 @@ def _raw_pairs(game: NonlocalGame, stream: CandidateStream,
         yield alice, bob
 
 
-def _gated(game: NonlocalGame, stream: CandidateStream, delta: float, tol: Tolerance
-           ) -> Iterator[tuple[int, Measurement, Measurement, CommutationCheck]]:
-    """Budgeted candidates that pass the commutation gate, with stream position."""
+def enumerate_candidates(game: NonlocalGame, stream: CandidateStream, delta: float,
+                         tol: Tolerance = DEFAULT_TOL
+                         ) -> Iterator[tuple[int, Measurement, Measurement, CommutationCheck]]:
+    """Candidate pairs that are exact measurements and almost commute.
+
+    Yields (examined, alice, bob, check): the 1-based stream position,
+    the pair, and its passing commutation check.  Order: all dimension-one
+    deterministic pairs, then planted pairs, then seeded random grid
+    candidates cycling through stream.dims.  The stream examines at most
+    stream.budget pairs; pairs failing the strict per-question-pair
+    commutator check are dropped silently.
+    """
     source = itertools.islice(_raw_pairs(game, stream, tol), stream.budget)
     for examined, pair in enumerate(source, start=1):
         if pair is None:
@@ -203,24 +203,11 @@ def _gated(game: NonlocalGame, stream: CandidateStream, delta: float, tol: Toler
 def _witnesses(game: NonlocalGame, stream: CandidateStream, delta: float,
                tol: Tolerance) -> Iterator[tuple[int, Witness]]:
     """Each gated candidate as a Witness at its best state and certified value."""
-    for examined, alice, bob, check in _gated(game, stream, delta, tol):
+    for examined, alice, bob, check in enumerate_candidates(game, stream, delta, tol):
         approx = best_value(game, alice, bob, tol)
         yield examined, Witness(alice=alice, bob=bob, state=approx.state,
                                 certified_value=approx.value - CERTIFIED_EIG_ERROR,
                                 defect=check.worst_defect)
-
-
-def enumerate_candidates(game: NonlocalGame, stream: CandidateStream, delta: float,
-                         tol: Tolerance = DEFAULT_TOL) -> Iterator[tuple[Measurement, Measurement]]:
-    """Candidate pairs that are exact measurements and almost commute.
-
-    Order: all dimension-one deterministic pairs, then planted pairs,
-    then seeded random grid candidates cycling through stream.dims.
-    The stream examines at most stream.budget pairs; pairs failing the
-    strict per-question-pair commutator check are dropped silently.
-    """
-    for _, alice, bob, _ in _gated(game, stream, delta, tol):
-        yield alice, bob
 
 
 def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
@@ -272,30 +259,18 @@ class WitnessAudit(NamedTuple):
     value: float
 
 
-def measurement_residual(meas: Measurement) -> float:
-    """Distance from exact POVM conditions: row sums and negativity."""
-    eye = np.eye(meas.dim)
-    worst = 0.0
-    for x in range(meas.questions):
-        worst = max(worst, op_norm(meas.ops[x].sum(axis=0) - eye))
-        for a in range(meas.outcomes):
-            low = float(np.linalg.eigvalsh(herm_part(meas.ops[x, a]))[0])
-            worst = max(worst, -min(low, 0.0))
-    return worst
-
-
 def verify_witness(game: NonlocalGame, witness: Witness, delta: float,
                    tol: Tolerance = DEFAULT_TOL) -> WitnessAudit:
     """Independent re-check of an accepted witness.
 
-    Sound iff both measurements satisfy exact POVM conditions within
-    1e-10, the pair almost commutes under delta, and the witness state
-    wins with probability above one half.
+    Sound iff every question's row of both measurements has povm_residual
+    within 1e-10, the pair almost commutes under delta, and the witness
+    state wins with probability above one half.
     """
-    residual = max(measurement_residual(witness.alice), measurement_residual(witness.bob))
+    residual = max(povm_residual(row) for meas in (witness.alice, witness.bob)
+                   for row in meas.ops)
     check = is_delta_op_commuting(witness.alice, witness.bob, delta)
-    element = game_element(game, witness.alice, witness.bob, tol)
-    value = float(np.trace(witness.state.rho @ element).real)
+    value = game_value(game, Strategy(witness.alice, witness.bob, witness.state), tol)
     ok = residual <= 1e-10 and check.ok and value > 0.5
     return WitnessAudit(ok=ok, povm_residual=residual,
                         worst_defect=check.worst_defect, value=value)
@@ -309,12 +284,6 @@ class SeesawRun(NamedTuple):
 def _penalty(alice_ops: np.ndarray, bob_ops: np.ndarray, delta: float) -> float:
     """Sum over question pairs of the commutator defect in excess of delta."""
     return sum(max(0.0, d - delta) for d in commutator_defects(alice_ops, bob_ops).ravel().tolist())
-
-
-def _objective(game: NonlocalGame, alice: Measurement, bob: Measurement,
-               rho: np.ndarray, delta: float, mu: float, tol: Tolerance) -> float:
-    value = float(np.trace(rho @ game_element(game, alice, bob, tol)).real)
-    return value - mu * _penalty(alice.ops, bob.ops, delta)
 
 
 def _psd_sqrt_clip(m: np.ndarray) -> np.ndarray:
@@ -352,54 +321,50 @@ def _row_value(row: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
     return total
 
 
-def _row_value_gradient(game: NonlocalGame, my_ops: np.ndarray, other_ops: np.ndarray,
-                        rho: np.ndarray, x: int, side: str, tol: Tolerance,
-                        floor: float = 1e-6) -> np.ndarray:
-    """Derivative of the row value in the Hermitian trace pairing.
+# Divided-difference floor for ascent proposals.  Repaired POVM elements
+# carry exact kernel directions whose formal derivative entries blow up;
+# a coarse floor keeps proposals pointed at the informative eigenblocks.
+_PROPOSAL_FLOOR = 0.25
+
+
+def _row_value_gradient(row: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
+                        other_rho_roots: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Ascent direction for one row, from the derivative of its value.
 
     The value depends on a row element E through tr(rho (E • F)) summed
     with predicate weights; the derivative splits into a direct term
-    sqrt(F) rho sqrt(F) and a chain term through sqrt(E), evaluated with
-    the divided-difference rule for the matrix square root.  The floor
-    caps the divided differences where E is nearly singular; the exact
-    derivative uses a vanishing floor, while ascent proposals use a
-    coarse one so near-kernel noise cannot drown the useful directions.
+    sqrt(F) rho sqrt(F), read from other_rho_roots[y, b], and a chain
+    term through sqrt(E), evaluated with the divided-difference rule for
+    the matrix square root.  The divided differences are floored at
+    _PROPOSAL_FLOOR where E is nearly singular.
     """
-    n, k = game.n, game.k
-    weights = _row_weights(game, x, side)
-    dim = my_ops.shape[-1]
-    roots = np.zeros_like(other_ops)
-    for y in range(n):
-        for b in range(k):
-            roots[y, b] = spectral_apply(other_ops[y, b],
-                                         lambda w: np.sqrt(np.maximum(w, 0.0)), tol)
+    k, dim = row.shape[0], row.shape[-1]
     grads = np.zeros((k, dim, dim), dtype=np.complex128)
     for a in range(k):
         if not weights[a].any():
             continue
-        lam, vecs = np.linalg.eigh(herm_part(my_ops[x, a]))
+        lam, vecs = np.linalg.eigh(herm_part(row[a]))
         s = np.sqrt(np.clip(lam, 0.0, None))
         my_root = (vecs * s) @ vecs.conj().T
         chain = np.zeros((dim, dim), dtype=np.complex128)
         direct = np.zeros((dim, dim), dtype=np.complex128)
-        for y in range(n):
-            for b in range(k):
+        for y in range(other_ops.shape[0]):
+            for b in range(other_ops.shape[1]):
                 c = weights[a, y, b]
                 if c == 0.0:
                     continue
                 other = other_ops[y, b]
                 chain += c * (other @ my_root @ rho + rho @ my_root @ other)
-                direct += c * (roots[y, b] @ rho @ roots[y, b])
-        divided = 1.0 / np.maximum(s[:, None] + s[None, :], floor)
+                direct += c * other_rho_roots[y, b]
+        divided = 1.0 / np.maximum(s[:, None] + s[None, :], _PROPOSAL_FLOOR)
         lifted = vecs @ (divided * (vecs.conj().T @ chain @ vecs)) @ vecs.conj().T
         grads[a] = herm_part(0.5 * (lifted + direct))
     return grads
 
 
-# Divided-difference floor for ascent proposals.  Repaired POVM elements
-# carry exact kernel directions whose formal derivative entries blow up;
-# a coarse floor keeps proposals pointed at the informative eigenblocks.
-_PROPOSAL_FLOOR = 0.25
+def _rho_conjugates(ops: np.ndarray, root, rho: np.ndarray) -> np.ndarray:
+    """table[y, b] = root(F) rho root(F) for each element F = ops[y, b]."""
+    return np.array([[r @ rho @ r for r in map(root, row)] for row in ops])
 
 
 def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
@@ -413,17 +378,17 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
     mine = alice if side == "alice" else bob
     other = bob if side == "alice" else alice
     n, k = game.n, game.k
-    other_roots = np.array([[_psd_sqrt_clip(other.ops[y, b]) for b in range(k)]
-                            for y in range(n)])
-    conjugated = np.array([[other_roots[y, b] @ rho @ other_roots[y, b] for b in range(k)]
-                           for y in range(n)])
+    # _row_value reads raw-eigh roots and the gradient phase-fixed ones;
+    # merging the two changes seesaw reports
+    conjugated = _rho_conjugates(other.ops, _psd_sqrt_clip, rho)
+    gradient_terms = _rho_conjugates(
+        other.ops, lambda f: spectral_apply(f, lambda w: np.sqrt(np.maximum(w, 0.0)), tol), rho)
     ops = np.array(mine.ops)
     for x in range(n):
         weights = _row_weights(game, x, side)
         current_value = _row_value(ops[x], weights, other.ops, conjugated, rho)
         current_pen = _penalty(ops[x][None], other.ops, delta)
-        grad = _row_value_gradient(game, ops, other.ops, rho, x, side, tol,
-                                   floor=_PROPOSAL_FLOOR)
+        grad = _row_value_gradient(ops[x], weights, other.ops, gradient_terms, rho)
         grad = grad - grad.mean(axis=0)
         scale = max(op_norm(g) for g in grad)
         if scale <= tol.algebraic:
@@ -471,18 +436,16 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
         raise PreconditionError(f"iters must be at least 1, got {iters!r}")
     if init is not None:
         alice, bob = init
-        if alice.dim != dim or bob.dim != dim:
-            raise PreconditionError(
-                f"init dimensions ({alice.dim}, {bob.dim}) do not match dim={dim}")
-        if (alice.questions, alice.outcomes) != (game.n, game.k) or \
-                (bob.questions, bob.outcomes) != (game.n, game.k):
-            raise PreconditionError("init measurement shapes do not match the game")
+        check_shapes(game, alice, bob)
+        if alice.dim != dim:
+            raise PreconditionError(f"init dimension {alice.dim} does not match dim={dim}")
     else:
         rng = rng_from_seed(seed)
         alice = Measurement(np.array([random_povm(rng, dim, game.k) for _ in range(game.n)]))
         bob = Measurement(np.array([random_povm(rng, dim, game.k) for _ in range(game.n)]))
     rho = np.eye(dim, dtype=np.complex128) / dim
-    obj = _objective(game, alice, bob, rho, delta, mu, tol)
+    obj = (game_value(game, Strategy(alice, bob, State(rho)), tol)
+           - mu * _penalty(alice.ops, bob.ops, delta))
     trace = [obj]
     for _ in range(iters):
         top = best_value(game, alice, bob, tol)
@@ -502,7 +465,7 @@ def classical_optimum(game: NonlocalGame) -> tuple[Fraction, tuple[int, ...], tu
     """Exact best deterministic strategy: value and answer functions.
 
     Enumerates Alice's answer functions and picks Bob's best reply per
-    question, in exact rational arithmetic over the probability table.
+    question, in exact rational arithmetic over game.pi_exact.
     """
     n, k = game.n, game.k
     pairs = k ** (2 * n)
@@ -510,9 +473,8 @@ def classical_optimum(game: NonlocalGame) -> tuple[Fraction, tuple[int, ...], tu
         raise PreconditionError(
             f"deterministic enumeration needs k^(2n) = {pairs} strategy pairs, "
             f"above the supported {_ENUMERATION_CAP}")
-    table = [[Fraction(float(game.pi[x, y])) for y in range(n)] for x in range(n)]
-    common = math.lcm(*(f.denominator for row in table for f in row))
-    nums = [[int(f * common) for f in row] for row in table]
+    common = math.lcm(*(f.denominator for row in game.pi_exact for f in row))
+    nums = [[int(f * common) for f in row] for row in game.pi_exact]
     predicate = game.predicate
     best = -1
     best_fa: tuple[int, ...] = ()

@@ -252,6 +252,10 @@ CLI_CASES = (
     ("perturb-suite", "--budget", 2, "--dims", "2,3", "--seed", 8),
     ("norm-enumerate", "--pres-id", "projections:1", "--poly", "p1",
      "--budget", 120, "--seed", 2),
+    ("semidecide", "--game", DATA / "never_win.json", "--budget", 50, "--dims", "2,3,4",
+     "--seed", 1),
+    ("seesaw", "--game", DATA / "chsh.json", "--dim", 3, "--iters", 20, "--seed", 1,
+     "--delta", 0.05),
 )
 
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cstarkit
 from cstarkit.cli import console_main
@@ -71,12 +72,70 @@ def test_unregistered_presentation_exit_three(capsys):
     ["seesaw", "--game", DATA / "chsh.json", "--delta", "nan", "--iters", 1],
     ["seesaw", "--game", DATA / "chsh.json", "--delta", -1, "--iters", 1],
     ["seesaw", "--game", DATA / "chsh.json", "--mu", "nan", "--iters", 1],
+    ["classical-value", "--game", DATA / "chsh.json", "--seed", -1],
+    ["game-value", "--game", DATA / "chsh.json", "--budget", 20, "--seed", -1],
+    ["semidecide", "--game", DATA / "chsh.json", "--budget", 20, "--seed", -1],
+    ["semidecide", "--game", DATA / "all_win.json", "--seed", -1],
+    ["seesaw", "--game", DATA / "chsh.json", "--iters", 1, "--seed", -1],
+    ["perturb-suite", "--budget", 1, "--dims", "2", "--seed", -1],
+    ["norm-enumerate", "--pres-id", "projections:1", "--poly", "p1", "--budget", 10,
+     "--seed", -1],
+    ["perturb-suite", "--budget", 40, "--dims", "2..16", "--seed", 3,
+     "--tol-algebraic", 1e-15],
 ])
 def test_invalid_parameters_exit_three(tmp_path, capsys, argv):
     code = run_cli(argv + ["--out", tmp_path / "report.jsonl"])
     assert code == 3
     err_lines = capsys.readouterr().err.splitlines()
     assert any(line.startswith("precondition error: ") for line in err_lines)
+
+
+# Each command with desk-scale defaults (later flags override them) and the
+# numeric flags it takes; fuzzed values mix out-of-range, non-numeric and
+# valid ones.
+_FUZZ_COMMANDS = {
+    "classical-value": (["--game", DATA / "chsh.json"], ()),
+    "game-value": (["--game", DATA / "chsh.json", "--budget", 20, "--dims", "2,3"],
+                   ("--budget", "--delta", "--grid-denominator")),
+    "semidecide": (["--game", DATA / "never_win.json", "--budget", 20, "--dims", "2,3"],
+                   ("--budget", "--delta", "--grid-denominator")),
+    "seesaw": (["--game", DATA / "chsh.json", "--iters", 2],
+               ("--delta", "--mu", "--iters", "--dim")),
+    "perturb-suite": (["--budget", 2, "--dims", "2,3"], ("--budget",)),
+    "norm-enumerate": (["--pres-id", "projections:1", "--poly", "p1", "--budget", 20,
+                        "--dims", "1,2"], ("--budget",)),
+}
+_FUZZ_COMMON = ("--seed", "--tol-algebraic", "--tol-spectral")
+_FUZZ_INT = {"--seed": ("1", "3"), "--budget": ("1", "20"), "--iters": ("1", "2"),
+             "--dim": ("1", "4"), "--grid-denominator": ("2", "1024")}
+_FUZZ_FLOAT = {"--delta": ("0.05", "1"), "--mu": ("3",), "--tol-algebraic": ("1e-12", "1e-6"),
+               "--tol-spectral": ("1e-12", "1e-6")}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    base, own = _FUZZ_COMMANDS[command]
+    flags = draw(st.lists(st.sampled_from(own + _FUZZ_COMMON), unique=True, max_size=3))
+    argv = [command] + [str(a) for a in base]
+    for flag in flags:
+        if flag in _FUZZ_INT:
+            values = ("-1", "0", "1e-300") + _FUZZ_INT[flag]
+        else:
+            values = ("-1", "0", "nan", "inf", "-inf", "1e-300") + _FUZZ_FLOAT[flag]
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_fuzzed_argv())
+def test_fuzzed_numeric_flags_map_to_exit_codes(argv):
+    """Every numeric flag value ends in exit 0, 2, 3 or 4, never a traceback."""
+    try:
+        code = console_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv
 
 
 def test_semidecide_budget_exhausted_exit_four(tmp_path):

@@ -72,6 +72,7 @@ def test_parse_game_pi_number_entries():
     (lambda d: d.update(win=[[0, 0, 0, 5]]), "answer indices"),
     (lambda d: d.update(win=[[2, 0, 0, 0]]), "question indices"),
     (lambda d: d.update(pi=[[True, 0.25], [0.25, 0.25]]), "numbers or 'p/q'"),
+    (lambda d: d.update(pi=[["1e400", 0.25], [0.25, 0.25]]), r"lie in \[0, 1\]"),
 ])
 def test_parse_game_errors(mutate, fragment):
     doc = {"n": 2, "k": 2,

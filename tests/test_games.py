@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cstarkit.errors import PreconditionError
 from cstarkit.games import (Measurement, NonlocalGame, State, Strategy,
                             best_value, chsh, commutator_defects, correlation,
                             game_element, game_value, is_delta_op_commuting,
@@ -76,6 +77,8 @@ def test_game_validation():
         NonlocalGame(pi=np.full((2, 2), 0.3), predicate=np.zeros((2, 2, 2, 2)))
     with pytest.raises(ValueError):
         NonlocalGame(pi=np.full((2, 2), -0.25), predicate=np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError):
+        NonlocalGame(pi=np.full((2, 2), np.nan), predicate=np.zeros((2, 2, 2, 2)))
     with pytest.raises(ValueError):
         NonlocalGame(pi=np.full((2, 2), 0.25), predicate=2 * np.ones((2, 2, 2, 2)))
     with pytest.raises(ValueError):
@@ -192,6 +195,22 @@ def test_game_element_spectrum_in_unit_interval():
         eigs = np.linalg.eigvalsh(element)
         assert float(eigs[0]) >= -1e-10
         assert float(eigs[-1]) <= 1.0 + 1e-10
+
+
+def test_game_element_rejects_mismatched_shapes():
+    rng = rng_from_seed(55)
+    game = chsh()
+    fits = random_strategy(rng, 2, 2, 2)
+    mismatched = [
+        random_strategy(rng, 1, 2, 2).alice,  # one question, game has two
+        random_strategy(rng, 2, 3, 2).alice,  # three outcomes, game has two
+        random_strategy(rng, 2, 2, 3).alice,  # dimension differs from bob's
+    ]
+    for alice in mismatched:
+        with pytest.raises(PreconditionError):
+            game_element(game, alice, fits.bob)
+    with pytest.raises(PreconditionError):
+        game_element(game, fits.alice, fits.bob.ops)
 
 
 def test_game_value_equals_weighted_correlations():

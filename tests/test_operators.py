@@ -163,7 +163,7 @@ def test_polar_unitary_rejects_singular():
 
 @pytest.mark.parametrize("field, value", [
     ("spectral", 0.0), ("spectral", 1e-4), ("spectral", -1e-12),
-    ("algebraic", 0.0), ("algebraic", 2e-4),
+    ("algebraic", 0.0), ("algebraic", 2e-4), ("algebraic", 1e-15),
 ])
 def test_tolerance_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
@@ -174,3 +174,4 @@ def test_tolerance_defaults():
     assert DEFAULT_TOL.spectral == 1e-10
     assert DEFAULT_TOL.algebraic == 1e-10
     assert Tolerance(spectral=1e-6, algebraic=1e-8).spectral == 1e-6
+    assert Tolerance(algebraic=1e-12).algebraic == 1e-12

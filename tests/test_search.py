@@ -1,5 +1,6 @@
 """Tests for the semidecision harness, see-saw, and classical brute force."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 from cstarkit.errors import PreconditionError
 from cstarkit.games import (Measurement, NonlocalGame, State, Strategy, chsh,
                             game_element, game_value, is_delta_op_commuting)
+from cstarkit.formats import parse_game
 from cstarkit.operators import op_norm
+from cstarkit.rounding import povm_residual, round_to_povm
 from cstarkit.sampling import random_povm, rng_from_seed
 from cstarkit.search import (CandidateStream, GameFamily, classical_optimum,
                              classical_value, constant_family,
                              deterministic_measurement, enumerate_candidates,
-                             evaluate_stream, measurement_residual,
-                             seesaw_optimize, semidecide_membership,
-                             verify_witness)
+                             evaluate_stream, seesaw_optimize,
+                             semidecide_membership, verify_witness)
 
 
 def constant_game(bit, n=1, k=2):
@@ -44,6 +46,8 @@ def test_stream_validation():
         CandidateStream(dims=(2,), grid_denominator=3)
     with pytest.raises(ValueError):
         CandidateStream(dims=(2,), budget=0)
+    with pytest.raises(PreconditionError):
+        CandidateStream(dims=(2,), seed=-1)
 
 
 def test_deterministic_measurement():
@@ -62,7 +66,7 @@ def test_stream_prefix_enumerates_deterministic_pairs():
     pairs = list(enumerate_candidates(game, stream, delta=1.0))
     assert len(pairs) == 16
     seen = set()
-    for alice, bob in pairs:
+    for _, alice, bob, _ in pairs:
         assert alice.dim == 1 and bob.dim == 1
         fa = tuple(int(np.argmax(alice.ops[x, :, 0, 0].real)) for x in range(2))
         fb = tuple(int(np.argmax(bob.ops[y, :, 0, 0].real)) for y in range(2))
@@ -76,7 +80,8 @@ def test_stream_deterministic_across_runs():
     first = list(enumerate_candidates(game, stream, delta=1.0))
     second = list(enumerate_candidates(game, stream, delta=1.0))
     assert len(first) == len(second)
-    for (a1, b1), (a2, b2) in zip(first, second):
+    for (i1, a1, b1, c1), (i2, a2, b2, c2) in zip(first, second):
+        assert i1 == i2 and c1 == c2
         assert np.array_equal(a1.ops, a2.ops)
         assert np.array_equal(b1.ops, b2.ops)
 
@@ -86,7 +91,7 @@ def test_stream_random_phase_snaps_to_grid():
     q = 1024
     stream = CandidateStream(dims=(2,), budget=8, seed=3, grid_denominator=q)
     pairs = list(enumerate_candidates(game, stream, delta=1.0))
-    random_pairs = [p for p in pairs if p[0].dim > 1]
+    random_pairs = [p for p in pairs if p[1].dim > 1]
     assert random_pairs, "budget 8 must reach past the 4-pair deterministic prefix"
 
 
@@ -100,8 +105,12 @@ def test_planted_pair_position():
                              planted=((planted_alice, planted_bob),))
     pairs = list(enumerate_candidates(game, stream, delta=1.0))
     assert len(pairs) == 5
-    assert pairs[4][0].dim == 3
-    assert np.array_equal(pairs[4][0].ops, planted_alice.ops)
+    examined, alice, bob, check = pairs[4]
+    assert examined == game.k ** (2 * game.n) + 1
+    assert check.ok
+    assert alice.dim == 3
+    assert np.array_equal(alice.ops, planted_alice.ops)
+    assert np.array_equal(bob.ops, planted_bob.ops)
 
 
 def test_planted_pair_shape_checked():
@@ -174,9 +183,16 @@ def test_witness_reverifies():
     assert audit.value > 0.5
 
 
-def test_measurement_residual_zero_on_exact():
+def test_povm_residual_zero_on_exact_and_matches_rounding():
     meas = deterministic_measurement((0, 1), 2)
-    assert measurement_residual(meas) == 0.0
+    assert [povm_residual(row) for row in meas.ops] == [0.0, 0.0]
+    assert povm_residual([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]) == 0.5
+    assert povm_residual([np.eye(2), np.eye(2)]) == 1.0
+    rng = rng_from_seed(12)
+    for dim, k in ((2, 2), (3, 4), (5, 3)):
+        noisy = [m + 1e-3 * rng.normal(size=(dim, dim)) for m in random_povm(rng, dim, k)]
+        rounded, report = round_to_povm(noisy)
+        assert povm_residual(rounded) == report.exactness_residual
 
 
 def test_evaluate_stream_scans_whole_budget():
@@ -344,3 +360,13 @@ def test_classical_value_non_uniform_pi():
     predicate[0, 0, :, :] = 1  # win iff the question pair is (0, 0)
     game = NonlocalGame(pi, predicate)
     assert classical_value(game) == Fraction(1, 2)
+
+
+def test_classical_value_exact_for_rational_weights():
+    """Non-dyadic "p/q" weights stay exact: 1/9 each, three winning cells."""
+    doc = {"n": 3, "k": 2, "pi": [["1/9"] * 3] * 3,
+           "win": [[0, 0, 0, 0], [1, 1, 0, 0], [2, 2, 0, 0]]}
+    game = parse_game(json.dumps(doc))
+    assert game.pi_exact[1][2] == Fraction(1, 9)
+    assert game.pi[1, 2] == 1 / 9
+    assert classical_value(game) == Fraction(1, 3)
