@@ -10,7 +10,8 @@ __version__ = "0.1.0"
 from .errors import (HypothesisError, ParseError, PreconditionError,
                      UnsupportedPresentationError)
 from .operators import (DEFAULT_TOL, Tolerance, commutator, dagger, herm_part,
-                        hermitian_eig, op_norm, polar_unitary, spectral_apply)
+                        hermitian_eig, op_norm, op_norms, polar_unitary,
+                        spectral_apply)
 from .rounding import (ROUNDING_KINDS, RoundingReport, isometry_defect,
                        povm_defect, povm_residual, projection_defect,
                        pvm_defect, round_to_partial_isometry, round_to_povm,

@@ -126,7 +126,7 @@ def parse_game(text: str) -> NonlocalGame:
 
 def _as_bound(entry, where: str) -> Fraction:
     if isinstance(entry, bool):
-        raise ParseError("bounds must be integers or dyadic strings 'p/2^k'", where=where)
+        raise ParseError("bounds must be integers or dyadic strings such as '3/8'", where=where)
     if isinstance(entry, int):
         bound = Fraction(entry)
     elif isinstance(entry, str):
@@ -135,7 +135,7 @@ def _as_bound(entry, where: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as ex:
             raise ParseError(f"not a rational bound: {entry!r}", where=where) from ex
     else:
-        raise ParseError("bounds must be integers or dyadic strings 'p/2^k'", where=where)
+        raise ParseError("bounds must be integers or dyadic strings such as '3/8'", where=where)
     if bound < 0 or not is_dyadic(bound):
         raise ParseError(f"bounds must be nonnegative dyadic rationals, got {entry!r}",
                          where=where)

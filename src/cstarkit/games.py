@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, herm_part,
-                        hermitian_eig, op_norm)
+                        hermitian_eig, op_norm, op_norms)
 
 _PROB_SLACK = 1e-9
 
@@ -30,7 +30,7 @@ def _frozen_array(obj, name, value):
     object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlocalGame:
     """Question distribution and winning predicate.
 
@@ -85,7 +85,7 @@ def chsh() -> NonlocalGame:
     return NonlocalGame(pi, pred)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """One POVM per question: ops[x][a] is outcome a of question x.
 
@@ -108,9 +108,7 @@ class Measurement:
         low = float(eigs.min())
         if low < -tol.algebraic:
             raise ValueError(f"POVM elements must be positive within tolerance, min eigenvalue {low:.3e}")
-        sums = ops.sum(axis=1)
-        eye = np.eye(ops.shape[2])
-        worst = max(op_norm(sums[x] - eye) for x in range(ops.shape[0]))
+        worst = float(op_norms(ops.sum(axis=1) - np.eye(ops.shape[2])).max())
         if worst > tol.algebraic:
             raise ValueError(f"each question's outcomes must sum to 1 within tolerance, defect {worst:.3e}")
         _frozen_array(self, "ops", ops)
@@ -128,7 +126,7 @@ class Measurement:
         return self.ops.shape[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Density matrix: positive within tolerance, trace 1 within 1e-12."""
 
@@ -278,11 +276,17 @@ def best_value(game: NonlocalGame, alice: Measurement, bob: Measurement,
 
 
 def commutator_defects(alice_ops: np.ndarray, bob_ops: np.ndarray) -> np.ndarray:
-    """(n_a, n_b) table of sum_{a,b} |[A^x_a, B^y_b]| from two (n, k, d, d) op arrays."""
-    table = np.zeros((len(alice_ops), len(bob_ops)))
-    for x, row in enumerate(alice_ops):
-        for y, col in enumerate(bob_ops):
-            table[x, y] = sum(op_norm(a @ b - b @ a) for a in row for b in col)
+    """(n_a, n_b) table of sum_{a,b} |[A^x_a, B^y_b]| from two (n, k, d, d) op arrays.
+
+    All commutators are formed in one broadcast and normed in one batch;
+    each entry is summed in (a, b) order, as a per-pair loop would.
+    """
+    a = np.asarray(alice_ops)[:, None, :, None]
+    b = np.asarray(bob_ops)[None, :, None, :]
+    norms = op_norms(a @ b - b @ a)
+    table = np.zeros(norms.shape[:2])
+    for pair in np.ndindex(table.shape):
+        table[pair] = sum(norms[pair].ravel().tolist())
     return table
 
 

@@ -50,7 +50,8 @@ def as_operator(m) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def herm_part(a: np.ndarray) -> np.ndarray:
@@ -64,6 +65,20 @@ def identity_like(a: np.ndarray) -> np.ndarray:
 def op_norm(m) -> float:
     """Operator norm (largest singular value)."""
     return float(np.linalg.norm(as_operator(m), 2))
+
+
+def op_norms(stack) -> np.ndarray:
+    """Operator norms of a (..., d, d) stack, shape (...); one batched SVD.
+
+    Runs the checks of as_operator on every matrix and matches op_norm on
+    each one bit for bit.  An empty stack gives an empty array.
+    """
+    s = np.asarray(stack, dtype=np.complex128)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("matrix entries must be finite")
+    return np.linalg.norm(s, 2, axis=(-2, -1))
 
 
 def commutator(a, b) -> np.ndarray:

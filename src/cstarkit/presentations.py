@@ -24,7 +24,7 @@ import numpy as np
 
 from .dyadic import ceil_log2, is_dyadic
 from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError
-from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm
+from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm, op_norms
 from .polynomials import NCPolynomial, generator, lipschitz_bound
 from .rounding import (_isometry_cut, isometry_defect, round_to_projection,
                        round_to_pvm, round_to_unitary)
@@ -123,15 +123,15 @@ def relation_defect(pres: Presentation, rep: Representation) -> float:
     if not np.array_equal(unit_img, np.eye(rep.dim, dtype=np.complex128)):
         raise PreconditionError(
             f"unit generator {pres.unit_generator!r} must map to the identity exactly")
-    worst = 0.0
-    for name, bound in pres.generators:
-        img = rep.images.get(name)
-        if img is None:
+    for name in pres.names:
+        if name not in rep.images:
             raise PreconditionError(f"missing image for generator {name!r}")
-        worst = max(worst, op_norm(img) - float(bound))
-    for p in pres.relations:
-        worst = max(worst, op_norm(eval_poly(p, rep)))
-    return max(worst, 0.0)
+    images = np.array([rep.images[name] for name in pres.names])
+    bounds = np.array([float(bound) for _, bound in pres.generators])
+    excess = op_norms(images) - bounds
+    relations = np.array([eval_poly(p, rep) for p in pres.relations],
+                         dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
+    return max(0.0, float(excess.max()), float(op_norms(relations).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -361,9 +361,10 @@ def stability_witness(pres_id: str, rep: Representation, eps: float,
     resid = relation_defect(family.presentation, out)
     if resid > tol.algebraic:
         raise ArithmeticError(f"witness missed exactness: residual {resid:.3e}")
-    dist = max((op_norm(out.images[name] - rep.images[name])
-                for name in family.presentation.names if name in rep.images),
-               default=0.0)
+    moves = np.array([out.images[name] - rep.images[name]
+                      for name in family.presentation.names if name in rep.images],
+                     dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
+    dist = float(op_norms(moves).max(initial=0.0))
     if not dist < eps:
         raise ArithmeticError(f"witness moved too far: {dist:.6f} >= {eps}")
     return out

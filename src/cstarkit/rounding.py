@@ -24,7 +24,8 @@ import numpy as np
 from .dyadic import largest_pow2_leq
 from .errors import HypothesisError
 from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, herm_part,
-                        hermitian_eig, identity_like, op_norm, polar_unitary)
+                        hermitian_eig, identity_like, op_norm, op_norms,
+                        polar_unitary)
 
 ROUNDING_KINDS = ("unitary", "projection", "partial_isometry", "povm", "pvm")
 
@@ -96,7 +97,9 @@ def pvm_defect(mats) -> float:
     """|sum A_i - 1| joined with the projection defect of every member."""
     family = _family(mats)
     total = op_norm(sum(family) - np.eye(family[0].shape[0]))
-    return max(total, max(projection_defect(m) for m in family))
+    stack = np.array(family)
+    members = op_norms(np.concatenate([stack - dagger(stack), stack @ stack - stack]))
+    return max(total, float(members.max()))
 
 
 def _family(mats) -> list[np.ndarray]:
@@ -208,7 +211,8 @@ def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
     for the cone distance) joined with |sum A_i - 1|.
     """
     family = _family(mats)
-    cone = max(op_norm(m - hermitian_eig(herm_part(m), tol).apply(_positive)) for m in family)
+    cone = float(op_norms([m - hermitian_eig(herm_part(m), tol).apply(_positive)
+                           for m in family]).max())
     total = op_norm(sum(family) - np.eye(family[0].shape[0]))
     return max(cone, total)
 
@@ -243,7 +247,7 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     rounded = [herm_part(root @ p @ root) for p in positives]
     report = RoundingReport(
         input_defect=defect,
-        output_distance=max(op_norm(a - b) for a, b in zip(family, rounded)),
+        output_distance=float(op_norms(np.array(family) - np.array(rounded)).max()),
         exactness_residual=povm_residual(rounded),
     )
     _guarantee(report, None, tol)
@@ -278,13 +282,12 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
         # re-cut the corner so float drift cannot accumulate across stages
         remaining = hermitian_eig(herm_part(remaining - q), tol).apply(_step_at_half)
     blocks.append(remaining)
-    resid = pvm_defect(blocks)
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            resid = max(resid, op_norm(blocks[i] @ blocks[j]))
+    stack = np.array(blocks)
+    i, j = np.triu_indices(len(blocks), 1)
+    resid = max(pvm_defect(blocks), float(op_norms(stack[i] @ stack[j]).max(initial=0.0)))
     report = RoundingReport(
         input_defect=defect,
-        output_distance=max(op_norm(a - q) for a, q in zip(family, blocks)),
+        output_distance=float(op_norms(np.array(family) - stack).max()),
         exactness_residual=resid,
     )
     _guarantee(report, None, tol)

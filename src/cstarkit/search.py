@@ -32,7 +32,10 @@ from .games import (
     game_value,
     is_delta_op_commuting,
 )
-from .operators import DEFAULT_TOL, Tolerance, herm_part, op_norm, spectral_apply
+# op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
+# checks that tracing rebinds cstarkit.search.op_norm
+from .operators import (DEFAULT_TOL, Tolerance, herm_part, op_norm,  # noqa: F401
+                        op_norms, spectral_apply)
 from .rounding import povm_defect, povm_residual, round_to_povm
 from .sampling import random_povm, rng_from_seed
 
@@ -390,7 +393,7 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
         current_pen = _penalty(ops[x][None], other.ops, delta)
         grad = _row_value_gradient(ops[x], weights, other.ops, gradient_terms, rho)
         grad = grad - grad.mean(axis=0)
-        scale = max(op_norm(g) for g in grad)
+        scale = float(op_norms(grad).max())
         if scale <= tol.algebraic:
             continue
         direction = grad / scale

@@ -256,6 +256,8 @@ CLI_CASES = (
      "--seed", 1),
     ("seesaw", "--game", DATA / "chsh.json", "--dim", 3, "--iters", 20, "--seed", 1,
      "--delta", 0.05),
+    ("norm-enumerate", "--pres-id", "matrix_units:3", "--poly", "e12 + e21",
+     "--budget", 66, "--seed", 1),
 )
 
 

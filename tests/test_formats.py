@@ -127,10 +127,18 @@ def test_parse_presentation_dyadic_bound_strings():
     ({"generators": [{"name": "g", "bound": 1}], "relations": ["h"]}, "unknown generator"),
     ({"generators": [{"name": "g", "bound": 1}], "spurious": 1}, "unknown presentation fields"),
     ({"generators": [{"name": "g", "bound": True}]}, "integers or dyadic"),
+    ({"generators": [{"name": "g", "bound": "1/2^0"}]}, "not a rational bound"),
 ])
 def test_parse_presentation_errors(doc, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_presentation(json.dumps(doc))
+
+
+def test_parse_presentation_float_bound_message_names_accepted_syntax():
+    doc = {"generators": [{"name": "g", "bound": 0.5}]}
+    with pytest.raises(ParseError, match="integers or dyadic strings such as '3/8'") as info:
+        parse_presentation(json.dumps(doc))
+    assert "2^k" not in str(info.value)
 
 
 def test_parse_presentation_relations_must_be_strings():

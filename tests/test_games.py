@@ -109,6 +109,24 @@ def test_state_validation():
         State(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+def test_game_parts_compare_by_identity_and_hash():
+    """Equality is identity, never an elementwise array comparison."""
+    game = chsh()
+    assert (game == game) is True
+    assert (chsh() == chsh()) is False
+    ops = np.zeros((1, 2, 2, 2), dtype=complex)
+    ops[0, 0] = np.diag([1.0, 0.0])
+    ops[0, 1] = np.diag([0.0, 1.0])
+    meas = Measurement(ops)
+    state = State(np.eye(2) / 2)
+    assert (Measurement(ops) == Measurement(ops)) is False
+    assert len({game, chsh(), meas, state, game, meas, state}) == 4
+    strategy = Strategy(meas, meas, state)
+    assert strategy == Strategy(meas, meas, state)
+    assert strategy != Strategy(Measurement(ops), meas, state)
+    assert len({strategy, Strategy(meas, meas, state)}) == 1
+
+
 # --- symmetrized product --------------------------------------------------------
 
 def test_sym_product_symmetric():
@@ -295,7 +313,7 @@ def test_commutator_defects_match_per_pair_loop():
             for y in range(n_b):
                 expected = sum(op_norm(alice[x, a] @ bob[y, b] - bob[y, b] @ alice[x, a])
                                for a in range(k_a) for b in range(k_b))
-                assert table[x, y] == pytest.approx(expected, rel=1e-14)
+                assert table[x, y] == expected
                 assert table[x, y] > 0
         check = is_delta_op_commuting(Measurement(alice), Measurement(bob), 100.0)
         assert check.worst_defect == table.max()

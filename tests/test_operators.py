@@ -5,7 +5,7 @@ import pytest
 
 from cstarkit.operators import (DEFAULT_TOL, Tolerance, as_operator, commutator,
                                 dagger, herm_part, hermitian_eig, identity_like,
-                                op_norm, polar_unitary, spectral_apply)
+                                op_norm, op_norms, polar_unitary, spectral_apply)
 from cstarkit.errors import PreconditionError
 from cstarkit.sampling import random_hermitian, random_unitary, rng_from_seed
 
@@ -27,6 +27,31 @@ def test_op_norm_matches_svd():
 ])
 def test_op_norm_known_values(mat, expected):
     assert op_norm(mat) == pytest.approx(expected, abs=1e-14)
+
+
+def test_op_norms_matches_op_norm():
+    """The stacked norm equals op_norm on every matrix, bit for bit."""
+    rng = rng_from_seed(13)
+    for dim in range(1, 17):
+        for shape in ((int(rng.integers(1, 8)),), (2, 3)):
+            full = shape + (dim, dim)
+            stack = rng.normal(size=full) + 1j * rng.normal(size=full)
+            norms = op_norms(stack)
+            assert norms.shape == shape
+            for index in np.ndindex(*shape):
+                assert norms[index] == op_norm(stack[index])
+        empty = op_norms(np.zeros((0, dim, dim)))
+        assert empty.shape == (0,)
+    for bad in (np.zeros((3, 2, 3)), np.zeros((2, 0, 0)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            op_norms(bad)
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = np.inf
+    with pytest.raises(ValueError):
+        op_norms(stack)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        op_norms(stack)
 
 
 def test_op_norm_submultiplicative_and_triangle():

@@ -159,6 +159,41 @@ def test_relation_defect_zero_on_registered_exacts():
             assert relation_defect(fam.presentation, rep) < 1e-12, pres_id
 
 
+def _defect_per_relation(pres, rep):
+    """relation_defect written as one op_norm per generator and per relation."""
+    worst = 0.0
+    for name, bound in pres.generators:
+        worst = max(worst, op_norm(rep.images[name]) - float(bound))
+    for p in pres.relations:
+        worst = max(worst, op_norm(eval_poly(p, rep)))
+    return max(worst, 0.0)
+
+
+def test_relation_defect_matches_per_relation_loop():
+    rng = rng_from_seed(82)
+    cases = [(registered_presentation(pres_id).presentation, pres_id)
+             for pres_id in REGISTERED_IDS]
+    for pres, pres_id in cases:
+        catalog = RepresentationCatalog(per_round=3, seed=6)
+        for rep in catalog.batch(pres_id, 0):
+            images = {n: img for n, img in rep.images.items() if n != pres.unit_generator}
+            for scale in (0.0, 1e-3, 0.5):
+                noisy = noisy_rep(images, rng, scale, rep.dim)
+                assert relation_defect(pres, noisy) == _defect_per_relation(pres, noisy), pres_id
+    for pres in (cuntz(2), toeplitz()):
+        for dim in (1, 2, 4):
+            images = {n: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                      for n in pres.names if n != pres.unit_generator}
+            rep = Representation(dim, images)
+            assert relation_defect(pres, rep) == _defect_per_relation(pres, rep)
+    rep = Representation(3, {})
+    assert relation_defect(trivial_presentation(), rep) == 0.0
+    huge = {name: 1e200 * img for name, img in _exact_matrix_unit_images(2, 2).items()
+            if name != "e"}
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        relation_defect(matrix_units(2), Representation(2, huge))
+
+
 # --- registered families and modulus tables ------------------------------------------
 
 def test_registered_ids_resolve():

@@ -285,6 +285,10 @@ def test_round_to_pvm_exact_family_unchanged():
     out, report = round_to_pvm(family)
     assert max(op_norm(a - b) for a, b in zip(family, out)) < 1e-9
     assert report.exactness_residual <= 1e-10
+    # a one-member family has no block pairs to check
+    out, report = round_to_pvm([np.eye(4)])
+    assert len(out) == 1 and np.array_equal(out[0], np.eye(4))
+    assert report.exactness_residual == 0.0 and report.output_distance == 0.0
 
 
 def test_round_to_pvm_entry_budget():
