@@ -163,11 +163,14 @@ class Strategy:
             raise ValueError("strategy parts must share one dimension")
 
 
-def _psd_sqrt(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    spec = hermitian_eig(a, tol)
-    low = float(spec.eigenvalues[0])
-    if low < -tol.algebraic:
-        raise ValueError(f"matrix must be positive within tolerance, min eigenvalue {low:.3e}")
+def _psd_sqrt(stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Roots of a (..., d, d) PSD stack; raises for the first non-PSD matrix in stack order."""
+    spec = hermitian_eig(stack, tol)
+    low = spec.eigenvalues[..., 0].ravel()
+    bad = np.flatnonzero(low < -tol.algebraic)
+    if bad.size:
+        raise ValueError(
+            f"matrix must be positive within tolerance, min eigenvalue {float(low[bad[0]]):.3e}")
     return spec.apply(lambda w: np.sqrt(np.maximum(w, 0.0)))
 
 
@@ -180,8 +183,7 @@ def sym_product(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     b = as_operator(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ra = _psd_sqrt(a, tol)
-    rb = _psd_sqrt(b, tol)
+    ra, rb = _psd_sqrt(np.array([a, b]), tol)
     return herm_part((ra @ b @ ra + rb @ a @ rb) / 2)
 
 
@@ -202,10 +204,9 @@ def correlation(strategy: Strategy, x: int, y: int, a: int, b: int,
     return p
 
 
-def _sqrt_family(ops: np.ndarray, tol: Tolerance) -> np.ndarray:
-    flat = ops.reshape(-1, ops.shape[2], ops.shape[3])
-    roots = np.stack([_psd_sqrt(m, tol) for m in flat])
-    return roots.reshape(ops.shape)
+# [a, b] tables of sqrt(A_a) B_b sqrt(A_a) and sqrt(B_b) A_a sqrt(B_b)
+_FIRST = "aij,bjk,akl->abil"
+_SECOND = "bij,ajk,bkl->abil"
 
 
 def game_element(game: NonlocalGame, alice: Measurement, bob: Measurement,
@@ -216,18 +217,19 @@ def game_element(game: NonlocalGame, alice: Measurement, bob: Measurement,
     state is its expectation against this matrix.
     """
     check_shapes(game, alice, bob)
-    ra = _sqrt_family(alice.ops, tol)
-    rb = _sqrt_family(bob.ops, tol)
+    ra, rb = _psd_sqrt(np.array([alice.ops, bob.ops]), tol)
     dim = alice.dim
     element = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(game.n):
-        for y in range(game.n):
-            weight = game.pi[x, y] * game.predicate[x, y].astype(float)
-            if not weight.any():
-                continue
-            first = np.einsum("aij,bjk,akl->abil", ra[x], bob.ops[y], ra[x], optimize=True)
-            second = np.einsum("bij,ajk,bkl->abil", rb[y], alice.ops[x], rb[y], optimize=True)
-            element += np.einsum("ab,abil->il", weight, (first + second) / 2)
+    weights = game.pi[:, :, None, None] * game.predicate
+    pairs = np.argwhere(weights.any(axis=(2, 3)))
+    if len(pairs):
+        # every (x, y) pair contracts the same shapes, so plan each contraction once
+        first_path = np.einsum_path(_FIRST, ra[0], bob.ops[0], ra[0], optimize=True)[0]
+        second_path = np.einsum_path(_SECOND, rb[0], alice.ops[0], rb[0], optimize=True)[0]
+    for x, y in pairs:
+        first = np.einsum(_FIRST, ra[x], bob.ops[y], ra[x], optimize=first_path)
+        second = np.einsum(_SECOND, rb[y], alice.ops[x], rb[y], optimize=second_path)
+        element += np.einsum("ab,abil->il", weights[x, y], (first + second) / 2)
     return herm_part(element)
 
 

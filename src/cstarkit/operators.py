@@ -39,13 +39,21 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_operator(m) -> np.ndarray:
-    """Validate m as a square complex matrix with finite entries."""
+def _as_stack(m) -> np.ndarray:
+    """Validate m as a (..., d, d) stack of square complex matrices with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def as_operator(m) -> np.ndarray:
+    """Validate m as a square complex matrix with finite entries."""
+    a = _as_stack(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -73,12 +81,7 @@ def op_norms(stack) -> np.ndarray:
     Runs the checks of as_operator on every matrix and matches op_norm on
     each one bit for bit.  An empty stack gives an empty array.
     """
-    s = np.asarray(stack, dtype=np.complex128)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 1:
-        raise ValueError(f"expected a stack of square matrices, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("matrix entries must be finite")
-    return np.linalg.norm(s, 2, axis=(-2, -1))
+    return np.linalg.norm(_as_stack(stack), 2, axis=(-2, -1))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -92,7 +95,7 @@ def commutator(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """Eigenvalues (ascending) and a matching orthonormal eigenbasis.
+    """Eigenvalues (ascending, (..., d)) and matching orthonormal eigenvector columns.
 
     Eigenvector phases are fixed so the first significant component of each
     column is positive real, making repeated runs reproducible.
@@ -102,45 +105,46 @@ class HermitianSpectrum:
     eigenvectors: np.ndarray
 
     def apply(self, f) -> np.ndarray:
-        """V f(w) V^H, with f mapping the eigenvalue array to an array of values."""
-        return (self.eigenvectors * f(self.eigenvalues)) @ dagger(self.eigenvectors)
+        """V f(w) V^H per matrix; f maps the (..., d) eigenvalue array to values."""
+        return (self.eigenvectors * f(self.eigenvalues)[..., None, :]) @ dagger(self.eigenvectors)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        mags = np.abs(col)
-        # first component carrying real weight, not a float shadow of zero
-        significant = np.nonzero(mags > 1e-6 * mags.max())[0]
-        lead = col[significant[0]]
-        v[:, j] = col * (lead.conjugate() / abs(lead))
-    return v
+def _fix_phases(v: np.ndarray) -> np.ndarray:
+    mags = np.abs(v)
+    # first component carrying real weight, not a float shadow of zero
+    significant = mags > 1e-6 * mags.max(axis=-2, keepdims=True)
+    lead = np.take_along_axis(v, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
+    # hypot rounds as the scalar abs does; the array np.abs does not always
+    return v * (lead.conj() / np.hypot(lead.real, lead.imag))
 
 
 def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> HermitianSpectrum:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix or a (..., d, d) stack.
 
-    The input must be Hermitian within ``tol.algebraic``; it is symmetrized
-    before factoring so the decomposition is exactly that of (m + m^H)/2.
+    Each matrix must be Hermitian within ``tol.algebraic`` (exactly
+    Hermitian input skips the defect's SVD) and is symmetrized before
+    factoring, so the decomposition is exactly that of (m + m^H)/2.  One
+    batched eigh, equal bit for bit to factoring each matrix alone.
     """
-    a = as_operator(m)
-    defect = op_norm(a - dagger(a))
-    if defect > tol.algebraic:
-        raise PreconditionError(
-            f"matrix is not Hermitian within tolerance: defect {defect:.6e}")
+    a = _as_stack(m)
+    skew = a - dagger(a)
+    if skew.any():
+        defect = float(op_norms(skew).max())
+        if defect > tol.algebraic:
+            raise PreconditionError(
+                f"matrix is not Hermitian within tolerance: defect {defect:.6e}")
     w, v = np.linalg.eigh(herm_part(a))
     return HermitianSpectrum(eigenvalues=w, eigenvectors=_fix_phases(v))
 
 
 def spectral_apply(m, f, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Apply a real function to a Hermitian matrix through its spectrum.
+    """Apply a real function to a Hermitian matrix (or stack) through its spectrum.
 
-    f maps the ascending eigenvalue array (float64, shape (d,)) to a real
-    array of the same shape, e.g. ``lambda w: (w >= 0.5).astype(float)``.
+    f maps the ascending eigenvalue array (float64, shape (..., d)) to a
+    real array of the same shape, e.g. ``lambda w: (w >= 0.5).astype(float)``.
     f is evaluated only at the computed eigenvalues, so step functions are
     fine as long as the spectrum stays clear of the jump.
     """

@@ -11,8 +11,9 @@ floats at the last moment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -144,6 +145,8 @@ class NCPolynomial:
     """
 
     terms: tuple
+    # the terms with complex coefficients, converted once for evaluate
+    _complex_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         merged: dict[tuple[str, ...], GaussianRational] = {}
@@ -157,6 +160,8 @@ class NCPolynomial:
             if not coeff.is_zero
         )
         object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "_complex_terms",
+                           tuple((complex(coeff), word) for coeff, word in canon))
 
     @classmethod
     def from_terms(cls, terms: Iterable) -> "NCPolynomial":
@@ -206,12 +211,10 @@ class NCPolynomial:
     def evaluate(self, images: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
         """Substitute matrices for symbols (star = conjugate transpose)."""
         out = np.zeros((dim, dim), dtype=np.complex128)
-        for coeff, word in self.terms:
-            acc = None
-            for symbol in word:
-                img = _image(images, symbol)
-                acc = img if acc is None else acc @ img
-            out += complex(coeff) * acc
+        symbols = dict.fromkeys(s for _, word in self._complex_terms for s in word)
+        resolved = {s: _image(images, s) for s in symbols}
+        for coeff, word in self._complex_terms:
+            out += coeff * reduce(np.matmul, [resolved[s] for s in word])
         return out
 
     def __str__(self) -> str:

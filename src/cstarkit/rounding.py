@@ -96,28 +96,24 @@ def projection_defect(a) -> float:
 def pvm_defect(mats) -> float:
     """|sum A_i - 1| joined with the projection defect of every member."""
     family = _family(mats)
-    total = op_norm(sum(family) - np.eye(family[0].shape[0]))
-    stack = np.array(family)
-    members = op_norms(np.concatenate([stack - dagger(stack), stack @ stack - stack]))
+    total = op_norm(sum(family) - np.eye(family.shape[-1]))
+    members = op_norms(np.concatenate([family - dagger(family), family @ family - family]))
     return max(total, float(members.max()))
 
 
-def _family(mats) -> list[np.ndarray]:
+def _family(mats) -> np.ndarray:
+    """The members as one (k, d, d) stack, after as_operator's checks on each."""
     family = [as_operator(m) for m in mats]
     if not family:
         raise ValueError("empty family")
     dim = family[0].shape[0]
     if any(m.shape[0] != dim for m in family):
         raise ValueError("family members must share one dimension")
-    return family
+    return np.array(family)
 
 
 def _step_at_half(w: np.ndarray) -> np.ndarray:
     return (w >= 0.5).astype(float)
-
-
-def _positive(w: np.ndarray) -> np.ndarray:
-    return np.maximum(w, 0.0)
 
 
 def round_to_unitary(a, eps: float, tol: Tolerance = DEFAULT_TOL):
@@ -210,18 +206,23 @@ def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
     through the positive part of the Hermitian part, a computable surrogate
     for the cone distance) joined with |sum A_i - 1|.
     """
-    family = _family(mats)
-    cone = float(op_norms([m - hermitian_eig(herm_part(m), tol).apply(_positive)
-                           for m in family]).max())
-    total = op_norm(sum(family) - np.eye(family[0].shape[0]))
-    return max(cone, total)
+    return _povm_parts(mats, tol)[0]
+
+
+def _povm_parts(mats, tol: Tolerance) -> tuple[float, np.ndarray, np.ndarray]:
+    """(povm_defect, family stack, positive parts of its Hermitian parts); one stacked eig."""
+    stack = _family(mats)
+    positives = hermitian_eig(herm_part(stack), tol).apply(lambda w: np.maximum(w, 0.0))
+    cone = float(op_norms(stack - positives).max())
+    total = op_norm(sum(stack) - np.eye(stack.shape[-1]))
+    return max(cone, total), stack, positives
 
 
 def povm_residual(mats) -> float:
     """Exactness residual of a POVM: max(|sum A_i - 1|, -min eig A_i)."""
     family = _family(mats)
-    min_eig = min(float(np.linalg.eigvalsh(herm_part(m))[0]) for m in family)
-    return max(op_norm(sum(family) - np.eye(family[0].shape[0])), max(0.0, -min_eig))
+    min_eig = float(np.linalg.eigvalsh(herm_part(family))[:, 0].min())
+    return max(op_norm(sum(family) - np.eye(family.shape[-1])), max(0.0, -min_eig))
 
 
 def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
@@ -231,27 +232,24 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     S; S ⪰ (1 - defect)·1 ⪰ 1/2 keeps the rescale well defined, and the
     output sums to the identity by construction.
     """
-    family = [as_operator(m) for m in mats]
-    defect = povm_defect(family, tol)
+    defect, family, positives = _povm_parts(mats, tol)
     if defect >= 0.5:
         raise HypothesisError("family is too far from a POVM",
                               defect=defect, bound=0.5)
-    positives = [hermitian_eig(herm_part(m), tol).apply(_positive) for m in family]
-    s = sum(positives)
-    spec = hermitian_eig(s, tol)
+    spec = hermitian_eig(sum(positives), tol)
     if float(spec.eigenvalues[0]) <= tol.spectral:
         raise HypothesisError(
             f"positive-part sum is singular within tolerance: smallest eigenvalue "
             f"{float(spec.eigenvalues[0]):.6e}")
     root = spec.apply(lambda w: w ** -0.5)
-    rounded = [herm_part(root @ p @ root) for p in positives]
+    rounded = herm_part(root @ positives @ root)
     report = RoundingReport(
         input_defect=defect,
-        output_distance=float(op_norms(np.array(family) - np.array(rounded)).max()),
+        output_distance=float(op_norms(family - rounded).max()),
         exactness_residual=povm_residual(rounded),
     )
     _guarantee(report, None, tol)
-    return rounded, report
+    return list(rounded), report
 
 
 def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
@@ -263,7 +261,7 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     block is the remaining corner identity, so the output sums to 1 exactly.
     """
     family = _family(mats)
-    eye = np.eye(family[0].shape[0], dtype=np.complex128)
+    eye = np.eye(family.shape[-1], dtype=np.complex128)
     defect = pvm_defect(family)
     budget = float(PVM_ENTRY_BUDGET)
     if defect > budget:
@@ -287,7 +285,7 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     resid = max(pvm_defect(blocks), float(op_norms(stack[i] @ stack[j]).max(initial=0.0)))
     report = RoundingReport(
         input_defect=defect,
-        output_distance=float(op_norms(np.array(family) - stack).max()),
+        output_distance=float(op_norms(family - stack).max()),
         exactness_residual=resid,
     )
     _guarantee(report, None, tol)

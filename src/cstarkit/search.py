@@ -34,9 +34,9 @@ from .games import (
 )
 # op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
 # checks that tracing rebinds cstarkit.search.op_norm
-from .operators import (DEFAULT_TOL, Tolerance, herm_part, op_norm,  # noqa: F401
+from .operators import (DEFAULT_TOL, Tolerance, dagger, herm_part, op_norm,  # noqa: F401
                         op_norms, spectral_apply)
-from .rounding import povm_defect, povm_residual, round_to_povm
+from .rounding import povm_residual, round_to_povm
 from .sampling import random_povm, rng_from_seed
 
 # Certified bound on the eigenvalue error of the value estimate.  Dense
@@ -291,7 +291,7 @@ def _penalty(alice_ops: np.ndarray, bob_ops: np.ndarray, delta: float) -> float:
 
 def _psd_sqrt_clip(m: np.ndarray) -> np.ndarray:
     lam, vecs = np.linalg.eigh(herm_part(m))
-    return (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
+    return (vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ dagger(vecs)
 
 
 def _row_weights(game: NonlocalGame, x: int, side: str) -> np.ndarray:
@@ -365,11 +365,6 @@ def _row_value_gradient(row: np.ndarray, weights: np.ndarray, other_ops: np.ndar
     return grads
 
 
-def _rho_conjugates(ops: np.ndarray, root, rho: np.ndarray) -> np.ndarray:
-    """table[y, b] = root(F) rho root(F) for each element F = ops[y, b]."""
-    return np.array([[r @ rho @ r for r in map(root, row)] for row in ops])
-
-
 def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
                   rho: np.ndarray, delta: float, mu: float, obj: float,
                   side: str, tol: Tolerance) -> tuple[Measurement, Measurement, float]:
@@ -383,9 +378,9 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
     n, k = game.n, game.k
     # _row_value reads raw-eigh roots and the gradient phase-fixed ones;
     # merging the two changes seesaw reports
-    conjugated = _rho_conjugates(other.ops, _psd_sqrt_clip, rho)
-    gradient_terms = _rho_conjugates(
-        other.ops, lambda f: spectral_apply(f, lambda w: np.sqrt(np.maximum(w, 0.0)), tol), rho)
+    raw_roots = _psd_sqrt_clip(other.ops)
+    roots = spectral_apply(other.ops, lambda w: np.sqrt(np.maximum(w, 0.0)), tol)
+    conjugated, gradient_terms = raw_roots @ rho @ raw_roots, roots @ rho @ roots
     ops = np.array(mine.ops)
     for x in range(n):
         weights = _row_weights(game, x, side)
@@ -399,8 +394,6 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
         direction = grad / scale
         for t in _STEP_GRID:
             raw = [herm_part(ops[x, a] + t * direction[a]) for a in range(k)]
-            if povm_defect(raw, tol) >= 0.5:
-                continue
             try:
                 repaired, _ = round_to_povm(raw, tol)
             except HypothesisError:

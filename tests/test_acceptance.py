@@ -258,6 +258,7 @@ CLI_CASES = (
      "--delta", 0.05),
     ("norm-enumerate", "--pres-id", "matrix_units:3", "--poly", "e12 + e21",
      "--budget", 66, "--seed", 1),
+    ("perturb-suite", "--budget", 10, "--dims", "2..16", "--seed", 1),
 )
 
 

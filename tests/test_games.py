@@ -10,7 +10,8 @@ from cstarkit.games import (Measurement, NonlocalGame, State, Strategy,
                             best_value, chsh, commutator_defects, correlation,
                             game_element, game_value, is_delta_op_commuting,
                             sym_product)
-from cstarkit.operators import dagger, herm_part, op_norm
+from cstarkit.games import _psd_sqrt
+from cstarkit.operators import DEFAULT_TOL, dagger, herm_part, op_norm
 from cstarkit.sampling import random_density, random_povm, rng_from_seed
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -157,6 +158,20 @@ def test_sym_product_positive_for_positive_inputs():
 def test_sym_product_rejects_negative_input():
     with pytest.raises(ValueError):
         sym_product(np.diag([-0.5, 1.0]), np.eye(2) / 2)
+
+
+def test_psd_sqrt_stack_names_first_negative_matrix():
+    """Stacked roots match one root per matrix; a failure names the first bad one."""
+    rng = rng_from_seed(41)
+    ops = np.array([random_povm(rng, 3, 2) for _ in range(2)])
+    roots = _psd_sqrt(ops, DEFAULT_TOL)
+    for x, a in np.ndindex(2, 2):
+        assert np.array_equal(roots[x, a], _psd_sqrt(ops[x, a], DEFAULT_TOL))
+    bad = ops.copy()
+    bad[1, 0] = np.diag([-0.25, 1.0, 1.0])
+    bad[1, 1] = np.diag([-0.5, 1.0, 1.0])
+    with pytest.raises(ValueError, match="-2.500e-01"):
+        _psd_sqrt(bad, DEFAULT_TOL)
 
 
 # --- correlations and values ---------------------------------------------------

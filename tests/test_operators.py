@@ -123,6 +123,96 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(a)
 
 
+def _old_fix_phases(vectors):
+    """The per-column phase fix hermitian_eig used before it took stacks."""
+    v = vectors.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        mags = np.abs(col)
+        significant = np.nonzero(mags > 1e-6 * mags.max())[0]
+        lead = col[significant[0]]
+        v[:, j] = col * (lead.conjugate() / abs(lead))
+    return v
+
+
+def _lead_abs_disagreements(vectors):
+    """Columns whose lead entry has np.abs (array) != abs (scalar)."""
+    count = 0
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        mags = np.abs(col)
+        lead = col[np.nonzero(mags > 1e-6 * mags.max())[0][0]]
+        count += bool(np.abs(np.array([lead]))[0] != abs(lead))
+    return count
+
+
+def _eig_test_stacks(rng, dim):
+    shapes = ((int(rng.integers(1, 8)),), (2, 3))
+    for shape in shapes:
+        full = shape + (dim, dim)
+        h = herm_part(rng.normal(size=full) + 1j * rng.normal(size=full))
+        yield h
+        yield h + 1e-13 * rng.normal(size=full)  # Hermitian only within tolerance
+        # dyadic-grid entries, as the candidate search builds them
+        grid = rng.integers(-1024, 1025, size=full) + 1j * rng.integers(-1024, 1025, size=full)
+        yield herm_part(grid / 1024)
+    # projections: eigenvalues 0 and 1, each repeated
+    projections = []
+    for _ in range(6):
+        u = random_unitary(rng, dim)
+        keep = np.diag((rng.uniform(size=dim) < 0.5).astype(float))
+        projections.append(u @ keep @ dagger(u))
+    yield np.array(projections)
+    # repeated diagonals: real, complex-typed and with exact zeros
+    diags = rng.integers(0, 3, size=(4, dim)).astype(float) / 2
+    yield np.array([np.diag(row).astype(complex) for row in diags])
+
+
+def test_hermitian_eig_stack_matches_per_matrix_loop():
+    """One stacked eigh plus the vectorized phase fix equals the old loop, bit for bit."""
+    rng = rng_from_seed(21)
+    functions = (lambda w: w, lambda w: np.sqrt(np.maximum(w, 0.0)),
+                 lambda w: (w >= 0.5).astype(float))
+    disagreements = 0
+    for dim in range(1, 17):
+        for stack in _eig_test_stacks(rng, dim):
+            spec = hermitian_eig(stack)
+            lead = stack.shape[:-2]
+            assert spec.eigenvalues.shape == lead + (dim,)
+            assert spec.eigenvectors.shape == stack.shape
+            applied = [spec.apply(f) for f in functions]
+            for index in np.ndindex(*lead):
+                w, v = np.linalg.eigh(herm_part(stack[index]))
+                disagreements += _lead_abs_disagreements(v)
+                v = _old_fix_phases(v)
+                assert np.array_equal(spec.eigenvalues[index], w)
+                assert np.array_equal(spec.eigenvectors[index], v)
+                for f, out in zip(functions, applied):
+                    assert np.array_equal(out[index], (v * f(w)) @ dagger(v))
+        empty = hermitian_eig(np.zeros((0, dim, dim)))
+        assert empty.eigenvalues.shape == (0, dim)
+    # the phase must round as the scalar abs does on these columns too
+    assert disagreements > 0
+
+
+def test_hermitian_eig_stack_validation():
+    stack = np.array([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(PreconditionError):
+        hermitian_eig(stack)
+    with pytest.raises(PreconditionError):
+        spectral_apply(stack, np.abs)
+    for bad in (np.zeros((3, 2, 3)), np.zeros((2, 0, 0)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            hermitian_eig(bad)
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 0] = np.inf
+    with pytest.raises(ValueError):
+        hermitian_eig(stack)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        hermitian_eig(stack)
+
+
 def test_spectral_apply_known_function():
     h = np.diag([0.0, 1.0, 4.0]).astype(complex)
     root = spectral_apply(h, np.sqrt)

@@ -126,6 +126,28 @@ def test_evaluate_adjoint_consistency():
     assert op_norm(left - right) < 1e-12
 
 
+def test_evaluate_matches_term_by_term_reference():
+    """Coefficients converted once and images resolved once give the same bits."""
+    rng = rng_from_seed(73)
+    dim = 4
+    images = {name: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+              for name in ("a", "b")}
+    a, b = generator("a"), generator("b")
+    i = GaussianRational(Fraction(1, 3), Fraction(-2, 7))
+    p = i * (a * b * a.adjoint()) + Fraction(5, 9) * (b * b) - a.adjoint() * a + a
+    expected = np.zeros((dim, dim), dtype=np.complex128)
+    for coeff, word in p.terms:
+        acc = None
+        for symbol in word:
+            img = images[symbol.rstrip("*")]
+            img = dagger(img) if symbol.endswith("*") else img
+            acc = img if acc is None else acc @ img
+        expected += complex(coeff) * acc
+    assert np.array_equal(p.evaluate(images, dim), expected)
+    assert p == NCPolynomial(p.terms) and hash(p) == hash(NCPolynomial(p.terms))
+    assert "complex" not in repr(p)
+
+
 def test_evaluate_missing_image():
     p = generator("missing")
     with pytest.raises(PreconditionError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cstarkit.errors import HypothesisError
-from cstarkit.operators import dagger, op_norm
+from cstarkit.operators import dagger, hermitian_eig, op_norm
 from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET,
                                isometry_defect, povm_defect,
                                projection_defect, pvm_defect,
@@ -254,6 +254,26 @@ def test_round_to_povm_exact_family_unchanged():
     out, report = round_to_povm(family)
     assert max(op_norm(a - b) for a, b in zip(family, out)) < 1e-9
     assert report.exactness_residual <= 1e-10
+
+
+def test_round_to_povm_factors_two_spectra(monkeypatch):
+    """One stacked eig for the family's positive parts, one for their sum."""
+    import cstarkit.rounding as rounding
+    calls = []
+
+    def counted(m, tol=rounding.DEFAULT_TOL):
+        calls.append(np.shape(m))
+        return hermitian_eig(m, tol)
+
+    rng = rng_from_seed(39)
+    family, _ = almost_povm_instance(rng, 4, 5, float(stability_modulus("povm", 0.25)))
+    monkeypatch.setattr(rounding, "hermitian_eig", counted)
+    expected = round_to_povm(family)
+    assert calls == [(5, 4, 4), (4, 4)]
+    monkeypatch.undo()
+    out, report = round_to_povm(family)
+    assert report == expected[1]
+    assert all(np.array_equal(a, b) for a, b in zip(out, expected[0]))
 
 
 def test_round_to_povm_rejects_far_families():
