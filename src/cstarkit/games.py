@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, herm_part,
-                        hermitian_eig, op_norm, op_norms)
+from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, as_operator, dagger,
+                        herm_part, hermitian_eig, op_norm, op_norms)
 
 _PROB_SLACK = 1e-9
 
@@ -204,9 +204,10 @@ def correlation(strategy: Strategy, x: int, y: int, a: int, b: int,
     return p
 
 
-# [a, b] tables of sqrt(A_a) B_b sqrt(A_a) and sqrt(B_b) A_a sqrt(B_b)
-_FIRST = "aij,bjk,akl->abil"
-_SECOND = "bij,ajk,bkl->abil"
+# [..., a, b] tables of sqrt(A_a) B_b sqrt(A_a) and sqrt(B_b) A_a sqrt(B_b); the
+# batched einsum matches a per-pair one bit for bit, a matmul chain does not
+_FIRST = "...aij,...bjk,...akl->...abil"
+_SECOND = "...bij,...ajk,...bkl->...abil"
 
 
 def game_element(game: NonlocalGame, alice: Measurement, bob: Measurement,
@@ -217,19 +218,27 @@ def game_element(game: NonlocalGame, alice: Measurement, bob: Measurement,
     state is its expectation against this matrix.
     """
     check_shapes(game, alice, bob)
-    ra, rb = _psd_sqrt(np.array([alice.ops, bob.ops]), tol)
-    dim = alice.dim
-    element = np.zeros((dim, dim), dtype=np.complex128)
+    return _game_elements(game, alice.ops, bob.ops, tol)
+
+
+def _game_elements(game: NonlocalGame, alice_ops: np.ndarray, bob_ops: np.ndarray,
+                   tol: Tolerance) -> np.ndarray:
+    """game_element per pair of two (..., n, k, d, d) stacks; zeros, unrooted, if no pair weighs."""
+    element = np.zeros(alice_ops.shape[:-4] + alice_ops.shape[-2:], dtype=np.complex128)
     weights = game.pi[:, :, None, None] * game.predicate
     pairs = np.argwhere(weights.any(axis=(2, 3)))
-    if len(pairs):
-        # every (x, y) pair contracts the same shapes, so plan each contraction once
-        first_path = np.einsum_path(_FIRST, ra[0], bob.ops[0], ra[0], optimize=True)[0]
-        second_path = np.einsum_path(_SECOND, rb[0], alice.ops[0], rb[0], optimize=True)[0]
+    if not len(pairs):
+        return element
+    roots = np.moveaxis(_psd_sqrt(np.stack([alice_ops, bob_ops], axis=-5), tol), -5, 0)
+    # question axis first: ra[x] is the (..., k, d, d) stack of sqrt(A^x_a)
+    ra, rb, alice_ops, bob_ops = (np.moveaxis(m, -4, 0) for m in (*roots, alice_ops, bob_ops))
+    # every (x, y) pair contracts the same shapes, so plan each contraction once
+    first_path = np.einsum_path(_FIRST, ra[0], bob_ops[0], ra[0], optimize=True)[0]
+    second_path = np.einsum_path(_SECOND, rb[0], alice_ops[0], rb[0], optimize=True)[0]
     for x, y in pairs:
-        first = np.einsum(_FIRST, ra[x], bob.ops[y], ra[x], optimize=first_path)
-        second = np.einsum(_SECOND, rb[y], alice.ops[x], rb[y], optimize=second_path)
-        element += np.einsum("ab,abil->il", weights[x, y], (first + second) / 2)
+        first = np.einsum(_FIRST, ra[x], bob_ops[y], ra[x], optimize=first_path)
+        second = np.einsum(_SECOND, rb[y], alice_ops[x], rb[y], optimize=second_path)
+        element += np.einsum("ab,...abil->...il", weights[x, y], (first + second) / 2)
     return herm_part(element)
 
 
@@ -269,27 +278,27 @@ def best_value(game: NonlocalGame, alice: Measurement, bob: Measurement,
     The maximum eigenvalue of the game element, attained by the rank-one
     density on its top eigenvector (returned alongside).
     """
-    element = game_element(game, alice, bob, tol)
-    spec = hermitian_eig(element, tol)
-    top = spec.eigenvectors[:, -1]
+    spec = hermitian_eig(game_element(game, alice, bob, tol), tol)
+    return BestValue(value=float(spec.eigenvalues[-1]),
+                     state=_top_state(spec.eigenvectors[:, -1]))
+
+
+def _top_state(top: np.ndarray) -> State:
+    """The rank-one density on a (top) eigenvector."""
     rho = np.outer(top, top.conj())
-    rho = herm_part(rho) / float(np.trace(rho).real)
-    return BestValue(value=float(spec.eigenvalues[-1]), state=State(rho))
+    return State(herm_part(rho) / float(np.trace(rho).real))
 
 
 def commutator_defects(alice_ops: np.ndarray, bob_ops: np.ndarray) -> np.ndarray:
-    """(n_a, n_b) table of sum_{a,b} |[A^x_a, B^y_b]| from two (n, k, d, d) op arrays.
+    """(..., n_a, n_b) table of sum_{a,b} |[A^x_a, B^y_b]| from two (..., n, k, d, d) op stacks.
 
     All commutators are formed in one broadcast and normed in one batch;
     each entry is summed in (a, b) order, as a per-pair loop would.
     """
-    a = np.asarray(alice_ops)[:, None, :, None]
-    b = np.asarray(bob_ops)[None, :, None, :]
+    a = np.asarray(alice_ops)[..., :, None, :, None, :, :]
+    b = np.asarray(bob_ops)[..., None, :, None, :, :, :]
     norms = op_norms(a @ b - b @ a)
-    table = np.zeros(norms.shape[:2])
-    for pair in np.ndindex(table.shape):
-        table[pair] = sum(norms[pair].ravel().tolist())
-    return table
+    return _ordered_sum(norms.reshape(norms.shape[:-2] + (-1,)), -1)
 
 
 class CommutationCheck(NamedTuple):
@@ -301,9 +310,13 @@ class CommutationCheck(NamedTuple):
 def is_delta_op_commuting(alice: Measurement, bob: Measurement,
                           delta: float) -> CommutationCheck:
     """Strict check: every question pair's commutator defect is < delta."""
+    return _commutation_check(commutator_defects(alice.ops, bob.ops), delta)
+
+
+def _commutation_check(table: np.ndarray, delta: float) -> CommutationCheck:
+    """The strict delta check on one (n_a, n_b) commutator_defects table."""
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
-    table = commutator_defects(alice.ops, bob.ops)
     x, y = np.unravel_index(np.argmax(table), table.shape)
     worst = float(table[x, y])
     return CommutationCheck(ok=worst < delta, worst_pair=(int(x), int(y)), worst_defect=worst)

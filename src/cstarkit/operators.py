@@ -70,6 +70,14 @@ def identity_like(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[0], dtype=np.complex128)
 
 
+def _ordered_sum(stack: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along axis term by term from 0, in Python sum's order, on any leading axes."""
+    total = 0
+    for term in np.moveaxis(stack, axis, 0):
+        total = total + term
+    return total
+
+
 def op_norm(m) -> float:
     """Operator norm (largest singular value)."""
     return float(np.linalg.norm(as_operator(m), 2))
@@ -116,9 +124,13 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     mags = np.abs(v)
     # first component carrying real weight, not a float shadow of zero
     significant = mags > 1e-6 * mags.max(axis=-2, keepdims=True)
-    lead = np.take_along_axis(v, np.argmax(significant, axis=-2)[..., None, :], axis=-2)
+    d = v.shape[-1]
+    rows = np.argmax(significant, axis=-2).reshape(-1, d)
+    # one flat fancy index picks each column's lead entry
+    lead = v.reshape(-1, d, d)[np.arange(len(rows))[:, None], rows, np.arange(d)]
     # hypot rounds as the scalar abs does; the array np.abs does not always
-    return v * (lead.conj() / np.hypot(lead.real, lead.imag))
+    phase = (lead.conj() / np.hypot(lead.real, lead.imag)).reshape(v.shape[:-2] + (1, d))
+    return v * phase
 
 
 def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> HermitianSpectrum:

@@ -24,8 +24,8 @@ import numpy as np
 from .dyadic import largest_pow2_leq
 from .errors import HypothesisError
 from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, herm_part,
-                        hermitian_eig, identity_like, op_norm, op_norms,
-                        polar_unitary)
+                        _ordered_sum, hermitian_eig, identity_like, op_norm,
+                        op_norms, polar_unitary)
 
 ROUNDING_KINDS = ("unitary", "projection", "partial_isometry", "povm", "pvm")
 
@@ -96,9 +96,8 @@ def projection_defect(a) -> float:
 def pvm_defect(mats) -> float:
     """|sum A_i - 1| joined with the projection defect of every member."""
     family = _family(mats)
-    total = op_norm(sum(family) - np.eye(family.shape[-1]))
     members = op_norms(np.concatenate([family - dagger(family), family @ family - family]))
-    return max(total, float(members.max()))
+    return max(float(_sum_defect(family)), float(members.max()))
 
 
 def _family(mats) -> np.ndarray:
@@ -206,23 +205,56 @@ def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
     through the positive part of the Hermitian part, a computable surrogate
     for the cone distance) joined with |sum A_i - 1|.
     """
-    return _povm_parts(mats, tol)[0]
+    return float(_povm_parts(_family(mats), tol)[0])
 
 
-def _povm_parts(mats, tol: Tolerance) -> tuple[float, np.ndarray, np.ndarray]:
-    """(povm_defect, family stack, positive parts of its Hermitian parts); one stacked eig."""
-    stack = _family(mats)
+def _pymax(a, b):
+    """Elementwise max(a, b) as Python's max picks: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _sum_defect(stack: np.ndarray) -> np.ndarray:
+    """|sum_i A_i - 1| per (k, d, d) family of a (..., k, d, d) stack."""
+    return op_norms(_ordered_sum(stack, -3) - np.eye(stack.shape[-1]))
+
+
+def _povm_parts(stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """(povm_defect, positive parts of the Hermitian parts) of a (..., k, d, d) stack; one eig."""
     positives = hermitian_eig(herm_part(stack), tol).apply(lambda w: np.maximum(w, 0.0))
-    cone = float(op_norms(stack - positives).max())
-    total = op_norm(sum(stack) - np.eye(stack.shape[-1]))
-    return max(cone, total), stack, positives
+    cone = op_norms(stack - positives).max(axis=-1)
+    return _pymax(cone, _sum_defect(stack)), positives
+
+
+def _povm_residual(stack: np.ndarray) -> np.ndarray:
+    """max(|sum A_i - 1|, -min eig A_i) per family of a (..., k, d, d) stack."""
+    min_eig = np.linalg.eigvalsh(herm_part(stack))[..., 0].min(axis=-1)
+    return _pymax(_sum_defect(stack), np.where(-min_eig > 0.0, -min_eig, 0.0))
 
 
 def povm_residual(mats) -> float:
     """Exactness residual of a POVM: max(|sum A_i - 1|, -min eig A_i)."""
-    family = _family(mats)
-    min_eig = float(np.linalg.eigvalsh(herm_part(family))[:, 0].min())
-    return max(op_norm(sum(family) - np.eye(family.shape[-1])), max(0.0, -min_eig))
+    return float(_povm_residual(_family(mats)))
+
+
+def _repair_povms(stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, ...]:
+    """Round each (k, d, d) family of a (..., k, d, d) stack to an exact POVM.
+
+    Returns (rounded, refused, defect, low, residual) per family.  Refused
+    families (defect >= 1/2, or low = min eig of the positive-part sum S <=
+    tol.spectral) are masked out before S^(-1/2), raise nothing and hold
+    meaningless rounded slots; an accepted one missing exactness raises.
+    """
+    defect, positives = _povm_parts(stack, tol)
+    far = defect >= 0.5
+    eye = np.eye(stack.shape[-1])
+    spec = hermitian_eig(np.where(far[..., None, None], eye, _ordered_sum(positives, -3)), tol)
+    low = spec.eigenvalues[..., 0]
+    refused = far | (low <= tol.spectral)
+    root = spec.apply(lambda w: np.where(refused[..., None], 1.0, w) ** -0.5)[..., None, :, :]
+    rounded = herm_part(root @ positives @ root)
+    residual = np.where(refused, 0.0, _povm_residual(rounded))
+    _check_exact(float(residual.max(initial=0.0)), tol)
+    return rounded, refused, defect, low, residual
 
 
 def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
@@ -232,23 +264,20 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     S; S ⪰ (1 - defect)·1 ⪰ 1/2 keeps the rescale well defined, and the
     output sums to the identity by construction.
     """
-    defect, family, positives = _povm_parts(mats, tol)
+    family = _family(mats)
+    rounded, refused, defect, low, residual = _repair_povms(family, tol)
     if defect >= 0.5:
         raise HypothesisError("family is too far from a POVM",
-                              defect=defect, bound=0.5)
-    spec = hermitian_eig(sum(positives), tol)
-    if float(spec.eigenvalues[0]) <= tol.spectral:
+                              defect=float(defect), bound=0.5)
+    if refused:
         raise HypothesisError(
             f"positive-part sum is singular within tolerance: smallest eigenvalue "
-            f"{float(spec.eigenvalues[0]):.6e}")
-    root = spec.apply(lambda w: w ** -0.5)
-    rounded = herm_part(root @ positives @ root)
+            f"{float(low):.6e}")
     report = RoundingReport(
-        input_defect=defect,
+        input_defect=float(defect),
         output_distance=float(op_norms(family - rounded).max()),
-        exactness_residual=povm_residual(rounded),
+        exactness_residual=float(residual),
     )
-    _guarantee(report, None, tol)
     return list(rounded), report
 
 
@@ -292,12 +321,14 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     return blocks, report
 
 
+def _check_exact(residual: float, tol: Tolerance) -> None:
+    # unreachable once a hypothesis passed; fail loudly rather than break the contract
+    if residual > tol.algebraic:
+        raise ArithmeticError(f"rounding missed exactness: residual {residual:.3e}")
+
+
 def _guarantee(report: RoundingReport, eps: float | None, tol: Tolerance) -> None:
-    # a passed hypothesis makes these unreachable; fail loudly rather than
-    # hand back an output that misses the contract
-    if report.exactness_residual > tol.algebraic:
-        raise ArithmeticError(
-            f"rounding missed exactness: residual {report.exactness_residual:.3e}")
+    _check_exact(report.exactness_residual, tol)
     if eps is not None and not report.output_distance < eps:
         raise ArithmeticError(
             f"rounding moved too far: {report.output_distance:.6f} >= {eps}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import dagger, herm_part, op_norm
+from .operators import _ordered_sum, dagger, herm_part, op_norm
 from .rounding import (isometry_defect, povm_defect, projection_defect,
                        pvm_defect)
 
@@ -53,14 +53,20 @@ def random_povm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
     """Exact POVM from a ridge-regularized Gram construction."""
     if k < 1:
         raise ValueError(f"need at least one outcome, got {k}")
-    raw = []
-    for _ in range(k):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(g @ dagger(g) / dim + 0.1 * np.eye(dim))
-    total = herm_part(sum(raw))
-    w, v = np.linalg.eigh(total)
-    root = (v * (w ** -0.5)) @ dagger(v)
-    return [herm_part(root @ m @ root) for m in raw]
+    return list(_gram_povms(rng.normal(size=(k, 2, dim, dim))))
+
+
+def _gram_povms(normals: np.ndarray) -> np.ndarray:
+    """random_povm's S^-1/2 A_i S^-1/2 per family, A_i = G_i G_i^H / d + 0.1, S = sum_i A_i.
+
+    normals is a (..., k, 2, d, d) stack: the real and imaginary parts of each G_i.
+    """
+    dim = normals.shape[-1]
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    raw = g @ dagger(g) / dim + 0.1 * np.eye(dim)
+    w, v = np.linalg.eigh(herm_part(_ordered_sum(raw, -3)))
+    root = ((v * (w ** -0.5)[..., None, :]) @ dagger(v))[..., None, :, :]
+    return herm_part(root @ raw @ root)
 
 
 def random_pvm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:

@@ -26,6 +26,9 @@ from .games import (
     NonlocalGame,
     State,
     Strategy,
+    _commutation_check,
+    _game_elements,
+    _top_state,
     best_value,
     check_shapes,
     commutator_defects,
@@ -34,10 +37,10 @@ from .games import (
 )
 # op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
 # checks that tracing rebinds cstarkit.search.op_norm
-from .operators import (DEFAULT_TOL, Tolerance, dagger, herm_part, op_norm,  # noqa: F401
-                        op_norms, spectral_apply)
-from .rounding import povm_residual, round_to_povm
-from .sampling import random_povm, rng_from_seed
+from .operators import (DEFAULT_TOL, Tolerance, dagger, herm_part,  # noqa: F401
+                        hermitian_eig, op_norm, op_norms, spectral_apply)
+from .rounding import _repair_povms, povm_residual, round_to_povm
+from .sampling import _gram_povms, random_povm, rng_from_seed
 
 # Certified bound on the eigenvalue error of the value estimate.  Dense
 # Hermitian solves are accurate to machine precision times the norm, so
@@ -140,25 +143,14 @@ def _snap_to_grid(m: np.ndarray, q: int) -> np.ndarray:
     return (np.round(m.real * q) + 1j * np.round(m.imag * q)) / q
 
 
-def _grid_measurement(rng: np.random.Generator, n: int, k: int, dim: int,
-                      q: int, tol: Tolerance) -> Measurement:
-    """Random POVM per question with entries snapped to the dyadic grid.
-
-    Snapping breaks exactness, so each row is repaired; the repair
-    refuses (and the candidate is skipped) if the grid is too coarse.
-    """
-    rows = []
-    for _ in range(n):
-        base = random_povm(rng, dim, k)
-        snapped = [_snap_to_grid(m, q) for m in base]
-        repaired, _ = round_to_povm(snapped, tol)
-        rows.append(repaired)
-    return Measurement(np.array(rows))
+# stream positions per block of the candidate pipeline
+_BLOCK = 32
+# (examined, alice, bob, check): a stream position's pair that passed the gates
+Candidate = tuple[int, Measurement, Measurement, CommutationCheck]
 
 
-def _raw_pairs(game: NonlocalGame, stream: CandidateStream,
-               tol: Tolerance) -> Iterator[tuple[Measurement, Measurement] | None]:
-    """Unfiltered candidate source; None marks a consumed-but-skipped slot."""
+def _positions(game: NonlocalGame, stream: CandidateStream) -> Iterator[tuple | int]:
+    """Stream order: deterministic pairs, planted pairs, then one dimension per random position."""
     n, k = game.n, game.k
     for fa in itertools.product(range(k), repeat=n):
         alice = deterministic_measurement(fa, k)
@@ -167,50 +159,98 @@ def _raw_pairs(game: NonlocalGame, stream: CandidateStream,
     for alice, bob in stream.planted:
         check_shapes(game, alice, bob)
         yield alice, bob
+    for i in itertools.count():
+        yield stream.dims[i % len(stream.dims)]
+
+
+def _per_dim(items: list, dim_of: Callable, stacked: Callable) -> list:
+    """stacked(group) on each same-dimension group of items, results back in item order."""
+    groups: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(dim_of(item), []).append(i)
+    results = [None] * len(items)
+    for group in groups.values():
+        for i, result in zip(group, stacked([items[i] for i in group])):
+            results[i] = result
+    return results
+
+
+def _ops(items: list, side: int) -> np.ndarray:
+    return np.array([item[side].ops for item in items])
+
+
+def _grid_pairs(rng: np.random.Generator, dims: list[int], game: NonlocalGame, q: int,
+                tol: Tolerance) -> list[tuple[Measurement, Measurement] | None]:
+    """One random POVM pair per dim with entries snapped to the dyadic grid.
+
+    One normal draw covers all 2n rows of every pair, Alice's then Bob's;
+    each dim is rooted, snapped and repaired as one stack.  A pair with a
+    row whose repair refuses (grid too coarse) is None.
+    """
+    n, k = game.n, game.k
+    sizes = [4 * n * k * dim * dim for dim in dims]
+    flat = np.split(rng.normal(size=sum(sizes)), list(itertools.accumulate(sizes))[:-1])
+    draws = [f.reshape(2, n, k, 2, dim, dim) for f, dim in zip(flat, dims)]
+
+    def repaired(group: list[np.ndarray]) -> list:
+        rounded, refused, *_ = _repair_povms(_snap_to_grid(_gram_povms(np.array(group)), q), tol)
+        return [None if bad.any() else (Measurement(ops[0]), Measurement(ops[1]))
+                for ops, bad in zip(rounded, refused)]
+
+    return _per_dim(draws, lambda draw: draw.shape[-1], repaired)
+
+
+def _gated_blocks(game: NonlocalGame, stream: CandidateStream, delta: float,
+                  tol: Tolerance) -> Iterator[list[Candidate]]:
+    """enumerate_candidates' items per block of up to _BLOCK positions, none past the budget."""
+    source = _positions(game, stream)
     rng = rng_from_seed(stream.seed)
-    i = 0
-    while True:
-        dim = stream.dims[i % len(stream.dims)]
-        i += 1
-        try:
-            alice = _grid_measurement(rng, n, k, dim, stream.grid_denominator, tol)
-            bob = _grid_measurement(rng, n, k, dim, stream.grid_denominator, tol)
-        except HypothesisError:
-            yield None
-            continue
-        yield alice, bob
+    start = 1
+    while start <= stream.budget:
+        block = list(itertools.islice(source, min(_BLOCK, stream.budget - start + 1)))
+        dims = [item for item in block if isinstance(item, int)]
+        drawn = iter(_grid_pairs(rng, dims, game, stream.grid_denominator, tol))
+        pairs = [next(drawn) if isinstance(item, int) else item for item in block]
+        live = [(start + i, *pair) for i, pair in enumerate(pairs) if pair is not None]
+        checks = _per_dim(live, lambda c: c[1].dim, lambda group: [
+            _commutation_check(table, delta)
+            for table in commutator_defects(_ops(group, 1), _ops(group, 2))])
+        yield [(*pair, check) for pair, check in zip(live, checks) if check.ok]
+        start += len(block)
 
 
 def enumerate_candidates(game: NonlocalGame, stream: CandidateStream, delta: float,
-                         tol: Tolerance = DEFAULT_TOL
-                         ) -> Iterator[tuple[int, Measurement, Measurement, CommutationCheck]]:
+                         tol: Tolerance = DEFAULT_TOL) -> Iterator[Candidate]:
     """Candidate pairs that are exact measurements and almost commute.
 
     Yields (examined, alice, bob, check): the 1-based stream position,
     the pair, and its passing commutation check.  Order: all dimension-one
     deterministic pairs, then planted pairs, then seeded random grid
-    candidates cycling through stream.dims.  The stream examines at most
-    stream.budget pairs; pairs failing the strict per-question-pair
-    commutator check are dropped silently.
+    candidates cycling through stream.dims, each drawing all 2n rows.  The
+    stream examines at most stream.budget pairs; pairs whose repair refuses
+    or that fail the strict per-question-pair commutator check are dropped.
     """
-    source = itertools.islice(_raw_pairs(game, stream, tol), stream.budget)
-    for examined, pair in enumerate(source, start=1):
-        if pair is None:
-            continue
-        alice, bob = pair
-        check = is_delta_op_commuting(alice, bob, delta)
-        if check.ok:
-            yield examined, alice, bob, check
+    for block in _gated_blocks(game, stream, delta, tol):
+        yield from block
 
 
 def _witnesses(game: NonlocalGame, stream: CandidateStream, delta: float,
-               tol: Tolerance) -> Iterator[tuple[int, Witness]]:
-    """Each gated candidate as a Witness at its best state and certified value."""
-    for examined, alice, bob, check in enumerate_candidates(game, stream, delta, tol):
-        approx = best_value(game, alice, bob, tol)
-        yield examined, Witness(alice=alice, bob=bob, state=approx.state,
-                                certified_value=approx.value - CERTIFIED_EIG_ERROR,
-                                defect=check.worst_defect)
+               tol: Tolerance) -> Iterator[tuple[Candidate, float, np.ndarray]]:
+    """(candidate, certified value, top eigenvector of its game element) per gated candidate."""
+    def scored(group: list[Candidate]) -> list:
+        spec = hermitian_eig(_game_elements(game, _ops(group, 1), _ops(group, 2), tol), tol)
+        return [(c, float(w[-1]) - CERTIFIED_EIG_ERROR, v[:, -1])
+                for c, w, v in zip(group, spec.eigenvalues, spec.eigenvectors)]
+
+    for block in _gated_blocks(game, stream, delta, tol):
+        yield from _per_dim(block, lambda c: c[1].dim, scored)
+
+
+def _witness(candidate: Candidate, certified_value: float, top: np.ndarray) -> Witness:
+    """A scored candidate's Witness, at the rank-one state on its top eigenvector."""
+    _, alice, bob, check = candidate
+    return Witness(alice=alice, bob=bob, state=_top_state(top),
+                   certified_value=certified_value, defect=check.worst_defect)
 
 
 def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
@@ -227,10 +267,10 @@ def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
     if not 0.0 <= delta <= 1.0:
         raise PreconditionError(f"delta({len(z)}) = {delta!r} must lie in [0, 1]")
     start = time.perf_counter()
-    for examined, witness in _witnesses(game, stream, delta, tol):
-        if witness.certified_value > 0.5:
-            return SearchVerdict(outcome="accepted", witness=witness,
-                                 candidates_tried=examined,
+    for candidate, value, top in _witnesses(game, stream, delta, tol):
+        if value > 0.5:
+            return SearchVerdict(outcome="accepted", witness=_witness(candidate, value, top),
+                                 candidates_tried=candidate[0],
                                  wall_time=time.perf_counter() - start)
     return SearchVerdict(outcome="budget_exhausted", witness=None,
                          candidates_tried=stream.budget,
@@ -249,9 +289,9 @@ def evaluate_stream(game: NonlocalGame, stream: CandidateStream, delta: float,
     if not 0.0 <= delta <= 1.0:
         raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
     best: Witness | None = None
-    for _, witness in _witnesses(game, stream, delta, tol):
-        if best is None or witness.certified_value > best.certified_value:
-            best = witness
+    for candidate, value, top in _witnesses(game, stream, delta, tol):
+        if best is None or value > best.certified_value:
+            best = _witness(candidate, value, top)
     return best, stream.budget
 
 

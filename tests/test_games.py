@@ -10,7 +10,7 @@ from cstarkit.games import (Measurement, NonlocalGame, State, Strategy,
                             best_value, chsh, commutator_defects, correlation,
                             game_element, game_value, is_delta_op_commuting,
                             sym_product)
-from cstarkit.games import _psd_sqrt
+from cstarkit.games import _game_elements, _psd_sqrt
 from cstarkit.operators import DEFAULT_TOL, dagger, herm_part, op_norm
 from cstarkit.sampling import random_density, random_povm, rng_from_seed
 
@@ -333,6 +333,67 @@ def test_commutator_defects_match_per_pair_loop():
         check = is_delta_op_commuting(Measurement(alice), Measurement(bob), 100.0)
         assert check.worst_defect == table.max()
         assert table[check.worst_pair] == table.max()
+
+
+def _measurement_stack(rng, lead, n, k, dim):
+    """A (*lead, n, k, d, d) stack of random POVM rows."""
+    return np.array([[random_povm(rng, dim, k) for _ in range(n)]
+                     for _ in np.ndindex(*lead)]).reshape(lead + (n, k, dim, dim))
+
+
+def _per_pair_element(game, alice, bob):
+    """game_element written out: one einsum per (x, y) pair on a (n, k, d, d) pair."""
+    ra, rb = _psd_sqrt(np.array([alice, bob]), DEFAULT_TOL)
+    weights = game.pi[:, :, None, None] * game.predicate
+    element = np.zeros(alice.shape[-2:], dtype=np.complex128)
+    for x, y in np.argwhere(weights.any(axis=(2, 3))):
+        first = np.einsum("aij,bjk,akl->abil", ra[x], bob[y], ra[x], optimize=True)
+        second = np.einsum("bij,ajk,bkl->abil", rb[y], alice[x], rb[y], optimize=True)
+        element += np.einsum("ab,abil->il", weights[x, y], (first + second) / 2)
+    return herm_part(element)
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+def test_stacked_game_cores_match_per_pair_calls(lead):
+    """commutator_defects and the element core on stacks equal per-pair calls bit for bit."""
+    rng = rng_from_seed(71)
+    for dim in range(1, 6):
+        for n, k in ((2, 2), (3, 2), (2, 3)):
+            pi = rng.random((n, n))
+            game = NonlocalGame(pi / pi.sum(), rng.integers(0, 2, size=(n, n, k, k)))
+            alice = _measurement_stack(rng, lead, n, k, dim)
+            bob = _measurement_stack(rng, lead, n, k, dim)
+            tables = commutator_defects(alice, bob)
+            elements = _game_elements(game, alice, bob, DEFAULT_TOL)
+            assert tables.shape == lead + (n, n)
+            assert elements.shape == lead + (dim, dim)
+            for index in np.ndindex(*lead):
+                pair = Measurement(alice[index]), Measurement(bob[index])
+                norms = [op_norm(alice[index][x, a] @ bob[index][y, b]
+                                 - bob[index][y, b] @ alice[index][x, a])
+                         for x in range(n) for y in range(n)
+                         for a in range(k) for b in range(k)]
+                expected = np.zeros(n * n)
+                for j, norm in enumerate(norms):  # (a, b) order, one add at a time
+                    expected[j // (k * k)] += norm
+                assert np.array_equal(tables[index], expected.reshape(n, n))
+                assert np.array_equal(tables[index], commutator_defects(*(m.ops for m in pair)))
+                assert np.array_equal(elements[index], game_element(game, *pair))
+                assert np.array_equal(elements[index],
+                                      _per_pair_element(game, alice[index], bob[index]))
+
+
+def test_weightless_game_element_is_zero_without_roots(monkeypatch):
+    """No weighted (x, y) pair: the element is exact zeros and nothing is rooted."""
+    import cstarkit.games as games
+    never = NonlocalGame(np.full((2, 2), 0.25), np.zeros((2, 2, 2, 2), dtype=np.int8))
+    strategy = random_strategy(rng_from_seed(72), 2, 2, 3)
+    monkeypatch.setattr(games, "hermitian_eig", None)
+    element = game_element(never, strategy.alice, strategy.bob)
+    assert element.dtype == np.complex128
+    assert np.array_equal(element, np.zeros((3, 3)))
+    with pytest.raises(PreconditionError):
+        game_element(never, strategy.alice, strategy.bob.ops)
 
 
 def test_is_delta_op_commuting():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cstarkit.errors import HypothesisError
-from cstarkit.operators import dagger, hermitian_eig, op_norm
-from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET,
+from cstarkit.operators import DEFAULT_TOL, dagger, hermitian_eig, op_norm
+from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET, _repair_povms,
                                isometry_defect, povm_defect,
                                projection_defect, pvm_defect,
                                round_to_partial_isometry, round_to_povm,
@@ -274,6 +274,64 @@ def test_round_to_povm_factors_two_spectra(monkeypatch):
     out, report = round_to_povm(family)
     assert report == expected[1]
     assert all(np.array_equal(a, b) for a, b in zip(out, expected[0]))
+
+
+def _povm_block(rng, lead, k, dim):
+    """A (*lead, k, d, d) stack of near-POVM families at mixed distances."""
+    block = np.empty(lead + (k, dim, dim), dtype=np.complex128)
+    for index in np.ndindex(*lead):
+        delta = float(rng.choice([2.0 ** -12, 2.0 ** -6, 2.0 ** -3]))
+        family, _ = almost_povm_instance(rng, dim, k, delta)
+        block[index] = family
+    return block
+
+
+@pytest.mark.parametrize("lead", [(6,), (3, 2)])
+def test_repair_povms_stack_matches_round_to_povm(lead):
+    """The stacked repair equals round_to_povm on every family, bit for bit."""
+    rng = rng_from_seed(41)
+    for dim in range(1, 6):
+        for k in (2, 3):
+            block = _povm_block(rng, lead, k, dim)
+            rounded, refused, defect, low, residual = _repair_povms(block, DEFAULT_TOL)
+            assert refused.shape == defect.shape == low.shape == residual.shape == lead
+            assert not refused.any()
+            for index in np.ndindex(*lead):
+                out, report = round_to_povm(list(block[index]))
+                assert np.array_equal(np.array(out), rounded[index])
+                assert report.input_defect == defect[index] == povm_defect(block[index])
+                assert report.exactness_residual == residual[index]
+
+
+def test_repair_povms_flags_refused_families_without_raising():
+    """Far and singular-sum families are flagged; good ones still round exactly."""
+    rng = rng_from_seed(42)
+    dim, k = 3, 2
+    block = _povm_block(rng, (5,), k, dim)
+    block[1] = [np.zeros((dim, dim)), 0.4 * np.eye(dim)]  # far: defect 0.6
+    block[3] = 0.0  # positive-part sum exactly singular, and far
+    with np.errstate(all="raise"):
+        rounded, refused, defect, low, residual = _repair_povms(block, DEFAULT_TOL)
+    assert refused.tolist() == [False, True, False, True, False]
+    assert defect[1] == 0.6 and defect[3] == 1.0
+    assert residual[1] == residual[3] == 0.0
+    for i in (0, 2, 4):
+        out, report = round_to_povm(list(block[i]))
+        assert np.array_equal(np.array(out), rounded[i])
+        assert report.exactness_residual == residual[i]
+    for i in (1, 3):
+        with pytest.raises(HypothesisError):
+            round_to_povm(list(block[i]))
+
+
+def test_round_to_povm_singular_sum_refusal(monkeypatch):
+    """A singular positive-part sum under defect 1/2 refuses with its eigenvalue."""
+    import cstarkit.rounding as rounding
+    real = rounding._povm_parts
+    monkeypatch.setattr(rounding, "_povm_parts",
+                        lambda stack, tol: (real(stack, tol)[0], 0.0 * stack))
+    with pytest.raises(HypothesisError, match="singular within tolerance"):
+        round_to_povm(random_povm(rng_from_seed(43), 2, 2))
 
 
 def test_round_to_povm_rejects_far_families():

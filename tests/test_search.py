@@ -1,19 +1,23 @@
 """Tests for the semidecision harness, see-saw, and classical brute force."""
 
+import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cstarkit.errors import PreconditionError
-from cstarkit.games import (Measurement, NonlocalGame, State, Strategy, chsh,
-                            game_element, game_value, is_delta_op_commuting)
+from cstarkit import search
+from cstarkit.errors import HypothesisError, PreconditionError
+from cstarkit.games import (Measurement, NonlocalGame, State, Strategy, best_value,
+                            chsh, game_element, game_value, is_delta_op_commuting)
 from cstarkit.formats import parse_game
-from cstarkit.operators import op_norm
+from cstarkit.operators import DEFAULT_TOL, op_norm
 from cstarkit.rounding import povm_residual, round_to_povm
 from cstarkit.sampling import random_povm, rng_from_seed
-from cstarkit.search import (CandidateStream, GameFamily, classical_optimum,
+from cstarkit.search import (CERTIFIED_EIG_ERROR, CandidateStream, GameFamily,
+                             _witness, _witnesses, classical_optimum,
                              classical_value, constant_family,
                              deterministic_measurement, enumerate_candidates,
                              evaluate_stream, seesaw_optimize,
@@ -126,6 +130,128 @@ def test_delta_zero_filters_everything():
     game = chsh()
     stream = CandidateStream(dims=(2,), budget=30)
     assert list(enumerate_candidates(game, stream, delta=0.0)) == []
+
+
+# --- block pipeline against the per-candidate loop ---------------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _reference_stream(game, stream, delta, tol=DEFAULT_TOL, refuse=()):
+    """The per-candidate loop: (examined, alice, bob, check, value, state) per gated pair.
+
+    Each random position draws all 2n rows with random_povm, snaps them to
+    the grid and repairs each with round_to_povm; a refusal (or a position
+    in `refuse`) skips the position.  Gated pairs are scored with best_value.
+    """
+    n, k, q = game.n, game.k, stream.grid_denominator
+    pairs = [(deterministic_measurement(fa, k), deterministic_measurement(fb, k))
+             for fa in itertools.product(range(k), repeat=n)
+             for fb in itertools.product(range(k), repeat=n)]
+    pairs += list(stream.planted)
+    rng = rng_from_seed(stream.seed)
+    out = []
+    for examined in range(1, stream.budget + 1):
+        if examined <= len(pairs):
+            alice, bob = pairs[examined - 1]
+        else:
+            dim = stream.dims[(examined - len(pairs) - 1) % len(stream.dims)]
+            rows = [[(np.round(m.real * q) + 1j * np.round(m.imag * q)) / q
+                     for m in random_povm(rng, dim, k)] for _ in range(2 * n)]
+            try:
+                repaired = [round_to_povm(row, tol)[0] for row in rows]
+            except HypothesisError:
+                continue
+            if examined in refuse:
+                continue
+            alice, bob = Measurement(np.array(repaired[:n])), Measurement(np.array(repaired[n:]))
+        check = is_delta_op_commuting(alice, bob, delta)
+        if check.ok:
+            best = best_value(game, alice, bob, tol)
+            out.append((examined, alice, bob, check, best.value - CERTIFIED_EIG_ERROR, best.state))
+    return out
+
+
+def _assert_stream_matches(game, stream, delta, reference):
+    witnesses = [(c, value, _witness(c, value, top)) for c, value, top
+                 in _witnesses(game, stream, delta, DEFAULT_TOL)]
+    candidates = list(enumerate_candidates(game, stream, delta))
+    assert len(witnesses) == len(candidates) == len(reference)
+    for ref, cand, (scored, value, witness) in zip(reference, candidates, witnesses):
+        examined, alice, bob, check, ref_value, state = ref
+        for got in (cand, scored):
+            assert got[0] == examined and got[3] == check
+            assert np.array_equal(got[1].ops, alice.ops)
+            assert np.array_equal(got[2].ops, bob.ops)
+        assert value == witness.certified_value == ref_value
+        assert witness.defect == check.worst_defect
+        assert np.array_equal(witness.state.rho, state.rho)
+
+
+def test_random_povm_matches_per_gram_construction():
+    """One stacked draw and root give the per-Gram loop's POVM and generator state."""
+    for dim in range(1, 6):
+        for k in (1, 2, 4):
+            rng, ref_rng = rng_from_seed(dim * 10 + k), rng_from_seed(dim * 10 + k)
+            raw = []
+            for _ in range(k):
+                g = ref_rng.normal(size=(dim, dim)) + 1j * ref_rng.normal(size=(dim, dim))
+                raw.append(g @ g.conj().T / dim + 0.1 * np.eye(dim))
+            total = sum(raw)
+            w, v = np.linalg.eigh((total + total.conj().T) / 2)
+            root = (v * (w ** -0.5)) @ v.conj().T
+            expected = [(root @ m @ root + (root @ m @ root).conj().T) / 2 for m in raw]
+            got = random_povm(rng, dim, k)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert rng.normal() == ref_rng.normal()
+
+
+@pytest.mark.parametrize("name, dims, q, delta, budget, seed", [
+    ("chsh", (1, 2, 5), 1024, 1.0, 80, 1),  # 64 random positions, second block full
+    ("never_win", (2, 3, 4), 64, 0.5, 50, 2),  # budget ends mid-block
+    ("all_win", (5, 1), 8, 1.0, 45, 3),
+    ("chsh", (3,), 4, 0.2, 40, 4),
+    ("chsh", (2,), 1024, 0.0, 37, 5),  # delta = 0 gates everything out
+])
+def test_block_pipeline_matches_per_candidate_loop(name, dims, q, delta, budget, seed):
+    game = parse_game((DATA / f"{name}.json").read_text())
+    stream = CandidateStream(dims=dims, grid_denominator=q, seed=seed, budget=budget)
+    reference = _reference_stream(game, stream, delta)
+    assert (delta == 0.0) == (not reference)
+    _assert_stream_matches(game, stream, delta, reference)
+
+
+def test_block_pipeline_matches_per_candidate_loop_with_planted_pair():
+    game, pair = diluted_chsh_with_planted_pair()
+    stream = CandidateStream(dims=(2, 4), seed=6, budget=2 ** 6 + 40, planted=(pair,))
+    reference = _reference_stream(game, stream, 0.5)
+    assert any(ref[1] is pair[0] for ref in reference)
+    _assert_stream_matches(game, stream, 0.5, reference)
+
+
+def test_refused_position_is_skipped_and_the_rest_is_unchanged(monkeypatch):
+    """A repair refusal drops only its own position; later draws do not shift."""
+    game = chsh()
+    stream = CandidateStream(dims=(2, 3), seed=7, budget=16 + 50)
+    target = 16 + 20  # 20th random position (dim 3), in the second block
+    real = search._repair_povms
+    calls = []
+
+    def refuse_one(stack, tol):
+        rounded, refused, *rest = real(stack, tol)
+        calls.append(stack.shape[0])
+        if len(calls) % 6 == 4:  # each run: 6 calls; 4th is block 2, dim 3: 34, 36, ...
+            refused = refused.copy()
+            refused[1, 1, 0] = True  # position 36: one of Bob's rows
+        return (rounded, refused, *rest)
+
+    monkeypatch.setattr(search, "_repair_povms", refuse_one)
+    reference = _reference_stream(game, stream, 1.0, refuse={target})
+    unforced = _reference_stream(game, stream, 1.0)
+    assert [ref[0] for ref in unforced if ref[0] != target] == [ref[0] for ref in reference]
+    assert len(unforced) == len(reference) + 1
+    _assert_stream_matches(game, stream, 1.0, reference)
+    assert calls == 2 * [8, 8, 16, 16, 1, 1]
 
 
 # --- semidecision ----------------------------------------------------------------
