@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 parse error (bad flags or malformed input files),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields
 
@@ -341,6 +342,7 @@ def _parse_dims(text: str) -> tuple:
             f"dims must be positive integers like '2,3,4' or '2..16', got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstarkit",

@@ -116,9 +116,6 @@ class HermitianSpectrum:
         """V f(w) V^H per matrix; f maps the (..., d) eigenvalue array to values."""
         return (self.eigenvectors * f(self.eigenvalues)[..., None, :]) @ dagger(self.eigenvectors)
 
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(lambda w: w)
-
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     mags = np.abs(v)

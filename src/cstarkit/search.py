@@ -10,6 +10,7 @@ classical brute force round out the toolbox.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -19,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import HypothesisError, PreconditionError
+from .errors import PreconditionError
 from .games import (
     CommutationCheck,
     Measurement,
@@ -28,6 +29,7 @@ from .games import (
     Strategy,
     _commutation_check,
     _game_elements,
+    _psd_sqrt,
     _top_state,
     best_value,
     check_shapes,
@@ -35,11 +37,11 @@ from .games import (
     game_value,
     is_delta_op_commuting,
 )
-# op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
-# checks that tracing rebinds cstarkit.search.op_norm
-from .operators import (DEFAULT_TOL, Tolerance, dagger, herm_part,  # noqa: F401
-                        hermitian_eig, op_norm, op_norms, spectral_apply)
-from .rounding import _repair_povms, povm_residual, round_to_povm
+# op_norm and round_to_povm are unused here but stay bound: perfbench's
+# test_rebinding_is_undone checks that tracing rebinds both in cstarkit.search
+from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, dagger,  # noqa: F401
+                        herm_part, hermitian_eig, op_norm, op_norms)
+from .rounding import _repair_povms, povm_residual, round_to_povm  # noqa: F401
 from .sampling import _gram_povms, random_povm, rng_from_seed
 
 # Certified bound on the eigenvalue error of the value estimate.  Dense
@@ -151,11 +153,11 @@ Candidate = tuple[int, Measurement, Measurement, CommutationCheck]
 
 def _positions(game: NonlocalGame, stream: CandidateStream) -> Iterator[tuple | int]:
     """Stream order: deterministic pairs, planted pairs, then one dimension per random position."""
-    n, k = game.n, game.k
-    for fa in itertools.product(range(k), repeat=n):
-        alice = deterministic_measurement(fa, k)
-        for fb in itertools.product(range(k), repeat=n):
-            yield alice, deterministic_measurement(fb, k)
+    k = game.k
+    # each of the k^n answer functions becomes a Measurement once, when first reached
+    det = functools.cache(lambda answers: deterministic_measurement(answers, k))
+    for fa, fb in itertools.product(itertools.product(range(k), repeat=game.n), repeat=2):
+        yield det(fa), det(fb)
     for alice, bob in stream.planted:
         check_shapes(game, alice, bob)
         yield alice, bob
@@ -324,14 +326,10 @@ class SeesawRun(NamedTuple):
     trace: list[float]
 
 
-def _penalty(alice_ops: np.ndarray, bob_ops: np.ndarray, delta: float) -> float:
-    """Sum over question pairs of the commutator defect in excess of delta."""
-    return sum(max(0.0, d - delta) for d in commutator_defects(alice_ops, bob_ops).ravel().tolist())
-
-
-def _psd_sqrt_clip(m: np.ndarray) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(herm_part(m))
-    return (vecs * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ dagger(vecs)
+def _penalty(alice_ops: np.ndarray, bob_ops: np.ndarray, delta: float) -> np.ndarray:
+    """Sum over question pairs of the commutator defect in excess of delta, per stack entry."""
+    table = np.maximum(commutator_defects(alice_ops, bob_ops) - delta, 0.0)
+    return _ordered_sum(table.reshape(table.shape[:-2] + (-1,)), -1)
 
 
 def _row_weights(game: NonlocalGame, x: int, side: str) -> np.ndarray:
@@ -342,26 +340,16 @@ def _row_weights(game: NonlocalGame, x: int, side: str) -> np.ndarray:
     return np.einsum("x,xab->bxa", game.pi[:, x], predicate[:, x])
 
 
-def _row_value(row: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
-               other_rho_roots: np.ndarray, rho: np.ndarray) -> float:
-    """Weighted bullet value of one row against a fixed state.
+def _row_values(rows: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
+                table: np.ndarray, rho: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Weighted bullet value of each row of a (T, k, d, d) stack against a fixed state.
 
-    other_rho_roots[y, b] must hold sqrt(F) rho sqrt(F); the trace of
-    rho (E • F) then splits into two plain traces.
+    table[y, b] must hold sqrt(F) rho sqrt(F); the trace of rho (E • F)
+    then splits into two plain traces.
     """
-    total = 0.0
-    for a in range(row.shape[0]):
-        if not weights[a].any():
-            continue
-        root = _psd_sqrt_clip(row[a])
-        conj = root @ rho @ root
-        for y in range(other_ops.shape[0]):
-            for b in range(other_ops.shape[1]):
-                c = weights[a, y, b]
-                if c:
-                    total += 0.5 * c * ((conj * other_ops[y, b].T).sum()
-                                        + (other_rho_roots[y, b] * row[a].T).sum()).real
-    return total
+    roots = _psd_sqrt(rows, tol)
+    return 0.5 * (np.einsum("ayb,tajk,ybkj->t", weights, roots @ rho @ roots, other_ops)
+                  + np.einsum("ayb,ybjk,takj->t", weights, table, rows)).real
 
 
 # Divided-difference floor for ascent proposals.  Repaired POVM elements
@@ -371,38 +359,25 @@ _PROPOSAL_FLOOR = 0.25
 
 
 def _row_value_gradient(row: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
-                        other_rho_roots: np.ndarray, rho: np.ndarray) -> np.ndarray:
+                        table: np.ndarray, rho: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Ascent direction for one row, from the derivative of its value.
 
     The value depends on a row element E through tr(rho (E • F)) summed
     with predicate weights; the derivative splits into a direct term
-    sqrt(F) rho sqrt(F), read from other_rho_roots[y, b], and a chain
-    term through sqrt(E), evaluated with the divided-difference rule for
-    the matrix square root.  The divided differences are floored at
-    _PROPOSAL_FLOOR where E is nearly singular.
+    sqrt(F) rho sqrt(F), read from table[y, b], and a chain term through
+    sqrt(E), evaluated with the divided-difference rule for the matrix
+    square root.  The divided differences are floored at _PROPOSAL_FLOOR
+    where E is nearly singular.  Elements with zero weight get zero.
     """
-    k, dim = row.shape[0], row.shape[-1]
-    grads = np.zeros((k, dim, dim), dtype=np.complex128)
-    for a in range(k):
-        if not weights[a].any():
-            continue
-        lam, vecs = np.linalg.eigh(herm_part(row[a]))
-        s = np.sqrt(np.clip(lam, 0.0, None))
-        my_root = (vecs * s) @ vecs.conj().T
-        chain = np.zeros((dim, dim), dtype=np.complex128)
-        direct = np.zeros((dim, dim), dtype=np.complex128)
-        for y in range(other_ops.shape[0]):
-            for b in range(other_ops.shape[1]):
-                c = weights[a, y, b]
-                if c == 0.0:
-                    continue
-                other = other_ops[y, b]
-                chain += c * (other @ my_root @ rho + rho @ my_root @ other)
-                direct += c * other_rho_roots[y, b]
-        divided = 1.0 / np.maximum(s[:, None] + s[None, :], _PROPOSAL_FLOOR)
-        lifted = vecs @ (divided * (vecs.conj().T @ chain @ vecs)) @ vecs.conj().T
-        grads[a] = herm_part(0.5 * (lifted + direct))
-    return grads
+    spec = hermitian_eig(row, tol)
+    s = np.sqrt(np.maximum(spec.eigenvalues, 0.0))
+    my_root = spec.apply(lambda _: s)
+    other = np.einsum("ayb,ybij->aij", weights, other_ops)
+    chain = other @ my_root @ rho + rho @ my_root @ other
+    vecs = spec.eigenvectors
+    divided = 1.0 / np.maximum(s[:, :, None] + s[:, None, :], _PROPOSAL_FLOOR)
+    lifted = vecs @ (divided * (dagger(vecs) @ chain @ vecs)) @ dagger(vecs)
+    return herm_part(0.5 * (lifted + np.einsum("ayb,ybij->aij", weights, table)))
 
 
 def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
@@ -411,40 +386,34 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
     """One projected-gradient pass over the chosen side's POVM rows.
 
     The state and the other side stay fixed, so the objective splits
-    into row-local pieces; each accepted step adds its exact gain.
+    into row-local pieces.  Each row repairs all _STEP_GRID trials as one
+    stack, values them beside the current row, and takes the first
+    trial that gains; each accepted step adds its exact gain.
     """
     mine = alice if side == "alice" else bob
     other = bob if side == "alice" else alice
-    n, k = game.n, game.k
-    # _row_value reads raw-eigh roots and the gradient phase-fixed ones;
-    # merging the two changes seesaw reports
-    raw_roots = _psd_sqrt_clip(other.ops)
-    roots = spectral_apply(other.ops, lambda w: np.sqrt(np.maximum(w, 0.0)), tol)
-    conjugated, gradient_terms = raw_roots @ rho @ raw_roots, roots @ rho @ roots
+    roots = _psd_sqrt(other.ops, tol)
+    table = roots @ rho @ roots
+    steps = np.array(_STEP_GRID)[:, None, None, None]
     ops = np.array(mine.ops)
-    for x in range(n):
+    for x in range(game.n):
         weights = _row_weights(game, x, side)
-        current_value = _row_value(ops[x], weights, other.ops, conjugated, rho)
-        current_pen = _penalty(ops[x][None], other.ops, delta)
-        grad = _row_value_gradient(ops[x], weights, other.ops, gradient_terms, rho)
+        grad = _row_value_gradient(ops[x], weights, other.ops, table, rho, tol)
         grad = grad - grad.mean(axis=0)
         scale = float(op_norms(grad).max())
         if scale <= tol.algebraic:
             continue
-        direction = grad / scale
-        for t in _STEP_GRID:
-            raw = [herm_part(ops[x, a] + t * direction[a]) for a in range(k)]
-            try:
-                repaired, _ = round_to_povm(raw, tol)
-            except HypothesisError:
-                continue
-            trial = np.array(repaired)
-            gain = (_row_value(trial, weights, other.ops, conjugated, rho) - current_value
-                    - mu * (_penalty(trial[None], other.ops, delta) - current_pen))
-            if gain > 1e-12:
-                ops[x] = trial
-                obj += gain
-                break
+        trials, refused, *_ = _repair_povms(herm_part(ops[x] + steps * (grad / scale)), tol)
+        # refused slots hold no POVM: value the current row there and never pick it
+        rows = np.concatenate([ops[x][None], np.where(refused[:, None, None, None], ops[x], trials)])
+        values = _row_values(rows, weights, other.ops, table, rho, tol)
+        pens = _penalty(rows[:, None], other.ops, delta)
+        gains = (values[1:] - values[0]) - mu * (pens[1:] - pens[0])
+        better = ~refused & (gains > 1e-12)
+        if better.any():
+            t = int(np.argmax(better))
+            ops[x] = trials[t]
+            obj += float(gains[t])
     mine = Measurement(ops)
     if side == "alice":
         return mine, other, obj
@@ -481,11 +450,11 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
         bob = Measurement(np.array([random_povm(rng, dim, game.k) for _ in range(game.n)]))
     rho = np.eye(dim, dtype=np.complex128) / dim
     obj = (game_value(game, Strategy(alice, bob, State(rho)), tol)
-           - mu * _penalty(alice.ops, bob.ops, delta))
+           - mu * float(_penalty(alice.ops, bob.ops, delta)))
     trace = [obj]
     for _ in range(iters):
         top = best_value(game, alice, bob, tol)
-        cand = top.value - mu * _penalty(alice.ops, bob.ops, delta)
+        cand = top.value - mu * float(_penalty(alice.ops, bob.ops, delta))
         if cand >= obj:
             rho = top.state.rho
             obj = cand

@@ -10,14 +10,16 @@ import pytest
 
 from cstarkit import search
 from cstarkit.errors import HypothesisError, PreconditionError
-from cstarkit.games import (Measurement, NonlocalGame, State, Strategy, best_value,
-                            chsh, game_element, game_value, is_delta_op_commuting)
+from cstarkit.games import (Measurement, NonlocalGame, State, Strategy, _psd_sqrt,
+                            best_value, chsh, game_element, game_value,
+                            is_delta_op_commuting)
 from cstarkit.formats import parse_game
 from cstarkit.operators import DEFAULT_TOL, op_norm
 from cstarkit.rounding import povm_residual, round_to_povm
-from cstarkit.sampling import random_povm, rng_from_seed
+from cstarkit.sampling import random_density, random_povm, rng_from_seed
 from cstarkit.search import (CERTIFIED_EIG_ERROR, CandidateStream, GameFamily,
-                             _witness, _witnesses, classical_optimum,
+                             _penalty, _row_values, _row_weights, _witness,
+                             _witnesses, classical_optimum,
                              classical_value, constant_family,
                              deterministic_measurement, enumerate_candidates,
                              evaluate_stream, seesaw_optimize,
@@ -447,6 +449,44 @@ def test_seesaw_objective_matches_game_value_when_commuting_ok():
     element = game_element(game, strategy.alice, strategy.bob)
     direct = float(np.trace(strategy.state.rho @ element).real)
     assert run.trace[-1] <= direct + 1e-8
+
+
+def _random_game(rng, n, k):
+    pi = rng.uniform(0.0, 1.0, size=(n, n))
+    return NonlocalGame(pi / pi.sum(), rng.integers(0, 2, size=(n, n, k, k)).astype(np.int8))
+
+
+def test_row_values_split_the_game_value():
+    """Summed over one side's rows, the row values are the game value."""
+    rng = rng_from_seed(31)
+    cases = [(chsh(), dim) for dim in range(1, 5)]
+    for _ in range(40):
+        n, k = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        cases.append((_random_game(rng, n, k), int(rng.integers(1, 5))))
+    for game, dim in cases:
+        alice, bob = (Measurement(np.array([random_povm(rng, dim, game.k)
+                                            for _ in range(game.n)])) for _ in range(2))
+        rho = random_density(rng, dim)
+        value = game_value(game, Strategy(alice, bob, State(rho)))
+        for side, mine, other in (("alice", alice, bob), ("bob", bob, alice)):
+            roots = _psd_sqrt(other.ops, DEFAULT_TOL)
+            table = roots @ rho @ roots
+            total = sum(float(_row_values(mine.ops[x][None], _row_weights(game, x, side),
+                                          other.ops, table, rho, DEFAULT_TOL)[0])
+                        for x in range(game.n))
+            assert abs(total - value) <= 1e-12, (side, game.n, game.k, dim, total, value)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("delta", [0.05, 0.2, 1.0])
+def test_seesaw_objective_is_value_minus_penalty(dim, delta):
+    """The last trace entry is the final strategy's value minus mu times its penalty."""
+    game, mu = chsh(), 10.0
+    run = seesaw_optimize(game, dim=dim, delta=delta, mu=mu, iters=4, seed=dim)
+    strategy = run.strategy
+    expected = (game_value(game, strategy)
+                - mu * float(_penalty(strategy.alice.ops, strategy.bob.ops, delta)))
+    assert abs(run.trace[-1] - expected) <= 1e-9, (run.trace[-1], expected)
 
 
 # --- classical brute force ---------------------------------------------------------
