@@ -35,7 +35,7 @@ def main():
 
     catalog = RepresentationCatalog(dims=tuple(range(1, 17)), seed=args.seed)
     values = list(norm_lower_enumerate(family.presentation, q, catalog,
-                                       family.table, args.pres_id, args.budget))
+                                       args.pres_id, args.budget))
     for j, value in enumerate(values):
         print(f"  emission {j:2d}: {str(value):>12s} = {float(value):.10f}")
     if values:

@@ -282,7 +282,7 @@ def _cmd_norm_enumerate(config: RunConfig, tol: Tolerance):
     records = []
     best = None
     for index, value in enumerate(norm_lower_enumerate(
-            pres, poly, catalog, family.table, pres_id, config.budget)):
+            pres, poly, catalog, pres_id, config.budget)):
         records.append({"type": "emission", "index": index, "value": value,
                         "value_float": float(value)})
         best = value

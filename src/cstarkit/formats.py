@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -37,6 +38,9 @@ def _load_json(text: str, what: str) -> object:
     except json.JSONDecodeError as ex:
         raise ParseError(f"{what} document is not valid JSON: {ex.msg}",
                          line=ex.lineno, column=ex.colno) from ex
+    except (ValueError, RecursionError) as ex:
+        # an integer past the interpreter's digit limit, or nesting past its recursion limit
+        raise ParseError(f"{what} document is not readable JSON: {ex}") from ex
 
 
 def _need(cond: bool, message: str, where: str) -> None:
@@ -76,6 +80,8 @@ def parse_game(text: str) -> NonlocalGame:
               and doc[field] >= 1,
               f"'{field}' must be a positive integer", field)
     n, k = doc["n"], doc["k"]
+    _need(n * n * k * k <= 2 ** 24, "the dense n x n x k x k predicate table may hold "
+          "at most 2^24 entries", "k")
 
     _need("pi" in doc, "missing required field 'pi'", "$")
     pi_doc = doc["pi"]
@@ -139,6 +145,8 @@ def _as_bound(entry, where: str) -> Fraction:
     if bound < 0 or not is_dyadic(bound):
         raise ParseError(f"bounds must be nonnegative dyadic rationals, got {entry!r}",
                          where=where)
+    if bound > sys.float_info.max:
+        raise ParseError("bound beyond float range", where=where)
     return bound
 
 
@@ -229,6 +237,9 @@ def _tokenize(text: str) -> list[_Token]:
             if group == "bad":
                 raise ParseError(f"unexpected character {piece!r}",
                                  line=lineno, column=match.start() + 1)
+            if group == "int" and len(piece) > 4300:  # past int()'s default digit limit
+                raise ParseError(f"integer of {len(piece)} digits is too long",
+                                 line=lineno, column=match.start() + 1)
             kind = piece if group == "op" else group
             tokens.append(_Token(kind, piece, lineno, match.start() + 1))
     return tokens
@@ -269,7 +280,10 @@ class _PolyParser:
             if tok.kind not in "+-":
                 raise self.error(f"expected '+' or '-' between terms, got {tok.text!r}")
             sign = 1 if self.take().kind == "+" else -1
-        return NCPolynomial(tuple(terms))
+        try:
+            return NCPolynomial(tuple(terms))
+        except OverflowError as ex:
+            raise ParseError("coefficient beyond float range", where=self.where) from ex
 
     def opt_sign(self, default: int) -> int:
         tok = self.peek()

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -39,11 +39,10 @@ class GaussianRational:
 
     @classmethod
     def from_value(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(Fraction(value), Fraction(0))
-        raise PreconditionError(f"cannot coerce {type(value).__name__} to a Gaussian rational")
+        coerced = cls._coerce(value)
+        if coerced is None:
+            raise PreconditionError(f"cannot coerce {type(value).__name__} to a Gaussian rational")
+        return coerced
 
     @classmethod
     def zero(cls) -> "GaussianRational":
@@ -162,10 +161,6 @@ class NCPolynomial:
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "_complex_terms",
                            tuple((complex(coeff), word) for coeff, word in canon))
-
-    @classmethod
-    def from_terms(cls, terms: Iterable) -> "NCPolynomial":
-        return cls(tuple(terms))
 
     @classmethod
     def zero(cls) -> "NCPolynomial":

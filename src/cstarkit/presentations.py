@@ -17,7 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -78,7 +79,10 @@ class Presentation:
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Matrix images for generators; the unit image is the identity exactly."""
+    """Matrix images for generators; the unit image is the identity exactly.
+
+    Images and their mapping are read-only, so representations can be shared.
+    """
 
     dim: int
     images: Mapping[str, np.ndarray]
@@ -104,7 +108,7 @@ class Representation:
         else:
             eye.flags.writeable = False
             fixed[self.unit] = eye
-        object.__setattr__(self, "images", fixed)
+        object.__setattr__(self, "images", MappingProxyType(fixed))
 
 
 def eval_poly(p: NCPolynomial, rep: Representation) -> np.ndarray:
@@ -131,6 +135,8 @@ def relation_defect(pres: Presentation, rep: Representation) -> float:
     excess = op_norms(images) - bounds
     relations = np.array([eval_poly(p, rep) for p in pres.relations],
                          dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
+    if not np.isfinite(relations).all():
+        raise PreconditionError(f"a relation overflows float range at dimension {rep.dim}")
     return max(0.0, float(excess.max()), float(op_norms(relations).max(initial=0.0)))
 
 
@@ -152,41 +158,36 @@ class StabilityModulusTable:
 
 # --- registered presentation families ------------------------------------
 
-def trivial_presentation(unit: str = "e") -> Presentation:
+def _unital(names, relations) -> Presentation:
+    """The unit "e" and the named generators, every norm bound 1, with the relations."""
+    return Presentation(tuple((name, Fraction(1)) for name in ("e", *names)), tuple(relations))
+
+
+def trivial_presentation() -> Presentation:
     """The scalar algebra: just the unit, no relations."""
-    return Presentation(((unit, Fraction(1)),), (), unit_generator=unit)
+    return _unital((), ())
 
 
-def free_unitaries(n: int, unit: str = "e") -> Presentation:
+def free_unitaries(n: int) -> Presentation:
     """n universal unitaries u1..un: uk* uk = uk uk* = 1, bounds 1."""
     if n < 1:
         raise PreconditionError(f"need at least one unitary generator, got {n}")
-    e = generator(unit)
-    gens = [(unit, Fraction(1))]
-    rels = []
-    for k in range(1, n + 1):
-        u = generator(f"u{k}")
-        gens.append((f"u{k}", Fraction(1)))
-        rels.append(u.adjoint() * u - e)
-        rels.append(u * u.adjoint() - e)
-    return Presentation(tuple(gens), tuple(rels), unit_generator=unit)
+    names = [f"u{k}" for k in range(1, n + 1)]
+    e = generator("e")
+    return _unital(names, [rel for u in map(generator, names)
+                           for rel in (u.adjoint() * u - e, u * u.adjoint() - e)])
 
 
-def projections_presentation(n: int, unit: str = "e") -> Presentation:
+def projections_presentation(n: int) -> Presentation:
     """n universal projections p1..pn: pk = pk* = pk^2, bounds 1."""
     if n < 1:
         raise PreconditionError(f"need at least one projection generator, got {n}")
-    gens = [(unit, Fraction(1))]
-    rels = []
-    for k in range(1, n + 1):
-        p = generator(f"p{k}")
-        gens.append((f"p{k}", Fraction(1)))
-        rels.append(p * p - p)
-        rels.append(p.adjoint() - p)
-    return Presentation(tuple(gens), tuple(rels), unit_generator=unit)
+    names = [f"p{k}" for k in range(1, n + 1)]
+    return _unital(names, [rel for p in map(generator, names)
+                           for rel in (p * p - p, p.adjoint() - p)])
 
 
-def matrix_units(k: int, unit: str = "e") -> Presentation:
+def matrix_units(k: int) -> Presentation:
     """The k x k matrix-unit presentation of M_k.
 
     Generators e{i}{j} with e{i}{j}* = e{j}{i}, e{i}{j} e{l}{m} = [j = l] e{i}{m}
@@ -195,25 +196,20 @@ def matrix_units(k: int, unit: str = "e") -> Presentation:
     """
     if not 1 <= k <= 9:
         raise PreconditionError(f"matrix-unit size must be between 1 and 9, got {k}")
-    gens = [(unit, Fraction(1))]
-    units = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            name = f"e{i}{j}"
-            gens.append((name, Fraction(1)))
-            units[i, j] = generator(name)
-    rels = [sum((units[i, i] for i in range(2, k + 1)), units[1, 1]) - generator(unit)]
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
+    index = range(1, k + 1)
+    units = {(i, j): generator(f"e{i}{j}") for i in index for j in index}
+    rels = [sum((units[i, i] for i in range(2, k + 1)), units[1, 1]) - generator("e")]
+    for i in index:
+        for j in index:
             rels.append(units[i, j].adjoint() - units[j, i])
-            for l in range(1, k + 1):
-                for m in range(1, k + 1):
+            for l in index:
+                for m in index:
                     prod = units[i, j] * units[l, m]
                     rels.append(prod - units[i, m] if j == l else prod)
-    return Presentation(tuple(gens), tuple(rels), unit_generator=unit)
+    return _unital([f"e{i}{j}" for i, j in units], rels)
 
 
-def cuntz(n: int, unit: str = "e") -> Presentation:
+def cuntz(n: int) -> Presentation:
     """Cuntz relations: sk* sk = 1 and the range projections sum to 1.
 
     Constructible for defect evaluation only; deliberately not registered
@@ -221,86 +217,92 @@ def cuntz(n: int, unit: str = "e") -> Presentation:
     """
     if n < 2:
         raise PreconditionError(f"Cuntz relations need at least two isometries, got {n}")
-    e = generator(unit)
-    gens = [(unit, Fraction(1))]
-    rels = []
-    ranges = None
-    for k in range(1, n + 1):
-        s = generator(f"s{k}")
-        gens.append((f"s{k}", Fraction(1)))
-        rels.append(s.adjoint() * s - e)
-        term = s * s.adjoint()
-        ranges = term if ranges is None else ranges + term
-    rels.append(ranges - e)
-    return Presentation(tuple(gens), tuple(rels), unit_generator=unit)
+    names = [f"s{k}" for k in range(1, n + 1)]
+    s = [generator(name) for name in names]
+    e = generator("e")
+    ranges = sum((t * t.adjoint() for t in s[1:]), s[0] * s[0].adjoint())
+    return _unital(names, [t.adjoint() * t - e for t in s] + [ranges - e])
 
 
-def toeplitz(unit: str = "e") -> Presentation:
+def toeplitz() -> Presentation:
     """A single proper isometry: s* s = 1 (and nothing about s s*)."""
     s = generator("s")
-    gens = ((unit, Fraction(1)), ("s", Fraction(1)))
-    return Presentation(gens, (s.adjoint() * s - generator(unit),), unit_generator=unit)
+    return _unital(["s"], [s.adjoint() * s - generator("e")])
 
 
 class RegisteredFamily(NamedTuple):
+    """Everything a registered id means, down to its catalog supply.
+
+    A catalog round yields `canonical`, then seeded `sample(rng, dim)` draws.
+    """
+
     presentation: Presentation
     table: StabilityModulusTable
     witness: Callable[[Presentation, Representation, float, Tolerance], Representation]
+    canonical: tuple[Representation, ...]
+    sample: Callable[[np.random.Generator, int], Representation]
 
 
-def _parse_registered_id(pres_id: str) -> tuple[str, int]:
-    head, _, tail = pres_id.partition(":")
-    if head == "trivial" and not tail:
-        return "trivial", 0
-    if head in ("free_unitaries", "projections", "matrix_units") and tail.isdigit():
-        return head, int(tail)
-    raise UnsupportedPresentationError(
-        f"presentation id {pres_id!r} has no registered stability witness")
-
-
+@cache
 def registered_presentation(pres_id: str) -> RegisteredFamily:
-    """Look up a registered family by id.
+    """Look up a registered family by id, built once per id and process.
 
     Ids: "trivial", "free_unitaries:N", "projections:N", "matrix_units:K".
     Cuntz and Toeplitz presentations are constructible but unregistered:
     they have no finite-dimensional representations to round to.
     """
-    kind, size = _parse_registered_id(pres_id)
-    if kind == "trivial":
-        pres = trivial_presentation()
-        table = StabilityModulusTable(pres_id, lambda n: 0)
-        return RegisteredFamily(pres, table, _witness_trivial)
-    if kind == "free_unitaries":
-        pres = free_unitaries(size)
-        table = StabilityModulusTable(pres_id, lambda n: n + 1)
-        return RegisteredFamily(pres, table, partial(_witness_each, round_to_unitary))
-    if kind == "projections":
-        pres = projections_presentation(size)
-        table = StabilityModulusTable(pres_id, lambda n: 2 * n + 4)
-        return RegisteredFamily(pres, table, partial(_witness_each, round_to_projection))
-    pres = matrix_units(size)
-    table = StabilityModulusTable(pres_id, _matrix_units_modulus)
-    return RegisteredFamily(pres, table, _witness_matrix_units)
+    head, _, tail = pres_id.partition(":")
+    size = int(tail) if tail.isdecimal() else None
+    if head == "trivial" and not tail:
+        return RegisteredFamily(
+            trivial_presentation(), StabilityModulusTable(pres_id, lambda n: 0),
+            lambda pres, rep, eps, tol: Representation(rep.dim, {}, unit=pres.unit_generator),
+            (Representation(1, {}),), lambda rng, dim: Representation(dim, {}))
+    # the lambdas look the rounding and sampling functions up at call time,
+    # so a rebinding of those module attributes reaches the cached rows too
+    if head == "free_unitaries" and size is not None:
+        return _one_by_one(free_unitaries(size), StabilityModulusTable(pres_id, lambda n: n + 1),
+                           lambda a, eps, tol: round_to_unitary(a, eps, tol),
+                           lambda rng, dim: random_unitary(rng, dim), (1.0, -1.0))
+    if head == "projections" and size is not None:
+        return _one_by_one(projections_presentation(size),
+                           StabilityModulusTable(pres_id, lambda n: 2 * n + 4),
+                           lambda a, eps, tol: round_to_projection(a, eps, tol),
+                           lambda rng, dim: random_projection(rng, dim), (0.0, 1.0))
+    if head == "matrix_units" and size is not None:
+        return RegisteredFamily(
+            matrix_units(size), StabilityModulusTable(pres_id, _matrix_units_modulus),
+            partial(_witness_matrix_units, size),
+            (Representation(size, _exact_matrix_unit_images(size, size)),),
+            partial(_sample_matrix_units, size))
+    raise UnsupportedPresentationError(
+        f"presentation id {pres_id!r} has no registered stability witness")
+
+
+def _one_by_one(pres: Presentation, table: StabilityModulusTable, round_one, draw,
+                values: tuple[float, float]) -> RegisteredFamily:
+    """Row of a family whose non-unit generators are rounded and drawn one at a time.
+
+    The canonical representations image every generator by the same scalar.
+    """
+    names = tuple(name for name in pres.names if name != pres.unit_generator)
+
+    def witness(pres, rep, eps, tol):
+        images = {name: round_one(rep.images[name], eps, tol)[0] for name in names}
+        return Representation(rep.dim, images, unit=pres.unit_generator)
+
+    def sample(rng, dim):
+        return Representation(dim, {name: draw(rng, dim) for name in names})
+
+    canonical = tuple(Representation(1, {name: np.array([[value]]) for name in names})
+                      for value in values)
+    return RegisteredFamily(pres, table, witness, canonical, sample)
 
 
 def _matrix_units_modulus(n: int) -> int:
     # floor 10 keeps the diagonal family inside the PVM rounding entry gate;
     # the n + 4 branch leaves a 2^4 budget for product-relation amplification
     return max(10, n + 4)
-
-
-def _witness_trivial(pres, rep, eps, tol):
-    return Representation(rep.dim, {}, unit=pres.unit_generator)
-
-
-def _witness_each(round_one, pres, rep, eps, tol):
-    """Round every non-unit generator image on its own with round_one."""
-    images = {}
-    for name, _ in pres.generators:
-        if name == pres.unit_generator:
-            continue
-        images[name], _ = round_one(rep.images[name], eps, tol)
-    return Representation(rep.dim, images, unit=pres.unit_generator)
 
 
 _ISOMETRY_ENTRY_GATE = 1.0 / 16.0
@@ -325,8 +327,7 @@ def _matrix_unit_isometry(a, p1, p2, tol: Tolerance) -> np.ndarray:
     return w
 
 
-def _witness_matrix_units(pres, rep, eps, tol):
-    k = round(math.isqrt(len(pres.generators) - 1))
+def _witness_matrix_units(k, pres, rep, eps, tol):
     diag, _ = round_to_pvm([rep.images[f"e{i}{i}"] for i in range(1, k + 1)], tol)
     v = {1: diag[0]}
     for i in range(2, k + 1):
@@ -336,6 +337,27 @@ def _witness_matrix_units(pres, rep, eps, tol):
         for j in range(1, k + 1):
             images[f"e{i}{j}"] = v[i] @ dagger(v[j])
     return Representation(rep.dim, images, unit=pres.unit_generator)
+
+
+def _exact_matrix_unit_images(k: int, dim: int, u: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    reps = dim // k
+    images = {}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            block = np.zeros((k, k), dtype=np.complex128)
+            block[i - 1, j - 1] = 1.0
+            img = np.kron(block, np.eye(reps, dtype=np.complex128))
+            if u is not None:
+                img = u @ img @ dagger(u)
+            images[f"e{i}{j}"] = img
+    return images
+
+
+def _sample_matrix_units(k: int, rng, dim: int) -> Representation:
+    """Matrix units on the largest multiple of k up to dim (at least k), randomly rotated."""
+    full = max(1, dim // k) * k
+    u = random_unitary(rng, full)
+    return Representation(full, _exact_matrix_unit_images(k, full, u))
 
 
 def stability_witness(pres_id: str, rep: Representation, eps: float,
@@ -400,20 +422,6 @@ def _subseed(seed, pres_id: str, round_index: int) -> tuple[int, int, int]:
     return (int(seed), int(round_index), int.from_bytes(digest[:8], "big"))
 
 
-def _exact_matrix_unit_images(k: int, dim: int, u: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    reps = dim // k
-    images = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            block = np.zeros((k, k), dtype=np.complex128)
-            block[i - 1, j - 1] = 1.0
-            img = np.kron(block, np.eye(reps, dtype=np.complex128))
-            if u is not None:
-                img = u @ img @ dagger(u)
-            images[f"e{i}{j}"] = img
-    return images
-
-
 @dataclass(frozen=True)
 class RepresentationCatalog:
     """Seeded, reproducible supply of representations for registered families.
@@ -437,59 +445,27 @@ class RepresentationCatalog:
 
     def batch(self, pres_id: str, round_index: int) -> list[Representation]:
         """Deterministic list of candidate representations for one round."""
-        kind, size = _parse_registered_id(pres_id)
+        family = registered_presentation(pres_id)
         rng = rng_from_seed(_subseed(self.seed, pres_id, round_index))
-        out = list(self._canonical(kind, size))
-        for i in range(self.per_round):
-            out.append(self._random(kind, size, rng, self.dims[i % len(self.dims)]))
-        return out
-
-    def _canonical(self, kind: str, size: int) -> Iterator[Representation]:
-        if kind == "trivial":
-            yield Representation(1, {})
-            return
-        if kind == "free_unitaries":
-            for value in (1.0, -1.0):
-                images = {f"u{k}": np.array([[value]]) for k in range(1, size + 1)}
-                yield Representation(1, images)
-            return
-        if kind == "projections":
-            for value in (0.0, 1.0):
-                images = {f"p{k}": np.array([[value]]) for k in range(1, size + 1)}
-                yield Representation(1, images)
-            return
-        yield Representation(size, _exact_matrix_unit_images(size, size))
-
-    def _random(self, kind: str, size: int, rng, dim: int) -> Representation:
-        if kind == "trivial":
-            return Representation(dim, {})
-        if kind == "free_unitaries":
-            images = {f"u{k}": random_unitary(rng, dim) for k in range(1, size + 1)}
-            return Representation(dim, images)
-        if kind == "projections":
-            images = {f"p{k}": random_projection(rng, dim) for k in range(1, size + 1)}
-            return Representation(dim, images)
-        blocks = max(1, dim // size)
-        full = blocks * size
-        u = random_unitary(rng, full)
-        return Representation(full, _exact_matrix_unit_images(size, full, u))
+        return list(family.canonical) + [family.sample(rng, self.dims[i % len(self.dims)])
+                                         for i in range(self.per_round)]
 
 
 def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
-                         catalog: RepresentationCatalog,
-                         modulus: StabilityModulusTable, pres_id: str,
+                         catalog: RepresentationCatalog, pres_id: str,
                          budget: int) -> Iterator[Fraction]:
     """Yield an increasing stream of certified dyadic lower bounds for |q|.
 
     Round j targets accuracy 2^-j: the continuity radius n(j) makes any
     generator perturbation below 2^-n move |q| by less than 2^-j, so a
-    catalog representation with relation defect below 2^-modulus(n) can be
-    repaired into an exact one while moving |q(rep)| by less than 2^-j.
+    catalog representation with relation defect below 2^-m(n), m the modulus
+    table of the registered family `pres_id`, can be repaired into an exact
+    one while moving |q(rep)| by less than 2^-j.
     The emitted value is the largest multiple of 2^-(j+4) at or below
     |q(rep)| - 2^-j that beats all previous outputs.  The budget counts
     catalog representations examined; exhausting it ends the stream.
     """
-    registered_presentation(pres_id)
+    modulus = registered_presentation(pres_id).table
     if budget < 0:
         raise PreconditionError(f"budget must be nonnegative, got {budget}")
     stray = q.symbols() - set(pres.names)
@@ -510,8 +486,11 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
             examined += 1
             if not relation_defect(pres, rep) < gate:
                 continue
-            value = op_norm(eval_poly(q, rep))
-            d = Fraction(math.floor((value - 2.0 ** -j) * grid), grid)
+            image = eval_poly(q, rep)
+            if not (np.isfinite(image).all() and math.isfinite(value := op_norm(image))):
+                raise PreconditionError(f"|q| overflows float range at dimension {rep.dim}")
+            # exact product: (value - 2^-j) * grid may overflow as a float
+            d = Fraction(math.floor(Fraction(value - 2.0 ** -j) * grid), grid)
             if d > 0 and (best is None or d > best):
                 best = d
                 yield d

@@ -233,7 +233,7 @@ def test_criterion_6_norm_lower_enumeration():
         q = generator("u1") + generator("u1").adjoint()
         catalog = RepresentationCatalog(dims=tuple(range(1, 17)), seed=0)
         values = list(norm_lower_enumerate(fam.presentation, q, catalog,
-                                           fam.table, "free_unitaries:1", 600))
+                                           "free_unitaries:1", 600))
         assert values, "no emissions"
         assert values[-1] >= 2 - Fraction(1, 2 ** 10)
         assert all(float(v) <= 2 + 1e-9 for v in values)

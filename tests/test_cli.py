@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import cstarkit
 from cstarkit.cli import console_main
-from cstarkit.formats import sha256_file
+from cstarkit.formats import parse_polynomial, sha256_file
+from cstarkit.presentations import (RepresentationCatalog, norm_lower_enumerate,
+                                    registered_presentation)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -136,6 +139,175 @@ def test_fuzzed_numeric_flags_map_to_exit_codes(argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 2, 3, 4), argv
+
+
+# --- numbers beyond float range and oversized documents --------------------------------
+
+_NINES = "9" * 400                # an integer far past the float range
+_NEAR_MAX = int(1.5e308)          # a float, but twice it is not
+_UNITARY_RELATIONS = ["u1* u1 - e", "u1 u1* - e"]
+
+
+def _presentation_file(tmp_path, bound=1, relations=_UNITARY_RELATIONS):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({"generators": [{"name": "u1", "bound": bound}],
+                                "relations": relations}))
+    return path
+
+
+def _norm_enumerate(poly, *extra):
+    return run_cli(["norm-enumerate", "--pres-id", "free_unitaries:1", "--poly", poly,
+                    "--budget", 2, *extra])
+
+
+def test_poly_coefficient_beyond_float_range_exit_two(capsys):
+    assert _norm_enumerate(f"{_NINES} u1") == 2
+    assert "coefficient beyond float range" in capsys.readouterr().err
+
+
+def test_relation_coefficient_beyond_float_range_exit_two(tmp_path, capsys):
+    pres = _presentation_file(tmp_path, relations=[f"{_NINES} u1* u1 - e"])
+    assert _norm_enumerate("u1", "--presentation", pres) == 2
+    assert "coefficient beyond float range at relations[0]" in capsys.readouterr().err
+
+
+def test_bound_beyond_float_range_exit_two(tmp_path, capsys):
+    pres = _presentation_file(tmp_path, bound=2 ** 1100)
+    assert _norm_enumerate("u1", "--presentation", pres) == 2
+    assert "bound beyond float range at generators[0].bound" in capsys.readouterr().err
+
+
+def test_overflowing_poly_value_exit_three(capsys):
+    assert _norm_enumerate(f"{_NEAR_MAX} u1 + {_NEAR_MAX} u1*") == 3
+    assert "|q| overflows float range" in capsys.readouterr().err
+
+
+def test_overflowing_relation_value_exit_three(tmp_path, capsys):
+    pres = _presentation_file(tmp_path, relations=[f"{_NEAR_MAX} u1 + {_NEAR_MAX} u1*"])
+    assert _norm_enumerate("u1", "--presentation", pres) == 3
+    assert "a relation overflows float range" in capsys.readouterr().err
+
+
+def test_norm_near_float_ceiling_is_emitted(tmp_path):
+    """|q| = 1e308 is finite, and so is the emitted bound below it."""
+    out = tmp_path / "report.jsonl"
+    assert _norm_enumerate(f"{int(1e308)} u1", "--out", out) == 0
+    emissions = [r for r in read_records(out) if r["type"] == "emission"]
+    assert emissions[0]["value_float"] == 1e308
+
+
+def test_integer_past_digit_limit_or_deep_nesting_exit_two(tmp_path, capsys):
+    assert _norm_enumerate(f"{'9' * 5000} u1") == 2
+    assert "integer of 5000 digits is too long" in capsys.readouterr().err
+    game = tmp_path / "game.json"
+    game.write_text('{"n": ' + "9" * 5000 + ', "k": 1, "pi": [[1]], "win": []}')
+    assert run_cli(["classical-value", "--game", game]) == 2
+    game.write_text("[" * 100_000)
+    assert run_cli(["classical-value", "--game", game]) == 2
+
+
+def test_oversized_game_exit_two(tmp_path, capsys):
+    """A 40-byte document must not ask for a 10^6 x 10^6 predicate table."""
+    game = tmp_path / "game.json"
+    game.write_text('{"n":1,"k":1000000,"pi":[[1]],"win":[]}')
+    assert run_cli(["classical-value", "--game", game]) == 2
+    assert "at most 2^24 entries at k" in capsys.readouterr().err
+
+
+# --- fuzzed documents --------------------------------------------------------------------
+
+_HUGE = st.sampled_from([2 ** 1100, -(2 ** 1100), 10 ** 400, _NEAR_MAX])
+_ODD_NUMBER = st.one_of(
+    _HUGE, st.integers(-2, 5), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/2", "3/8", "1/3", "2/0", "-1", "x", "1e400", _NINES, "1/" + _NINES]))
+
+
+def _mostly(valid, odd):
+    """Draw from `valid` three times in four and from `odd` otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 0 else valid)
+
+
+def _spoil(draw, rows, odd):
+    """One time in four, replace one entry of a nonempty nested list by an odd value."""
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(odd)
+
+
+@st.composite
+def _game_document(draw):
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    doc = {"n": draw(_mostly(st.just(n), _ODD_NUMBER)),
+           "k": draw(_mostly(st.just(k), _ODD_NUMBER))}
+    doc["pi"] = [[f"1/{n * n}"] * n for _ in range(n)]
+    _spoil(draw, doc["pi"], _ODD_NUMBER)
+    odd_index = st.one_of(st.integers(-1, 4), _HUGE)
+    if draw(st.booleans()):
+        quad = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                         st.integers(0, k - 1), st.integers(0, k - 1)).map(list)
+        doc["win"] = draw(st.lists(quad, max_size=6))
+        _spoil(draw, doc["win"], odd_index)
+    else:
+        flat = draw(st.lists(st.sampled_from([0, 1]), min_size=n * n * k * k,
+                             max_size=n * n * k * k))
+        rows = [flat[i:i + k] for i in range(0, len(flat), k)]
+        _spoil(draw, rows, st.one_of(odd_index, st.just(True)))
+        doc["d_table"] = [[[rows[(x * n + y) * k + a] for a in range(k)]
+                           for y in range(n)] for x in range(n)]
+    if draw(st.integers(0, 7)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif draw(st.integers(0, 7)) == 0:
+        # the size cap: a valid document but for k, far past any table numpy can shape
+        doc["k"] = draw(st.sampled_from([2 ** 1100, 10 ** 400]))
+    return doc
+
+
+_COEFF = _mostly(st.sampled_from(["", "2 ", "1/2 ", "(1+i) ", "(-i) "]),
+                 st.sampled_from([f"{_NEAR_MAX} ", f"{_NINES} ", f"1/{_NINES} ", "1/0 "]))
+_WORD = _mostly(st.sampled_from(["u1", "u1*", "e", "u1 u1*", "u1* u1"]),
+                st.sampled_from(["v", "zz", "u1 v*", "+"]))
+
+
+@st.composite
+def _presentation_document(draw):
+    names = ["u1"] + draw(_mostly(st.just([]), st.lists(st.sampled_from(["v", "e", "u1"]),
+                                                         min_size=1, max_size=2)))
+    bound = _mostly(st.sampled_from([1, 2, 0, "1/2", "3/8"]), _ODD_NUMBER)
+    doc = {"generators": [{"name": name, "bound": draw(bound)} for name in names]}
+    doc["relations"] = []
+    for _ in range(draw(st.integers(0, 3))):
+        relation = draw(st.sampled_from(["", "-"])) + draw(_COEFF) + draw(_WORD)
+        for _ in range(draw(st.integers(0, 2))):
+            relation += draw(st.sampled_from([" + ", " - "])) + draw(_COEFF) + draw(_WORD)
+        doc["relations"].append(relation)
+    if draw(st.integers(0, 7)) == 0:
+        doc["unit"] = draw(st.sampled_from(["e", "f", "u1", "1x"]))
+    return doc
+
+
+def _run_document(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document.json"
+        path.write_text(json.dumps(doc))
+        return console_main([str(a) for a in argv(path)] + ["--out", str(Path(tmp) / "r.jsonl")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_game_document())
+def test_fuzzed_game_documents_map_to_exit_codes(doc):
+    """Every game document ends in exit 0, 2, 3 or 4, never a traceback."""
+    code = _run_document(doc, lambda path: ["classical-value", "--game", path])
+    assert code in (0, 2, 3, 4), doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_presentation_document())
+def test_fuzzed_presentation_documents_map_to_exit_codes(doc):
+    """Every presentation document ends in exit 0, 2, 3 or 4, never a traceback."""
+    code = _run_document(doc, lambda path: [
+        "norm-enumerate", "--pres-id", "free_unitaries:1", "--poly", "u1", "--budget", 2,
+        "--presentation", path])
+    assert code in (0, 2, 3, 4), doc
 
 
 def test_semidecide_budget_exhausted_exit_four(tmp_path):
@@ -293,6 +465,31 @@ def test_reports_byte_identical(tmp_path, argv):
     code2 = run_cli(argv + ["--out", second])
     assert code1 == code2
     assert first.read_bytes() == second.read_bytes()
+
+
+# sha256 prefixes of `norm-enumerate --budget 70 --seed 3` reports, one per family kind
+_NORM_REPORT_PINS = [
+    ("trivial", "e", "a69fcf14a966d0bd"),
+    ("free_unitaries:2", "u1 + u2*", "9cb76a06263684ee"),
+    ("projections:2", "p1 + p2", "8e69a3b268fd02cd"),
+    ("matrix_units:2", "e12 + e21", "058ec5282303c026"),
+    ("matrix_units:3", "e12 + e21 + e33", "2432080680708743"),
+]
+
+
+@pytest.mark.parametrize("pres_id, poly, prefix", _NORM_REPORT_PINS)
+def test_norm_enumerate_reports_pinned(tmp_path, pres_id, poly, prefix):
+    """The report keeps its digest, and its emissions are the API stream's."""
+    out = tmp_path / "report.jsonl"
+    code = run_cli(["norm-enumerate", "--pres-id", pres_id, "--poly", poly,
+                    "--budget", 70, "--seed", 3, "--out", out])
+    assert code == 0
+    assert sha256_file(str(out))[:16] == prefix
+    pres = registered_presentation(pres_id).presentation
+    q = parse_polynomial(poly, declared=set(pres.names))
+    values = norm_lower_enumerate(pres, q, RepresentationCatalog(seed=3), pres_id, 70)
+    assert [r["value"] for r in read_records(out) if r["type"] == "emission"] == \
+        [f"{v.numerator}/{v.denominator}" for v in values]
 
 
 def test_different_seeds_differ(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for presentations, stability witnesses, and norm lower enumeration."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from cstarkit.presentations import (Presentation, Representation,
                                     registered_presentation, relation_defect,
                                     stability_witness, toeplitz,
                                     trivial_presentation)
-from cstarkit.presentations import _exact_matrix_unit_images
+from cstarkit.presentations import _exact_matrix_unit_images, _subseed
 from cstarkit.sampling import (random_projection, random_unitary,
                                rng_from_seed)
 
@@ -94,6 +95,8 @@ def test_representation_images_read_only():
     rep = Representation(2, {"g": np.eye(2)})
     with pytest.raises(ValueError):
         rep.images["g"][0, 0] = 5.0
+    with pytest.raises(TypeError):
+        rep.images["g"] = np.zeros((2, 2))
 
 
 # --- eval_poly and relation_defect --------------------------------------------------
@@ -202,8 +205,28 @@ def test_registered_ids_resolve():
         assert fam.table.presentation_id == pres_id
 
 
+def test_registered_families_built_once(monkeypatch):
+    """One row per id and process; rows still call the module's current functions."""
+    import cstarkit.presentations as presentations
+    for pres_id in REGISTERED_IDS:
+        assert registered_presentation(pres_id) is registered_presentation(pres_id)
+    calls = []
+    for name in ("random_unitary", "random_projection", "round_to_unitary",
+                 "round_to_projection", "round_to_pvm"):
+        def counted(*args, _name=name, _original=getattr(presentations, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(presentations, name, counted)
+    catalog = RepresentationCatalog(dims=(2,), per_round=1)
+    for pres_id in ("free_unitaries:1", "projections:1", "matrix_units:2"):
+        rep = catalog.batch(pres_id, 0)[-1]
+        stability_witness(pres_id, rep, 0.5)
+    assert calls == ["random_unitary", "round_to_unitary", "random_projection",
+                     "round_to_projection", "random_unitary", "round_to_pvm"]
+
+
 @pytest.mark.parametrize("bad", ["cuntz:2", "toeplitz", "free_unitaries:x",
-                                 "matrix_units", "unknown:3", ""])
+                                 "free_unitaries:\u00b2", "matrix_units", "unknown:3", ""])
 def test_unregistered_ids_raise(bad):
     with pytest.raises(UnsupportedPresentationError):
         registered_presentation(bad)
@@ -424,6 +447,41 @@ def test_catalog_canonical_heads():
     assert np.array_equal(mats[0].images["e12"], np.array([[0, 1], [0, 0]]))
 
 
+# dims and a digest of image names (in order) and image bytes of
+# RepresentationCatalog(dims=(1, 2, 3, 5), per_round=5, seed=7).batch(pres_id, 2)
+_BATCH_PINS = {
+    "trivial": ([1, 1, 2, 3, 5, 1], "5b75c0f81ca64d26"),
+    "free_unitaries:2": ([1, 1, 1, 2, 3, 5, 1], "ea8ab0c0aa7ce5e5"),
+    "projections:2": ([1, 1, 1, 2, 3, 5, 1], "2954ff459b6d8c30"),
+    "matrix_units:2": ([2, 2, 2, 2, 4, 2], "029bda80e1b0950e"),
+    "matrix_units:3": ([3, 3, 3, 3, 3, 3], "082e2337e319da20"),
+}
+
+
+def _batch_digest(batch):
+    digest = hashlib.sha256()
+    for rep in batch:
+        digest.update(f"{rep.dim}:{','.join(rep.images)};".encode())
+        for img in rep.images.values():
+            digest.update(img.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("pres_id", sorted(_BATCH_PINS))
+def test_catalog_batch_reads_the_registry_row(pres_id):
+    """A batch is the row's canonical representations, then the row's seeded draws."""
+    fam = registered_presentation(pres_id)
+    batch = RepresentationCatalog(dims=(1, 2, 3, 5), per_round=5, seed=7).batch(pres_id, 2)
+    dims, digest = _BATCH_PINS[pres_id]
+    assert [rep.dim for rep in batch] == dims
+    assert _batch_digest(batch) == digest
+    head = len(fam.canonical)
+    assert all(rep is canon for rep, canon in zip(batch, fam.canonical))
+    rng = rng_from_seed(_subseed(7, pres_id, 2))
+    draws = [fam.sample(rng, dim) for dim in (1, 2, 3, 5, 1)]
+    assert _batch_digest(draws) == _batch_digest(batch[head:])
+
+
 def test_catalog_dims_validation():
     with pytest.raises(PreconditionError):
         RepresentationCatalog(dims=())
@@ -446,8 +504,7 @@ def test_catalog_matrix_units_reps_are_exact():
 def _enumerate(pres_id, poly, budget, dims=tuple(range(1, 17)), seed=0):
     fam = registered_presentation(pres_id)
     catalog = RepresentationCatalog(dims=dims, seed=seed)
-    return list(norm_lower_enumerate(fam.presentation, poly, catalog,
-                                     fam.table, pres_id, budget))
+    return list(norm_lower_enumerate(fam.presentation, poly, catalog, pres_id, budget))
 
 
 def test_enumeration_self_adjoint_sum_hits_two():
@@ -503,13 +560,13 @@ def test_enumeration_rejects_stray_symbols():
     catalog = RepresentationCatalog()
     with pytest.raises(PreconditionError):
         list(norm_lower_enumerate(fam.presentation, generator("z"), catalog,
-                                  fam.table, "free_unitaries:1", 100))
+                                  "free_unitaries:1", 100))
     with pytest.raises(UnsupportedPresentationError):
         list(norm_lower_enumerate(fam.presentation, generator("u1"), catalog,
-                                  fam.table, "cuntz:2", 100))
+                                  "cuntz:2", 100))
     with pytest.raises(PreconditionError):
         list(norm_lower_enumerate(fam.presentation, generator("u1"), catalog,
-                                  fam.table, "free_unitaries:1", -1))
+                                  "free_unitaries:1", -1))
 
 
 def test_enumeration_matrix_units_off_diagonal():
