@@ -356,6 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-algebraic", type=float, default=None, dest="tol_algebraic")
         p.add_argument("--tol-spectral", type=float, default=None, dest="tol_spectral")
 
+    def stream(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--delta", type=float, default=1.0)
+        p.add_argument("--budget", type=int, default=10_000)
+        p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
+        p.add_argument("--grid-denominator", type=int, default=1024, dest="grid_denominator")
+        common(p)
+
     p = sub.add_parser("classical-value", help="exact classical game value")
     p.add_argument("--game", required=True)
     common(p)
@@ -363,20 +370,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game-value",
                        help="best certified value over the candidate stream")
     p.add_argument("--game", required=True)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
-    p.add_argument("--grid-denominator", type=int, default=1024, dest="grid_denominator")
-    common(p)
+    stream(p)
 
     p = sub.add_parser("semidecide", help="semidecide via the candidate stream")
     p.add_argument("--game", required=True)
     p.add_argument("--z", default="", help="input word for the game family (0/1 string)")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
-    p.add_argument("--grid-denominator", type=int, default=1024, dest="grid_denominator")
-    common(p)
+    stream(p)
 
     p = sub.add_parser("seesaw", help="alternating local optimization of a game value")
     p.add_argument("--game", required=True)

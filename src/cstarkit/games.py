@@ -20,6 +20,7 @@ import numpy as np
 from .errors import PreconditionError
 from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, as_operator, dagger,
                         herm_part, hermitian_eig, op_norm, op_norms)
+from .rounding import _povm_residual
 
 _PROB_SLACK = 1e-9
 
@@ -89,9 +90,8 @@ def chsh() -> NonlocalGame:
 class Measurement:
     """One POVM per question: ops[x][a] is outcome a of question x.
 
-    ops has shape (n, k, dim, dim); each element is positive semidefinite
-    within tolerance and each question's outcomes sum to the identity
-    within tolerance.
+    ops has shape (n, k, dim, dim); each element is Hermitian within
+    tolerance and each question's row has povm_residual within tolerance.
     """
 
     ops: np.ndarray
@@ -104,13 +104,10 @@ class Measurement:
         herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, 2, 3))))
         if herm > tol.algebraic:
             raise ValueError(f"POVM elements must be Hermitian within tolerance, defect {herm:.3e}")
-        eigs = np.linalg.eigvalsh(ops)
-        low = float(eigs.min())
-        if low < -tol.algebraic:
-            raise ValueError(f"POVM elements must be positive within tolerance, min eigenvalue {low:.3e}")
-        worst = float(op_norms(ops.sum(axis=1) - np.eye(ops.shape[2])).max())
+        worst = float(_povm_residual(ops).max())
         if worst > tol.algebraic:
-            raise ValueError(f"each question's outcomes must sum to 1 within tolerance, defect {worst:.3e}")
+            raise ValueError(f"each question's outcomes must form a POVM within tolerance, "
+                             f"povm_residual {worst:.3e}")
         _frozen_array(self, "ops", ops)
 
     @property

@@ -27,8 +27,8 @@ from .dyadic import ceil_log2, is_dyadic
 from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError
 from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm, op_norms
 from .polynomials import NCPolynomial, generator, lipschitz_bound
-from .rounding import (_isometry_cut, isometry_defect, round_to_projection,
-                       round_to_pvm, round_to_unitary)
+from .rounding import (_check_exact, _isometry_cut, _report, isometry_defect,
+                       round_to_projection, round_to_pvm, round_to_unitary)
 from .sampling import random_projection, random_unitary, rng_from_seed
 
 
@@ -133,8 +133,9 @@ def relation_defect(pres: Presentation, rep: Representation) -> float:
     images = np.array([rep.images[name] for name in pres.names])
     bounds = np.array([float(bound) for _, bound in pres.generators])
     excess = op_norms(images) - bounds
-    relations = np.array([eval_poly(p, rep) for p in pres.relations],
-                         dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        relations = np.array([eval_poly(p, rep) for p in pres.relations],
+                             dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
     if not np.isfinite(relations).all():
         raise PreconditionError(f"a relation overflows float range at dimension {rep.dim}")
     return max(0.0, float(excess.max()), float(op_norms(relations).max(initial=0.0)))
@@ -243,16 +244,26 @@ class RegisteredFamily(NamedTuple):
     sample: Callable[[np.random.Generator, int], Representation]
 
 
+# generator count of matrix_units:9, the largest registered family
+_MAX_GENERATORS = 81
+
+
 @cache
 def registered_presentation(pres_id: str) -> RegisteredFamily:
     """Look up a registered family by id, built once per id and process.
 
-    Ids: "trivial", "free_unitaries:N", "projections:N", "matrix_units:K".
-    Cuntz and Toeplitz presentations are constructible but unregistered:
-    they have no finite-dimensional representations to round to.
+    Ids: "trivial", "free_unitaries:N", "projections:N" (N <= 81),
+    "matrix_units:K" (K <= 9).  Cuntz and Toeplitz presentations are
+    constructible but unregistered: they have no finite-dimensional
+    representations to round to.
     """
     head, _, tail = pres_id.partition(":")
-    size = int(tail) if tail.isdecimal() else None
+    # a tail too long for int() to parse is past every cap anyway
+    size = int(tail) if tail.isdecimal() and len(tail) < 100 else None
+    if head in ("free_unitaries", "projections") and size is not None and size > _MAX_GENERATORS:
+        raise UnsupportedPresentationError(
+            f"presentation id {pres_id!r} asks for {size} generators, "
+            f"above the supported {_MAX_GENERATORS}")
     if head == "trivial" and not tail:
         return RegisteredFamily(
             trivial_presentation(), StabilityModulusTable(pres_id, lambda n: 0),
@@ -320,10 +331,7 @@ def _matrix_unit_isometry(a, p1, p2, tol: Tolerance) -> np.ndarray:
         raise HypothesisError("input too far from a partial isometry between the corners",
                               defect=defect, bound=_ISOMETRY_ENTRY_GATE)
     w = _isometry_cut(a, p1, p2, 0.5, tol)
-    resid = isometry_defect(w, p1, p2)
-    if resid > tol.algebraic:
-        raise ArithmeticError(
-            f"matrix-unit isometry missed exactness: residual {resid:.3e}")
+    _check_exact(isometry_defect(w, p1, p2), tol)
     return w
 
 
@@ -380,15 +388,11 @@ def stability_witness(pres_id: str, rep: Representation, eps: float,
             f"relation defect too large for target 2^-{n} under {pres_id}",
             defect=defect, bound=float(gate))
     out = family.witness(family.presentation, rep, 2.0 ** -n, tol)
-    resid = relation_defect(family.presentation, out)
-    if resid > tol.algebraic:
-        raise ArithmeticError(f"witness missed exactness: residual {resid:.3e}")
     moves = np.array([out.images[name] - rep.images[name]
                       for name in family.presentation.names if name in rep.images],
                      dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
-    dist = float(op_norms(moves).max(initial=0.0))
-    if not dist < eps:
-        raise ArithmeticError(f"witness moved too far: {dist:.6f} >= {eps}")
+    _report(defect, float(op_norms(moves).max(initial=0.0)),
+            relation_defect(family.presentation, out), eps, tol)
     return out
 
 
@@ -486,7 +490,8 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
             examined += 1
             if not relation_defect(pres, rep) < gate:
                 continue
-            image = eval_poly(q, rep)
+            with np.errstate(over="ignore", invalid="ignore"):
+                image = eval_poly(q, rep)
             if not (np.isfinite(image).all() and math.isfinite(value := op_norm(image))):
                 raise PreconditionError(f"|q| overflows float range at dimension {rep.dim}")
             # exact product: (value - 2^-j) * grid may overflow as a float

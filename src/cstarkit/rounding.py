@@ -126,13 +126,7 @@ def round_to_unitary(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     defect = isometry_defect(a, eye, eye)
     _check("unitary", eps, defect)
     u = polar_unitary(a, tol)
-    report = RoundingReport(
-        input_defect=defect,
-        output_distance=op_norm(a - u),
-        exactness_residual=op_norm(dagger(u) @ u - eye),
-    )
-    _guarantee(report, eps, tol)
-    return u, report
+    return u, _report(defect, op_norm(a - u), op_norm(dagger(u) @ u - eye), eps, tol)
 
 
 def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
@@ -149,13 +143,7 @@ def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     defect = projection_defect(a)
     _check("projection", eps, defect)
     p = hermitian_eig(herm_part(a), tol).apply(_step_at_half)
-    report = RoundingReport(
-        input_defect=defect,
-        output_distance=op_norm(a - p),
-        exactness_residual=projection_defect(p),
-    )
-    _guarantee(report, eps, tol)
-    return p, report
+    return p, _report(defect, op_norm(a - p), projection_defect(p), eps, tol)
 
 
 def _isometry_cut(a, p1, p2, cut: float, tol: Tolerance) -> np.ndarray:
@@ -189,13 +177,7 @@ def round_to_partial_isometry(a, p1, p2, eps: float, tol: Tolerance = DEFAULT_TO
     delta = _check("partial_isometry", eps, defect)
     gamma = 7.0 * delta ** 0.25
     w = _isometry_cut(a, p1, p2, gamma, tol)
-    report = RoundingReport(
-        input_defect=defect,
-        output_distance=op_norm(a - w),
-        exactness_residual=isometry_defect(w, p1, p2),
-    )
-    _guarantee(report, eps, tol)
-    return w, report
+    return w, _report(defect, op_norm(a - w), isometry_defect(w, p1, p2), eps, tol)
 
 
 def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -273,12 +255,8 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
         raise HypothesisError(
             f"positive-part sum is singular within tolerance: smallest eigenvalue "
             f"{float(low):.6e}")
-    report = RoundingReport(
-        input_defect=float(defect),
-        output_distance=float(op_norms(family - rounded).max()),
-        exactness_residual=float(residual),
-    )
-    return list(rounded), report
+    return list(rounded), _report(float(defect), float(op_norms(family - rounded).max()),
+                                  float(residual), None, tol)
 
 
 def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
@@ -312,13 +290,7 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     stack = np.array(blocks)
     i, j = np.triu_indices(len(blocks), 1)
     resid = max(pvm_defect(blocks), float(op_norms(stack[i] @ stack[j]).max(initial=0.0)))
-    report = RoundingReport(
-        input_defect=defect,
-        output_distance=float(op_norms(family - stack).max()),
-        exactness_residual=resid,
-    )
-    _guarantee(report, None, tol)
-    return blocks, report
+    return blocks, _report(defect, float(op_norms(family - stack).max()), resid, None, tol)
 
 
 def _check_exact(residual: float, tol: Tolerance) -> None:
@@ -327,8 +299,10 @@ def _check_exact(residual: float, tol: Tolerance) -> None:
         raise ArithmeticError(f"rounding missed exactness: residual {residual:.3e}")
 
 
-def _guarantee(report: RoundingReport, eps: float | None, tol: Tolerance) -> None:
-    _check_exact(report.exactness_residual, tol)
-    if eps is not None and not report.output_distance < eps:
-        raise ArithmeticError(
-            f"rounding moved too far: {report.output_distance:.6f} >= {eps}")
+def _report(input_defect: float, output_distance: float, exactness_residual: float,
+            eps: float | None, tol: Tolerance) -> RoundingReport:
+    """The report of a rounding whose output is exact and, given eps, moved less than eps."""
+    _check_exact(exactness_residual, tol)
+    if eps is not None and not output_distance < eps:
+        raise ArithmeticError(f"rounding moved too far: {output_distance:.6f} >= {eps}")
+    return RoundingReport(input_defect, output_distance, exactness_residual)

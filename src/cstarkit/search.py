@@ -149,41 +149,39 @@ def _snap_to_grid(m: np.ndarray, q: int) -> np.ndarray:
 _BLOCK = 32
 # (examined, alice, bob, check): a stream position's pair that passed the gates
 Candidate = tuple[int, Measurement, Measurement, CommutationCheck]
+# (examined, ops, check): the same, the pair as its (2, n, k, d, d) ops stack
+Gated = tuple[int, np.ndarray, CommutationCheck]
 
 
-def _positions(game: NonlocalGame, stream: CandidateStream) -> Iterator[tuple | int]:
-    """Stream order: deterministic pairs, planted pairs, then one dimension per random position."""
+def _positions(game: NonlocalGame, stream: CandidateStream) -> Iterator[np.ndarray | int]:
+    """Stream order: deterministic and planted pair stacks, then a dimension per random position."""
     k = game.k
     # each of the k^n answer functions becomes a Measurement once, when first reached
-    det = functools.cache(lambda answers: deterministic_measurement(answers, k))
+    det = functools.cache(lambda answers: deterministic_measurement(answers, k).ops)
     for fa, fb in itertools.product(itertools.product(range(k), repeat=game.n), repeat=2):
-        yield det(fa), det(fb)
+        yield np.array([det(fa), det(fb)])
     for alice, bob in stream.planted:
         check_shapes(game, alice, bob)
-        yield alice, bob
+        yield np.array([alice.ops, bob.ops])
     for i in itertools.count():
         yield stream.dims[i % len(stream.dims)]
 
 
-def _per_dim(items: list, dim_of: Callable, stacked: Callable) -> list:
-    """stacked(group) on each same-dimension group of items, results back in item order."""
+def _per_dim(stacks: list[np.ndarray], stacked: Callable) -> list:
+    """stacked(group) on each same-dimension group of stacks as one array, in stack order."""
     groups: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(dim_of(item), []).append(i)
-    results = [None] * len(items)
+    for i, stack in enumerate(stacks):
+        groups.setdefault(stack.shape[-1], []).append(i)
+    results = [None] * len(stacks)
     for group in groups.values():
-        for i, result in zip(group, stacked([items[i] for i in group])):
+        for i, result in zip(group, stacked(np.array([stacks[i] for i in group]))):
             results[i] = result
     return results
 
 
-def _ops(items: list, side: int) -> np.ndarray:
-    return np.array([item[side].ops for item in items])
-
-
 def _grid_pairs(rng: np.random.Generator, dims: list[int], game: NonlocalGame, q: int,
-                tol: Tolerance) -> list[tuple[Measurement, Measurement] | None]:
-    """One random POVM pair per dim with entries snapped to the dyadic grid.
+                tol: Tolerance) -> list[np.ndarray | None]:
+    """One random POVM pair stack per dim with entries snapped to the dyadic grid.
 
     One normal draw covers all 2n rows of every pair, Alice's then Bob's;
     each dim is rooted, snapped and repaired as one stack.  A pair with a
@@ -194,17 +192,16 @@ def _grid_pairs(rng: np.random.Generator, dims: list[int], game: NonlocalGame, q
     flat = np.split(rng.normal(size=sum(sizes)), list(itertools.accumulate(sizes))[:-1])
     draws = [f.reshape(2, n, k, 2, dim, dim) for f, dim in zip(flat, dims)]
 
-    def repaired(group: list[np.ndarray]) -> list:
-        rounded, refused, *_ = _repair_povms(_snap_to_grid(_gram_povms(np.array(group)), q), tol)
-        return [None if bad.any() else (Measurement(ops[0]), Measurement(ops[1]))
-                for ops, bad in zip(rounded, refused)]
+    def repaired(group: np.ndarray) -> list:
+        rounded, refused, *_ = _repair_povms(_snap_to_grid(_gram_povms(group), q), tol)
+        return [None if bad.any() else ops for ops, bad in zip(rounded, refused)]
 
-    return _per_dim(draws, lambda draw: draw.shape[-1], repaired)
+    return _per_dim(draws, repaired)
 
 
 def _gated_blocks(game: NonlocalGame, stream: CandidateStream, delta: float,
-                  tol: Tolerance) -> Iterator[list[Candidate]]:
-    """enumerate_candidates' items per block of up to _BLOCK positions, none past the budget."""
+                  tol: Tolerance) -> Iterator[list[Gated]]:
+    """Gated pairs per block of up to _BLOCK positions, none past the budget."""
     source = _positions(game, stream)
     rng = rng_from_seed(stream.seed)
     start = 1
@@ -213,12 +210,21 @@ def _gated_blocks(game: NonlocalGame, stream: CandidateStream, delta: float,
         dims = [item for item in block if isinstance(item, int)]
         drawn = iter(_grid_pairs(rng, dims, game, stream.grid_denominator, tol))
         pairs = [next(drawn) if isinstance(item, int) else item for item in block]
-        live = [(start + i, *pair) for i, pair in enumerate(pairs) if pair is not None]
-        checks = _per_dim(live, lambda c: c[1].dim, lambda group: [
+        live = [(start + i, ops) for i, ops in enumerate(pairs) if ops is not None]
+        checks = _per_dim([ops for _, ops in live], lambda group: [
             _commutation_check(table, delta)
-            for table in commutator_defects(_ops(group, 1), _ops(group, 2))])
+            for table in commutator_defects(group[:, 0], group[:, 1])])
         yield [(*pair, check) for pair, check in zip(live, checks) if check.ok]
         start += len(block)
+
+
+def _handed_out(game: NonlocalGame, stream: CandidateStream, examined: int,
+                ops: np.ndarray) -> tuple[Measurement, Measurement]:
+    """The Measurement pair at a stream position; a planted position's is the caller's own."""
+    planted = examined - game.k ** (2 * game.n) - 1
+    if 0 <= planted < len(stream.planted):
+        return stream.planted[planted]
+    return Measurement(ops[0]), Measurement(ops[1])
 
 
 def enumerate_candidates(game: NonlocalGame, stream: CandidateStream, delta: float,
@@ -233,24 +239,27 @@ def enumerate_candidates(game: NonlocalGame, stream: CandidateStream, delta: flo
     or that fail the strict per-question-pair commutator check are dropped.
     """
     for block in _gated_blocks(game, stream, delta, tol):
-        yield from block
+        for examined, ops, check in block:
+            yield (examined, *_handed_out(game, stream, examined, ops), check)
 
 
 def _witnesses(game: NonlocalGame, stream: CandidateStream, delta: float,
-               tol: Tolerance) -> Iterator[tuple[Candidate, float, np.ndarray]]:
-    """(candidate, certified value, top eigenvector of its game element) per gated candidate."""
-    def scored(group: list[Candidate]) -> list:
-        spec = hermitian_eig(_game_elements(game, _ops(group, 1), _ops(group, 2), tol), tol)
-        return [(c, float(w[-1]) - CERTIFIED_EIG_ERROR, v[:, -1])
-                for c, w, v in zip(group, spec.eigenvalues, spec.eigenvectors)]
+               tol: Tolerance) -> Iterator[tuple]:
+    """(examined, ops, check, certified value, top eigenvector of its game element) per pair."""
+    def scored(group: np.ndarray) -> list:
+        spec = hermitian_eig(_game_elements(game, group[:, 0], group[:, 1], tol), tol)
+        return [(float(w[-1]) - CERTIFIED_EIG_ERROR, v[:, -1])
+                for w, v in zip(spec.eigenvalues, spec.eigenvectors)]
 
     for block in _gated_blocks(game, stream, delta, tol):
-        yield from _per_dim(block, lambda c: c[1].dim, scored)
+        scores = _per_dim([ops for _, ops, _ in block], scored)
+        yield from ((*gated, *score) for gated, score in zip(block, scores))
 
 
-def _witness(candidate: Candidate, certified_value: float, top: np.ndarray) -> Witness:
-    """A scored candidate's Witness, at the rank-one state on its top eigenvector."""
-    _, alice, bob, check = candidate
+def _witness(game: NonlocalGame, stream: CandidateStream, examined: int, ops: np.ndarray,
+             check: CommutationCheck, certified_value: float, top: np.ndarray) -> Witness:
+    """A scored pair's Witness, at the rank-one state on its top eigenvector."""
+    alice, bob = _handed_out(game, stream, examined, ops)
     return Witness(alice=alice, bob=bob, state=_top_state(top),
                    certified_value=certified_value, defect=check.worst_defect)
 
@@ -269,10 +278,10 @@ def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
     if not 0.0 <= delta <= 1.0:
         raise PreconditionError(f"delta({len(z)}) = {delta!r} must lie in [0, 1]")
     start = time.perf_counter()
-    for candidate, value, top in _witnesses(game, stream, delta, tol):
-        if value > 0.5:
-            return SearchVerdict(outcome="accepted", witness=_witness(candidate, value, top),
-                                 candidates_tried=candidate[0],
+    for scored in _witnesses(game, stream, delta, tol):
+        if scored[3] > 0.5:
+            return SearchVerdict(outcome="accepted", witness=_witness(game, stream, *scored),
+                                 candidates_tried=scored[0],
                                  wall_time=time.perf_counter() - start)
     return SearchVerdict(outcome="budget_exhausted", witness=None,
                          candidates_tried=stream.budget,
@@ -290,11 +299,11 @@ def evaluate_stream(game: NonlocalGame, stream: CandidateStream, delta: float,
     """
     if not 0.0 <= delta <= 1.0:
         raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
-    best: Witness | None = None
-    for candidate, value, top in _witnesses(game, stream, delta, tol):
-        if best is None or value > best.certified_value:
-            best = _witness(candidate, value, top)
-    return best, stream.budget
+    best = None
+    for scored in _witnesses(game, stream, delta, tol):
+        if best is None or scored[3] > best[3]:
+            best = scored
+    return (None if best is None else _witness(game, stream, *best)), stream.budget
 
 
 class WitnessAudit(NamedTuple):

@@ -177,6 +177,16 @@ def test_bound_beyond_float_range_exit_two(tmp_path, capsys):
     assert "bound beyond float range at generators[0].bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pres_id, message", [
+    ("free_unitaries:100000000", "asks for 100000000 generators, above the supported 81"),
+    ("projections:82", "asks for 82 generators, above the supported 81"),
+    ("free_unitaries:" + "9" * 5000, "has no registered stability witness"),
+])
+def test_oversized_presentation_id_exit_three(pres_id, message, capsys):
+    assert run_cli(["norm-enumerate", "--pres-id", pres_id, "--poly", "u1", "--budget", 0]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_overflowing_poly_value_exit_three(capsys):
     assert _norm_enumerate(f"{_NEAR_MAX} u1 + {_NEAR_MAX} u1*") == 3
     assert "|q| overflows float range" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from cstarkit.games import (Measurement, NonlocalGame, State, Strategy,
                             sym_product)
 from cstarkit.games import _game_elements, _psd_sqrt
 from cstarkit.operators import DEFAULT_TOL, dagger, herm_part, op_norm
+from cstarkit.rounding import povm_residual
 from cstarkit.sampling import random_density, random_povm, rng_from_seed
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -100,6 +101,39 @@ def test_measurement_validation():
     bad_pos[0, 1] = np.diag([-0.5, 1.0])
     with pytest.raises(ValueError):
         Measurement(bad_pos)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_measurement_raises_iff_residual_or_hermitian_defect_exceeds_tolerance(seed):
+    """Each row's povm_residual and the entrywise Hermitian defect decide, against 1e-10."""
+    rng = rng_from_seed(seed)
+    dim = 2 + seed % 3
+    base = np.array([random_povm(rng, dim, 2) for _ in range(2)])
+    x = seed % 2
+    a = int(np.argmax([op_norm(m) for m in base[x]]))  # |A^x_a| >= 1/2, so the sum moves >= size/2
+    pvm = np.zeros((1, 2, dim, dim), dtype=complex)
+    pvm[0, 0, 0, 0] = 1.0
+    pvm[0, 1] = np.eye(dim) - pvm[0, 0]
+    for size, expected in ((5e-11, False), (3e-10, True)):
+        scaled = base.copy()
+        scaled[x, a] *= 1 + size
+        tilted = base.copy()
+        tilted[1 - x, 1, 0, 1] += size
+        negative = pvm.copy()  # eigenvalue -size, the sum unchanged
+        negative[0, 0, 1, 1] = -size
+        negative[0, 1, 1, 1] = 1 + size
+        for ops in (scaled, tilted, negative):
+            residual = max(povm_residual(row) for row in ops)
+            herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, 2, 3))))
+            assert bool(residual > 1e-10 or herm > 1e-10) is expected
+            if herm > 1e-10:
+                with pytest.raises(ValueError, match="Hermitian"):
+                    Measurement(ops)
+            elif residual > 1e-10:
+                with pytest.raises(ValueError, match=f"povm_residual {residual:.3e}"):
+                    Measurement(ops)
+            else:
+                Measurement(ops)
 
 
 def test_state_validation():

@@ -225,6 +225,17 @@ def test_registered_families_built_once(monkeypatch):
                      "round_to_projection", "random_unitary", "round_to_pvm"]
 
 
+def test_generator_count_is_capped_before_building(monkeypatch):
+    """free_unitaries:N and projections:N stop at N = 81, the size of matrix_units:9."""
+    import cstarkit.presentations as presentations
+    assert len(registered_presentation("free_unitaries:81").presentation.names) == 82
+    for builder in ("free_unitaries", "projections_presentation"):
+        monkeypatch.setattr(presentations, builder, lambda n: pytest.fail(f"built {n}"))
+    for pres_id in ("free_unitaries:100000000", "projections:82", "free_unitaries:" + "9" * 5000):
+        with pytest.raises(UnsupportedPresentationError):
+            registered_presentation(pres_id)
+
+
 @pytest.mark.parametrize("bad", ["cuntz:2", "toeplitz", "free_unitaries:x",
                                  "free_unitaries:\u00b2", "matrix_units", "unknown:3", ""])
 def test_unregistered_ids_raise(bad):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cstarkit import search
+from cstarkit.cli import console_main
 from cstarkit.errors import HypothesisError, PreconditionError
 from cstarkit.games import (Measurement, NonlocalGame, State, Strategy, _psd_sqrt,
                             best_value, chsh, game_element, game_value,
@@ -175,13 +176,15 @@ def _reference_stream(game, stream, delta, tol=DEFAULT_TOL, refuse=()):
 
 
 def _assert_stream_matches(game, stream, delta, reference):
-    witnesses = [(c, value, _witness(c, value, top)) for c, value, top
+    witnesses = [(scored, _witness(game, stream, *scored)) for scored
                  in _witnesses(game, stream, delta, DEFAULT_TOL)]
     candidates = list(enumerate_candidates(game, stream, delta))
     assert len(witnesses) == len(candidates) == len(reference)
-    for ref, cand, (scored, value, witness) in zip(reference, candidates, witnesses):
+    for ref, cand, (scored, witness) in zip(reference, candidates, witnesses):
         examined, alice, bob, check, ref_value, state = ref
-        for got in (cand, scored):
+        _, ops, _, value, _ = scored
+        assert np.array_equal(ops, [alice.ops, bob.ops])
+        for got in (cand, (scored[0], witness.alice, witness.bob, scored[2])):
             assert got[0] == examined and got[3] == check
             assert np.array_equal(got[1].ops, alice.ops)
             assert np.array_equal(got[2].ops, bob.ops)
@@ -375,6 +378,23 @@ def test_witness_defect_is_the_gate_check():
         assert witness.alice is pair[0] and witness.bob is pair[1]
         check = is_delta_op_commuting(witness.alice, witness.bob, 0.5)
         assert witness.defect == check.worst_defect > 0
+
+
+@pytest.mark.parametrize("command, game, code, built", [
+    ("semidecide", "never_win.json", 4, 4),  # the dimension-one answer functions
+    ("game-value", "chsh.json", 0, 6),  # those, then the best pair's Witness
+])
+def test_search_builds_measurements_only_for_handed_out_pairs(monkeypatch, tmp_path, command,
+                                                              game, code, built):
+    """Repaired pairs travel as ops stacks; only a Witness turns one into Measurements."""
+    calls = []
+    validate = Measurement.__post_init__
+    monkeypatch.setattr(Measurement, "__post_init__",
+                        lambda self: (calls.append(1), validate(self)))
+    argv = [command, "--game", str(DATA / game), "--budget", "50", "--dims", "2,3,4",
+            "--seed", "1", "--out", str(tmp_path / "report.jsonl")]
+    assert console_main(argv) == code
+    assert len(calls) == built
 
 
 def test_evaluate_stream_none_under_delta_zero():
