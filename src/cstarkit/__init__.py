@@ -24,8 +24,9 @@ from .games import (BestValue, CommutationCheck, Measurement, NonlocalGame,
                     State, Strategy, best_value, check_shapes, chsh,
                     commutator_defects, correlation, game_element,
                     game_value, is_delta_op_commuting, sym_product)
-from .polynomials import (GaussianRational, NCPolynomial, generator,
-                          lipschitz_bound, triangle_norm_bound)
+from .polynomials import (CompiledPolynomials, GaussianRational, NCPolynomial,
+                          compile_polynomials, generator, lipschitz_bound,
+                          triangle_norm_bound)
 from .presentations import (Presentation, Representation,
                             RepresentationCatalog, StabilityModulusTable,
                             combine_moduli, cuntz, eval_poly, free_unitaries,

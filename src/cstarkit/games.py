@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, as_operator, dagger,
-                        herm_part, hermitian_eig, op_norm, op_norms)
+from .operators import (DEFAULT_TOL, Tolerance, _as_stack, _ordered_sum, as_operator,
+                        dagger, herm_part, hermitian_eig, op_norm, op_norms)
 from .rounding import _povm_residual
 
 _PROB_SLACK = 1e-9
@@ -97,8 +97,9 @@ class Measurement:
     ops: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = np.asarray(self.ops, dtype=np.complex128)
-        if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
+        # finite entries first, so no arithmetic below meets inf or NaN
+        ops = _as_stack(self.ops)
+        if ops.ndim != 4:
             raise ValueError(f"ops must have shape (n, k, dim, dim), got {ops.shape}")
         tol = DEFAULT_TOL
         herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, 2, 3))))

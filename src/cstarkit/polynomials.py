@@ -4,8 +4,8 @@ Terms are (coefficient, word) pairs where a word is a nonempty tuple of
 generator symbols; a trailing ``*`` on a symbol means the adjoint of that
 generator's image.  Constants are expressed through a distinguished unit
 generator, so the zero polynomial is the only one without terms.
-Coefficients stay exact Fractions until evaluation converts them to complex
-floats at the last moment.
+Coefficients stay exact Fractions; evaluation reads complex copies from a
+monomial table (``compile_polynomials``) compiled once per polynomial.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -144,8 +143,8 @@ class NCPolynomial:
     """
 
     terms: tuple
-    # the terms with complex coefficients, converted once for evaluate
-    _complex_terms: tuple = field(init=False, repr=False, compare=False)
+    # the terms as a monomial table, compiled once for evaluate
+    _compiled: CompiledPolynomials = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         merged: dict[tuple[str, ...], GaussianRational] = {}
@@ -159,8 +158,7 @@ class NCPolynomial:
             if not coeff.is_zero
         )
         object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "_complex_terms",
-                           tuple((complex(coeff), word) for coeff, word in canon))
+        object.__setattr__(self, "_compiled", compile_polynomials((self,)))
 
     @classmethod
     def zero(cls) -> "NCPolynomial":
@@ -205,12 +203,7 @@ class NCPolynomial:
 
     def evaluate(self, images: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
         """Substitute matrices for symbols (star = conjugate transpose)."""
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        symbols = dict.fromkeys(s for _, word in self._complex_terms for s in word)
-        resolved = {s: _image(images, s) for s in symbols}
-        for coeff, word in self._complex_terms:
-            out += coeff * reduce(np.matmul, [resolved[s] for s in word])
-        return out
+        return self._compiled.evaluate(images, dim)[0]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -219,12 +212,99 @@ class NCPolynomial:
             f"({coeff}) {' '.join(word)}" for coeff, word in self.terms)
 
 
-def _image(images: Mapping[str, np.ndarray], symbol: str) -> np.ndarray:
-    name = base_name(symbol)
-    if name not in images:
-        raise PreconditionError(f"no image for generator '{name}'")
-    img = np.asarray(images[name], dtype=np.complex128)
-    return dagger(img) if symbol.endswith("*") else img
+# words multiplied, or polynomials summed, per stacked step; bounds the temporaries
+_CHUNK = 16
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledPolynomials:
+    """A tuple of polynomials as monomial index tables, evaluated as stacked products.
+
+    Letter k < len(names) is generator names[k] and letter len(names) + k
+    its adjoint.  `words` holds the distinct words as one (count, length)
+    letter table per length, shortest first; their images are stacked in
+    that order, followed by one zero matrix.  Row i of `index` and `coeffs`
+    lists polynomial i's terms in canonical order, padded to a common
+    length by the zero matrix with coefficient 0.  `widths` holds the
+    largest term count in each block of _CHUNK rows; slots past it are
+    padding only and are skipped.
+    """
+
+    names: tuple[str, ...]
+    words: tuple[np.ndarray, ...]
+    index: np.ndarray
+    coeffs: np.ndarray
+    widths: tuple[int, ...]
+
+    def evaluate(self, images: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
+        """(polynomials, dim, dim) stack of the values at the images.
+
+        Words are left-fold products and each value sums its terms one at a
+        time from zero, so every matrix equals the term-by-term sum of
+        coefficient times product bit for bit.
+        """
+        n = len(self.names)
+        letters = np.empty((2 * n, dim, dim), dtype=np.complex128)
+        for k, name in enumerate(self.names):
+            if name not in images:
+                raise PreconditionError(f"no image for generator '{name}'")
+            letters[k] = np.asarray(images[name], dtype=np.complex128)
+        letters[n:] = dagger(letters[:n])
+        count = sum(len(table) for table in self.words)
+        words = np.empty((count + 1, dim, dim), dtype=np.complex128)
+        words[count] = 0
+        at = 0
+        for table in self.words:
+            for start in range(0, len(table), _CHUNK):
+                rows = table[start:start + _CHUNK]
+                product = letters.take(rows[:, 0], axis=0)
+                for column in rows.T[1:]:
+                    product = product @ letters.take(column, axis=0)
+                words[at:at + len(rows)] = product
+                at += len(rows)
+        out = np.zeros((len(self.index), dim, dim), dtype=np.complex128)
+        # an in-place multiply rounds differently at dim 1, so two buffers
+        taken = np.empty((min(_CHUNK, len(out)), dim, dim), dtype=np.complex128)
+        term = np.empty_like(taken)
+        for start, width in zip(range(0, len(out), _CHUNK), self.widths):
+            index = self.index[start:start + _CHUNK]
+            coeffs = self.coeffs[start:start + _CHUNK, :, None, None]
+            part, rows = out[start:start + _CHUNK], len(index)
+            for slot in range(width):
+                words.take(index[:, slot], axis=0, out=taken[:rows])
+                np.multiply(coeffs[:, slot], taken[:rows], out=term[:rows])
+                part += term[:rows]
+        return out
+
+
+def compile_polynomials(polys) -> CompiledPolynomials:
+    """Compile polynomials into one table of their distinct words."""
+    names: dict[str, int] = {}
+    for p in polys:
+        for _, word in p.terms:
+            for symbol in word:
+                names.setdefault(base_name(symbol), len(names))
+    spelled = [[(coeff, tuple(names[base_name(s)] + len(names) * s.endswith("*") for s in word))
+                for coeff, word in p.terms] for p in polys]
+    by_length: dict[int, dict[tuple[int, ...], None]] = {}
+    for terms in spelled:
+        for _, letters in terms:
+            by_length.setdefault(len(letters), {})[letters] = None
+    position: dict[tuple[int, ...], int] = {}
+    words = []
+    for length in sorted(by_length):
+        table = list(by_length[length])
+        position.update((letters, len(position)) for letters in table)
+        words.append(np.array(table, dtype=np.intp))
+    sizes = [len(terms) for terms in spelled]
+    index = np.full((len(polys), max(sizes, default=0)), len(position), dtype=np.intp)
+    coeffs = np.zeros(index.shape, dtype=np.complex128)
+    for i, terms in enumerate(spelled):
+        for slot, (coeff, letters) in enumerate(terms):
+            index[i, slot] = position[letters]
+            coeffs[i, slot] = complex(coeff)
+    widths = tuple(max(sizes[start:start + _CHUNK]) for start in range(0, len(sizes), _CHUNK))
+    return CompiledPolynomials(tuple(names), tuple(words), index, coeffs, widths)
 
 
 def generator(name: str) -> NCPolynomial:

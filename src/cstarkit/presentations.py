@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from types import MappingProxyType
@@ -26,10 +27,18 @@ import numpy as np
 from .dyadic import ceil_log2, is_dyadic
 from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError
 from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm, op_norms
-from .polynomials import NCPolynomial, generator, lipschitz_bound
+from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials, generator,
+                          lipschitz_bound)
 from .rounding import (_check_exact, _isometry_cut, _report, isometry_defect,
                        round_to_projection, round_to_pvm, round_to_unitary)
 from .sampling import random_projection, random_unitary, rng_from_seed
+
+
+class _DefectTable(NamedTuple):
+    """A presentation's relations compiled once, with its float norm bounds."""
+
+    relations: CompiledPolynomials
+    bounds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,7 @@ class Presentation:
     generators: tuple
     relations: tuple
     unit_generator: str = "e"
+    _table: _DefectTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = []
@@ -53,6 +63,8 @@ class Presentation:
             if bound < 0 or not is_dyadic(bound):
                 raise PreconditionError(
                     f"norm bound for {name!r} must be a nonnegative dyadic rational, got {bound}")
+            if bound > sys.float_info.max:
+                raise PreconditionError(f"norm bound for {name!r} is beyond float range")
             gens.append((name, bound))
         object.__setattr__(self, "generators", tuple(gens))
         if self.unit_generator not in seen:
@@ -67,6 +79,8 @@ class Presentation:
                 raise PreconditionError(
                     f"relation mentions undeclared generators: {sorted(stray)}")
         object.__setattr__(self, "relations", rels)
+        object.__setattr__(self, "_table", _DefectTable(
+            compile_polynomials(rels), np.array([float(bound) for _, bound in gens])))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -116,11 +130,8 @@ def eval_poly(p: NCPolynomial, rep: Representation) -> np.ndarray:
     return p.evaluate(rep.images, rep.dim)
 
 
-def relation_defect(pres: Presentation, rep: Representation) -> float:
-    """max over relation norms and norm-bound excesses at rep.
-
-    Zero exactly on representations; the unit must be imaged by the identity.
-    """
+def _defect_parts(pres: Presentation, rep: Representation) -> tuple[np.ndarray, np.ndarray]:
+    """Norm-bound excess per generator and the (relations, dim, dim) relation values."""
     unit_img = rep.images.get(pres.unit_generator)
     if unit_img is None:
         raise PreconditionError(f"missing image for generator {pres.unit_generator!r}")
@@ -130,15 +141,40 @@ def relation_defect(pres: Presentation, rep: Representation) -> float:
     for name in pres.names:
         if name not in rep.images:
             raise PreconditionError(f"missing image for generator {name!r}")
-    images = np.array([rep.images[name] for name in pres.names])
-    bounds = np.array([float(bound) for _, bound in pres.generators])
-    excess = op_norms(images) - bounds
+    excess = op_norms(np.array([rep.images[name] for name in pres.names])) - pres._table.bounds
     with np.errstate(over="ignore", invalid="ignore"):
-        relations = np.array([eval_poly(p, rep) for p in pres.relations],
-                             dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
+        relations = pres._table.relations.evaluate(rep.images, rep.dim)
     if not np.isfinite(relations).all():
         raise PreconditionError(f"a relation overflows float range at dimension {rep.dim}")
+    return excess, relations
+
+
+def relation_defect(pres: Presentation, rep: Representation) -> float:
+    """max over relation norms and norm-bound excesses at rep.
+
+    Zero exactly on representations; the unit must be imaged by the identity.
+    """
+    excess, relations = _defect_parts(pres, rep)
     return max(0.0, float(excess.max()), float(op_norms(relations).max(initial=0.0)))
+
+
+def _defect_below(pres: Presentation, rep: Representation, gate: Fraction) -> bool:
+    """relation_defect(pres, rep) < gate, with an SVD only where a cheap bound is unsure.
+
+    sqrt(|X|_1 |X|_inf) bounds |X| from above, so a relation whose bound is
+    below gate/2 has a computed norm below gate too; the factor 2 covers
+    the rounding of both.  Taking the roots before the product keeps it
+    from underflowing; an overflowing bound reads inf and falls through.
+    """
+    excess, relations = _defect_parts(pres, rep)
+    if not float(excess.max()) < gate:
+        return False
+    mags = np.abs(relations)
+    with np.errstate(over="ignore"):
+        bound = (np.sqrt(mags.sum(axis=-2).max(axis=-1, initial=0.0))
+                 * np.sqrt(mags.sum(axis=-1).max(axis=-1, initial=0.0)))
+    unsure = relations[~(bound < float(gate) / 2)]
+    return not len(unsure) or float(op_norms(unsure).max()) < gate
 
 
 @dataclass(frozen=True)
@@ -348,17 +384,15 @@ def _witness_matrix_units(k, pres, rep, eps, tol):
 
 
 def _exact_matrix_unit_images(k: int, dim: int, u: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """e{i}{j} as E_ij (x) 1 on dim = k * (dim // k), conjugated by u when given."""
+    units = np.eye(k * k, dtype=np.complex128).reshape(k * k, k, k)
     reps = dim // k
-    images = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            block = np.zeros((k, k), dtype=np.complex128)
-            block[i - 1, j - 1] = 1.0
-            img = np.kron(block, np.eye(reps, dtype=np.complex128))
-            if u is not None:
-                img = u @ img @ dagger(u)
-            images[f"e{i}{j}"] = img
-    return images
+    imgs = np.einsum("nab,cd->nacbd", units, np.eye(reps, dtype=np.complex128))
+    imgs = imgs.reshape(k * k, k * reps, k * reps)
+    if u is not None:
+        imgs = u @ imgs @ dagger(u)
+    return {f"e{i}{j}": img
+            for (i, j), img in zip(itertools.product(range(1, k + 1), repeat=2), imgs)}
 
 
 def _sample_matrix_units(k: int, rng, dim: int) -> Representation:
@@ -488,7 +522,7 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
             if examined >= budget:
                 return
             examined += 1
-            if not relation_defect(pres, rep) < gate:
+            if not _defect_below(pres, rep, gate):
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
                 image = eval_poly(q, rep)

@@ -103,6 +103,17 @@ def test_measurement_validation():
         Measurement(bad_pos)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_measurement_rejects_non_finite_entries_without_warning(entry):
+    """inf and NaN fail the finiteness check before any arithmetic could warn."""
+    ops = np.zeros((1, 2, 2, 2), dtype=complex)
+    ops[0, 0] = np.eye(2)
+    ops[0, 0, 0, 1] = entry
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        Measurement(ops)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_measurement_raises_iff_residual_or_hermitian_defect_exceeds_tolerance(seed):
     """Each row's povm_residual and the entrywise Hermitian defect decide, against 1e-10."""

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstarkit.errors import PreconditionError
 from cstarkit.operators import dagger, op_norm
-from cstarkit.polynomials import (GaussianRational, NCPolynomial, generator,
-                                  lipschitz_bound, triangle_norm_bound)
+from cstarkit.polynomials import (GaussianRational, NCPolynomial, compile_polynomials,
+                                  generator, lipschitz_bound, triangle_norm_bound)
 from cstarkit.sampling import rng_from_seed
 
 
@@ -126,6 +127,19 @@ def test_evaluate_adjoint_consistency():
     assert op_norm(left - right) < 1e-12
 
 
+def _term_by_term(p, images, dim):
+    """p at the images, one left-fold product and one added term at a time."""
+    expected = np.zeros((dim, dim), dtype=np.complex128)
+    for coeff, word in p.terms:
+        acc = None
+        for symbol in word:
+            img = images[symbol.rstrip("*")]
+            img = dagger(img) if symbol.endswith("*") else img
+            acc = img if acc is None else acc @ img
+        expected += complex(coeff) * acc
+    return expected
+
+
 def test_evaluate_matches_term_by_term_reference():
     """Coefficients converted once and images resolved once give the same bits."""
     rng = rng_from_seed(73)
@@ -135,17 +149,37 @@ def test_evaluate_matches_term_by_term_reference():
     a, b = generator("a"), generator("b")
     i = GaussianRational(Fraction(1, 3), Fraction(-2, 7))
     p = i * (a * b * a.adjoint()) + Fraction(5, 9) * (b * b) - a.adjoint() * a + a
-    expected = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, word in p.terms:
-        acc = None
-        for symbol in word:
-            img = images[symbol.rstrip("*")]
-            img = dagger(img) if symbol.endswith("*") else img
-            acc = img if acc is None else acc @ img
-        expected += complex(coeff) * acc
-    assert np.array_equal(p.evaluate(images, dim), expected)
+    assert np.array_equal(p.evaluate(images, dim), _term_by_term(p, images, dim))
     assert p == NCPolynomial(p.terms) and hash(p) == hash(NCPolynomial(p.terms))
     assert "complex" not in repr(p)
+
+
+_LETTERS = ("a", "a*", "b", "b*", "c", "c*")
+_FRACTIONS = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@st.composite
+def _polynomial(draw):
+    """Up to five terms: words of length 1-4 over a, b, c and their stars."""
+    words = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=4)
+    coeffs = st.builds(GaussianRational, _FRACTIONS, _FRACTIONS)
+    return NCPolynomial(tuple(draw(st.lists(st.tuples(coeffs, words), max_size=5))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(polys=st.lists(_polynomial(), max_size=4), dim=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_compiled_evaluation_is_bit_identical_to_term_by_term(polys, dim, seed):
+    """One compiled table for several polynomials, or one per polynomial: the same bits."""
+    rng = rng_from_seed(seed)
+    images = {name: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+              for name in "abc"}
+    stacked = compile_polynomials(polys).evaluate(images, dim)
+    assert stacked.shape == (len(polys), dim, dim)
+    for p, value in zip(polys, stacked):
+        expected = _term_by_term(p, images, dim)
+        assert value.tobytes() == expected.tobytes()
+        assert p.evaluate(images, dim).tobytes() == expected.tobytes()
 
 
 def test_evaluate_missing_image():

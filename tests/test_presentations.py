@@ -20,7 +20,7 @@ from cstarkit.presentations import (Presentation, Representation,
                                     registered_presentation, relation_defect,
                                     stability_witness, toeplitz,
                                     trivial_presentation)
-from cstarkit.presentations import _exact_matrix_unit_images, _subseed
+from cstarkit.presentations import _defect_below, _exact_matrix_unit_images, _subseed
 from cstarkit.sampling import (random_projection, random_unitary,
                                rng_from_seed)
 
@@ -195,6 +195,70 @@ def test_relation_defect_matches_per_relation_loop():
             if name != "e"}
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         relation_defect(matrix_units(2), Representation(2, huge))
+
+
+def test_screened_gate_decides_as_relation_defect():
+    """_defect_below(pres, rep, gate) is relation_defect(pres, rep) < gate, screen or SVD."""
+    rng = rng_from_seed(84)
+    gates = [Fraction(1, 2 ** m) for m in (1, 4, 8, 10, 11, 13, 30)]
+    cleared = unsure = 0
+    for pres_id in REGISTERED_IDS:
+        pres = registered_presentation(pres_id).presentation
+        for rep in RepresentationCatalog(per_round=3, seed=7).batch(pres_id, 0):
+            images = {n: img for n, img in rep.images.items() if n != pres.unit_generator}
+            for scale in (0.0, 2.0 ** -12, 2.0 ** -10, 2.0 ** -9, 0.5):
+                noisy = noisy_rep(images, rng, scale, rep.dim)
+                defect = relation_defect(pres, noisy)
+                bounds = [np.sqrt(np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf))
+                          for x in (eval_poly(p, noisy) for p in pres.relations)]
+                for gate in gates:
+                    assert _defect_below(pres, noisy, gate) == (defect < gate), pres_id
+                    cleared += any(b < gate / 2 for b in bounds)
+                    unsure += any(b >= gate / 2 for b in bounds)
+    assert cleared > 100 and unsure > 100
+    assert _defect_below(trivial_presentation(), Representation(3, {}), Fraction(1, 2 ** 60))
+
+
+def test_presentation_compiles_relations_once(monkeypatch):
+    """One compile per Presentation, none per representation the enumerator examines."""
+    import cstarkit.polynomials as polynomials
+    import cstarkit.presentations as presentations
+    compiled = []
+
+    def counted(polys, _original=polynomials.compile_polynomials):
+        compiled.append(len(polys))
+        return _original(polys)
+    monkeypatch.setattr(presentations, "compile_polynomials", counted)
+    pres = free_unitaries(2)
+    assert compiled == [len(pres.relations)] == [4]
+    fam = registered_presentation("matrix_units:3")
+    table = fam.presentation._table
+    q = generator("e12") + generator("e21")
+    monkeypatch.setattr(polynomials, "compile_polynomials", lambda polys: pytest.fail("compiled"))
+    out = list(norm_lower_enumerate(fam.presentation, q, RepresentationCatalog(per_round=8),
+                                    "matrix_units:3", 40))
+    assert out and fam.presentation._table is table and compiled == [4]
+    assert trivial_presentation()._table.relations.evaluate({}, 2).shape == (0, 2, 2)
+
+
+def test_matrix_unit_images_match_kron_reference():
+    """The stacked einsum images are the per-unit kron images, conjugated, bit for bit."""
+    rng = rng_from_seed(85)
+    for k in (1, 2, 3, 4):
+        for dim in (k, 2 * k + 1, 3 * k):
+            full = k * (dim // k)
+            for u in (None, random_unitary(rng, full)):
+                images = _exact_matrix_unit_images(k, dim, u)
+                assert list(images) == [f"e{i}{j}" for i in range(1, k + 1)
+                                        for j in range(1, k + 1)]
+                for i in range(1, k + 1):
+                    for j in range(1, k + 1):
+                        block = np.zeros((k, k), dtype=np.complex128)
+                        block[i - 1, j - 1] = 1.0
+                        expected = np.kron(block, np.eye(dim // k, dtype=np.complex128))
+                        if u is not None:
+                            expected = u @ expected @ dagger(u)
+                        assert images[f"e{i}{j}"].tobytes() == expected.tobytes()
 
 
 # --- registered families and modulus tables ------------------------------------------
