@@ -46,6 +46,9 @@ from .search import (CandidateStream, Witness, classical_value,
 _COMMANDS = ("game-value", "seesaw", "semidecide", "perturb-suite",
              "norm-enumerate", "classical-value")
 _SUITE_EPS = (0.5, 0.25, 0.125)
+# largest matrix dimension a command accepts; desk scale with room to spare,
+# far below sizes whose draws would exhaust memory
+_MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,10 @@ class RunConfig:
         if self.seed < 0:
             raise PreconditionError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        for d in (*self.dims, self.dim):
+            if d > _MAX_DIM:
+                raise PreconditionError(
+                    f"dimension {d} is above the supported {_MAX_DIM}")
 
     def tolerance(self) -> Tolerance:
         kwargs = {}
@@ -330,8 +337,10 @@ def _parse_dims(text: str) -> tuple:
         for piece in text.split(","):
             piece = piece.strip()
             if ".." in piece:
-                lo, hi = piece.split("..")
-                dims.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(end) for end in piece.split(".."))
+                # one entry past the cap is enough for RunConfig to reject,
+                # so a huge range is never built
+                dims.extend(range(lo, min(hi, max(lo, _MAX_DIM + 1)) + 1))
             else:
                 dims.append(int(piece))
         if not dims or any(d < 1 for d in dims):

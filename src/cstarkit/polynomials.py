@@ -5,14 +5,16 @@ generator symbols; a trailing ``*`` on a symbol means the adjoint of that
 generator's image.  Constants are expressed through a distinguished unit
 generator, so the zero polynomial is the only one without terms.
 Coefficients stay exact Fractions; evaluation reads complex copies from a
-monomial table (``compile_polynomials``) compiled once per polynomial.
+monomial table (``compile_polynomials``) compiled on a polynomial's first
+evaluation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -143,8 +145,6 @@ class NCPolynomial:
     """
 
     terms: tuple
-    # the terms as a monomial table, compiled once for evaluate
-    _compiled: CompiledPolynomials = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         merged: dict[tuple[str, ...], GaussianRational] = {}
@@ -157,8 +157,11 @@ class NCPolynomial:
             for word, coeff in sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0]))
             if not coeff.is_zero
         )
+        # the complex copies are compiled lazily, but a coefficient beyond
+        # float range raises OverflowError here, where parsers catch it
+        for coeff, _ in canon:
+            complex(coeff)
         object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "_compiled", compile_polynomials((self,)))
 
     @classmethod
     def zero(cls) -> "NCPolynomial":
@@ -200,6 +203,11 @@ class NCPolynomial:
 
     def __rmul__(self, value) -> "NCPolynomial":
         return self.scalar_mul(value)
+
+    @cached_property
+    def _compiled(self) -> CompiledPolynomials:
+        """The terms as a monomial table, compiled on the first evaluate."""
+        return compile_polynomials((self,))
 
     def evaluate(self, images: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
         """Substitute matrices for symbols (star = conjugate transpose)."""

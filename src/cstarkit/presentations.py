@@ -29,8 +29,9 @@ from .errors import HypothesisError, PreconditionError, UnsupportedPresentationE
 from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm, op_norms
 from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials, generator,
                           lipschitz_bound)
-from .rounding import (_check_exact, _isometry_cut, _report, isometry_defect,
-                       round_to_projection, round_to_pvm, round_to_unitary)
+from .rounding import (_check_exact, _check_moved, _isometry_cut, isometry_defect,
+                       round_to_projection, round_to_pvm, round_to_unitary,
+                       stability_modulus)
 from .sampling import random_projection, random_unitary, rng_from_seed
 
 
@@ -158,7 +159,7 @@ def relation_defect(pres: Presentation, rep: Representation) -> float:
     return max(0.0, float(excess.max()), float(op_norms(relations).max(initial=0.0)))
 
 
-def _defect_below(pres: Presentation, rep: Representation, gate: Fraction) -> bool:
+def _defect_below(pres: Presentation, rep: Representation, gate: Fraction | float) -> bool:
     """relation_defect(pres, rep) < gate, with an SVD only where a cheap bound is unsure.
 
     sqrt(|X|_1 |X|_inf) bounds |X| from above, so a relation whose bound is
@@ -308,12 +309,11 @@ def registered_presentation(pres_id: str) -> RegisteredFamily:
     # the lambdas look the rounding and sampling functions up at call time,
     # so a rebinding of those module attributes reaches the cached rows too
     if head == "free_unitaries" and size is not None:
-        return _one_by_one(free_unitaries(size), StabilityModulusTable(pres_id, lambda n: n + 1),
+        return _one_by_one(free_unitaries(size), pres_id, "unitary",
                            lambda a, eps, tol: round_to_unitary(a, eps, tol),
                            lambda rng, dim: random_unitary(rng, dim), (1.0, -1.0))
     if head == "projections" and size is not None:
-        return _one_by_one(projections_presentation(size),
-                           StabilityModulusTable(pres_id, lambda n: 2 * n + 4),
+        return _one_by_one(projections_presentation(size), pres_id, "projection",
                            lambda a, eps, tol: round_to_projection(a, eps, tol),
                            lambda rng, dim: random_projection(rng, dim), (0.0, 1.0))
     if head == "matrix_units" and size is not None:
@@ -326,13 +326,18 @@ def registered_presentation(pres_id: str) -> RegisteredFamily:
         f"presentation id {pres_id!r} has no registered stability witness")
 
 
-def _one_by_one(pres: Presentation, table: StabilityModulusTable, round_one, draw,
+def _one_by_one(pres: Presentation, pres_id: str, kind: str, round_one, draw,
                 values: tuple[float, float]) -> RegisteredFamily:
     """Row of a family whose non-unit generators are rounded and drawn one at a time.
 
-    The canonical representations image every generator by the same scalar.
+    round_one is the `kind` rounder, so the modulus table maps n to m with
+    2^-m = stability_modulus(kind, 2^-n): the relation defect bounds each
+    generator's rounding defect.  The canonical representations image every
+    generator by the same scalar.
     """
     names = tuple(name for name in pres.names if name != pres.unit_generator)
+    table = StabilityModulusTable(
+        pres_id, lambda n: -ceil_log2(stability_modulus(kind, Fraction(1, 2 ** n))))
 
     def witness(pres, rep, eps, tol):
         images = {name: round_one(rep.images[name], eps, tol)[0] for name in names}
@@ -408,7 +413,9 @@ def stability_witness(pres_id: str, rep: Representation, eps: float,
 
     The relation defect must not exceed 2^-m for m = table(n), where 2^-n is
     the largest dyadic target at or below eps; the output is an exact
-    representation (defect at float scale) within eps of the input.
+    representation (defect at float scale) within eps of the input.  Both
+    gates are decided by _defect_below; the exact relation_defect is computed
+    only where that cannot confirm a gate, to decide it and word a failure.
     """
     family = registered_presentation(pres_id)
     if not eps > 0:
@@ -416,17 +423,20 @@ def stability_witness(pres_id: str, rep: Representation, eps: float,
     n = max(1, ceil_log2(1 / Fraction(eps)))
     m = family.table.of(n)
     gate = Fraction(1, 2 ** m)
-    defect = relation_defect(family.presentation, rep)
-    if defect > gate:
-        raise HypothesisError(
-            f"relation defect too large for target 2^-{n} under {pres_id}",
-            defect=defect, bound=float(gate))
-    out = family.witness(family.presentation, rep, 2.0 ** -n, tol)
+    pres = family.presentation
+    if not _defect_below(pres, rep, gate):
+        defect = relation_defect(pres, rep)
+        if defect > gate:
+            raise HypothesisError(
+                f"relation defect too large for target 2^-{n} under {pres_id}",
+                defect=defect, bound=float(gate))
+    out = family.witness(pres, rep, 2.0 ** -n, tol)
+    if not _defect_below(pres, out, tol.algebraic):
+        _check_exact(relation_defect(pres, out), tol)
     moves = np.array([out.images[name] - rep.images[name]
-                      for name in family.presentation.names if name in rep.images],
+                      for name in pres.names if name in rep.images],
                      dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
-    _report(defect, float(op_norms(moves).max(initial=0.0)),
-            relation_defect(family.presentation, out), eps, tol)
+    _check_moved(float(op_norms(moves).max(initial=0.0)), eps)
     return out
 
 

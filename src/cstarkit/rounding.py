@@ -18,16 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .dyadic import largest_pow2_leq
 from .errors import HypothesisError
-from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, herm_part,
-                        _ordered_sum, hermitian_eig, identity_like, op_norm,
-                        op_norms, polar_unitary)
+from .operators import (DEFAULT_TOL, Tolerance, _as_stack, as_operator, dagger,
+                        herm_part, _ordered_sum, hermitian_eig, identity_like,
+                        op_norm, op_norms, polar_unitary)
 
-ROUNDING_KINDS = ("unitary", "projection", "partial_isometry", "povm", "pvm")
+# the guaranteeing bound of each rounding kind, as a function of exact eps
+_BOUNDS = {
+    "unitary": lambda e: e / 2,
+    "projection": lambda e: e * e / 16,
+    "partial_isometry": lambda e: e ** 8 / 2 ** 17,
+    "povm": lambda e: e * e / 64,
+    "pvm": lambda e: e * e / 64,
+}
+ROUNDING_KINDS = tuple(_BOUNDS)
 
 # round_to_pvm entry budget and per-stage drift gate (see round_to_pvm)
 PVM_ENTRY_BUDGET = Fraction(1, 256)
@@ -47,28 +56,21 @@ class RoundingReport:
     exactness_residual: float
 
 
+@cache
 def stability_modulus(kind: str, eps: float) -> Fraction:
     """Admissible input defect for rounding `kind` to within eps.
 
-    Returns the largest power of two below half (or the squared/8th-power
-    scaling of) the guaranteeing bound, as an exact dyadic rational.
+    Returns the largest power of two at or below the kind's guaranteeing
+    bound (see the module docstring), as an exact dyadic rational; eps may
+    be a float or an exact Fraction, and each (kind, eps) is computed once.
     Defined on eps in (0, 1]; the rounding operations themselves demand a
     strict eps < 1.
     """
-    if kind not in ROUNDING_KINDS:
+    if kind not in _BOUNDS:
         raise ValueError(f"unknown rounding kind {kind!r}; expected one of {ROUNDING_KINDS}")
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-    e = Fraction(eps)
-    if kind == "unitary":
-        bound = e / 2
-    elif kind == "projection":
-        bound = e * e / 16
-    elif kind == "partial_isometry":
-        bound = e ** 8 / 2 ** 17
-    else:  # povm, pvm
-        bound = e * e / 64
-    return largest_pow2_leq(bound)
+    return largest_pow2_leq(_BOUNDS[kind](Fraction(eps)))
 
 
 def _check(kind: str, eps: float, defect: float) -> float:
@@ -81,23 +83,33 @@ def _check(kind: str, eps: float, defect: float) -> float:
     return delta
 
 
-def isometry_defect(a, p1, p2) -> float:
-    """max(|a^H a - p1|, |a a^H - p2|); with p1 = p2 = 1, the unitary defect."""
-    a = as_operator(a)
-    return max(op_norm(dagger(a) @ a - p1), op_norm(a @ dagger(a) - p2))
+def _larger_norm(first: np.ndarray, second: np.ndarray):
+    """max(|first|, |second|) per matrix, from one op_norms call; a float for 2-D terms."""
+    norms = op_norms(np.stack([first, second]))
+    larger = _pymax(norms[0], norms[1])
+    return float(larger) if larger.ndim == 0 else larger
 
 
-def projection_defect(a) -> float:
-    """max(|a - a^H|, |a^2 - a|)."""
-    a = as_operator(a)
-    return max(op_norm(a - dagger(a)), op_norm(a @ a - a))
+def isometry_defect(a, p1, p2):
+    """max(|a^H a - p1|, |a a^H - p2|); with p1 = p2 = 1, the unitary defect.
+
+    a is a matrix or a (..., d, d) stack (p1 and p2 broadcast against it);
+    the result is a float for a matrix and an array of shape (...) for a stack.
+    """
+    a = _as_stack(a)
+    return _larger_norm(dagger(a) @ a - p1, a @ dagger(a) - p2)
+
+
+def projection_defect(a):
+    """max(|a - a^H|, |a^2 - a|), per matrix of a (..., d, d) stack as isometry_defect."""
+    a = _as_stack(a)
+    return _larger_norm(a - dagger(a), a @ a - a)
 
 
 def pvm_defect(mats) -> float:
     """|sum A_i - 1| joined with the projection defect of every member."""
     family = _family(mats)
-    members = op_norms(np.concatenate([family - dagger(family), family @ family - family]))
-    return max(float(_sum_defect(family)), float(members.max()))
+    return max(float(_sum_defect(family)), float(projection_defect(family).max()))
 
 
 def _family(mats) -> np.ndarray:
@@ -299,10 +311,16 @@ def _check_exact(residual: float, tol: Tolerance) -> None:
         raise ArithmeticError(f"rounding missed exactness: residual {residual:.3e}")
 
 
+def _check_moved(output_distance: float, eps: float) -> None:
+    # unreachable once a hypothesis passed, as in _check_exact
+    if not output_distance < eps:
+        raise ArithmeticError(f"rounding moved too far: {output_distance:.6f} >= {eps}")
+
+
 def _report(input_defect: float, output_distance: float, exactness_residual: float,
             eps: float | None, tol: Tolerance) -> RoundingReport:
     """The report of a rounding whose output is exact and, given eps, moved less than eps."""
     _check_exact(exactness_residual, tol)
-    if eps is not None and not output_distance < eps:
-        raise ArithmeticError(f"rounding moved too far: {output_distance:.6f} >= {eps}")
+    if eps is not None:
+        _check_moved(output_distance, eps)
     return RoundingReport(input_defect, output_distance, exactness_residual)

@@ -136,23 +136,23 @@ def almost_partial_isometry_instance(rng: np.random.Generator, dim: int, delta: 
     return _shrink(build, lambda a: isometry_defect(a, p1, p2), delta, delta / 4), v, p1, p2
 
 
-def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
-    """(family, base): family within povm_defect <= delta of the exact base."""
-    base = random_povm(rng, dim, k)
-    bumps = [random_hermitian(rng, dim, norm=1.0) for _ in range(k)]
+def _almost_family(rng: np.random.Generator, base: list, measure, delta: float,
+                   start_scale: float):
+    """(family, base): base plus one shrinking Hermitian bump per member, measure <= delta."""
+    dim = base[0].shape[0]
+    bumps = [random_hermitian(rng, dim, norm=1.0) for _ in base]
 
     def build(scale):
         return [b + scale * h for b, h in zip(base, bumps)]
 
-    return _shrink(build, povm_defect, delta, delta / (2 * k)), base
+    return _shrink(build, measure, delta, start_scale), base
+
+
+def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
+    """(family, base): family within povm_defect <= delta of the exact base."""
+    return _almost_family(rng, random_povm(rng, dim, k), povm_defect, delta, delta / (2 * k))
 
 
 def almost_pvm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
     """(family, base): family within the PVM entry hypothesis at delta."""
-    base = random_pvm(rng, dim, k)
-    bumps = [random_hermitian(rng, dim, norm=1.0) for _ in range(k)]
-
-    def build(scale):
-        return [b + scale * h for b, h in zip(base, bumps)]
-
-    return _shrink(build, pvm_defect, delta, delta / (4 * k)), base
+    return _almost_family(rng, random_pvm(rng, dim, k), pvm_defect, delta, delta / (4 * k))

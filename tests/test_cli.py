@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cstarkit
-from cstarkit.cli import console_main
+from cstarkit.cli import _parse_dims, console_main
 from cstarkit.formats import parse_polynomial, sha256_file
 from cstarkit.presentations import (RepresentationCatalog, norm_lower_enumerate,
                                     registered_presentation)
@@ -93,6 +93,28 @@ def test_invalid_parameters_exit_three(tmp_path, capsys, argv):
     assert any(line.startswith("precondition error: ") for line in err_lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ["game-value", "--game", DATA / "chsh.json", "--budget", 50, "--dims", "2,20000"],
+    ["semidecide", "--game", DATA / "chsh.json", "--budget", 50, "--dims", "65"],
+    ["seesaw", "--game", DATA / "chsh.json", "--iters", 1, "--dim", 65],
+    ["perturb-suite", "--budget", 1, "--dims", "2..100"],
+    ["norm-enumerate", "--pres-id", "free_unitaries:1", "--poly", "u1", "--dims", "30000"],
+])
+def test_dimension_above_cap_exit_three(capsys, argv):
+    """Every dimension flag stops at 64 before anything is drawn."""
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error: dimension ")
+    assert "is above the supported 64" in err
+
+
+def test_dims_range_past_cap_is_not_built():
+    """A range past the cap stops one entry beyond it, which RunConfig rejects."""
+    assert _parse_dims("2..100000") == tuple(range(2, 66))
+    assert _parse_dims("3,100..100000") == (3, 100)
+    assert _parse_dims("60..64") == tuple(range(60, 65))
+
+
 # Each command with desk-scale defaults (later flags override them) and the
 # numeric flags it takes; fuzzed values mix out-of-range, non-numeric and
 # valid ones.
@@ -110,7 +132,7 @@ _FUZZ_COMMANDS = {
 }
 _FUZZ_COMMON = ("--seed", "--tol-algebraic", "--tol-spectral")
 _FUZZ_INT = {"--seed": ("1", "3"), "--budget": ("1", "20"), "--iters": ("1", "2"),
-             "--dim": ("1", "4"), "--grid-denominator": ("2", "1024")}
+             "--dim": ("1", "4", "100000"), "--grid-denominator": ("2", "1024")}
 _FUZZ_FLOAT = {"--delta": ("0.05", "1"), "--mu": ("3",), "--tol-algebraic": ("1e-12", "1e-6"),
                "--tol-spectral": ("1e-12", "1e-6")}
 

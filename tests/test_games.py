@@ -371,8 +371,11 @@ def test_commutator_defects_match_per_pair_loop():
         assert table.shape == (n_a, n_b)
         for x in range(n_a):
             for y in range(n_b):
-                expected = sum(op_norm(alice[x, a] @ bob[y, b] - bob[y, b] @ alice[x, a])
-                               for a in range(k_a) for b in range(k_b))
+                # term by term from 0.0: Python 3.12+ compensates a float sum()
+                expected = 0.0
+                for a in range(k_a):
+                    for b in range(k_b):
+                        expected += op_norm(alice[x, a] @ bob[y, b] - bob[y, b] @ alice[x, a])
                 assert table[x, y] == expected
                 assert table[x, y] > 0
         check = is_delta_op_commuting(Measurement(alice), Measurement(bob), 100.0)

@@ -234,10 +234,12 @@ def test_presentation_compiles_relations_once(monkeypatch):
     fam = registered_presentation("matrix_units:3")
     table = fam.presentation._table
     q = generator("e12") + generator("e21")
-    monkeypatch.setattr(polynomials, "compile_polynomials", lambda polys: pytest.fail("compiled"))
+    monkeypatch.setattr(polynomials, "compile_polynomials", counted)
+    compiled.clear()
     out = list(norm_lower_enumerate(fam.presentation, q, RepresentationCatalog(per_round=8),
                                     "matrix_units:3", 40))
-    assert out and fam.presentation._table is table and compiled == [4]
+    # q compiles on its first evaluate; no representation compiles anything
+    assert out and fam.presentation._table is table and compiled == [1]
     assert trivial_presentation()._table.relations.evaluate({}, 2).shape == (0, 2, 2)
 
 
@@ -315,6 +317,16 @@ def test_modulus_tables_total_and_monotone():
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("size", [1, 2, 81])
+def test_one_by_one_tables_are_the_rounder_moduli(size):
+    """free_unitaries:N and projections:N read the unitary and projection moduli at 2^-n."""
+    unitaries = registered_presentation(f"free_unitaries:{size}").table
+    projections = registered_presentation(f"projections:{size}").table
+    for n in range(0, 301):
+        assert unitaries.of(n) == n + 1
+        assert projections.of(n) == 2 * n + 4
+
+
 def test_modulus_table_rejects_bad_argument():
     table = registered_presentation("trivial").table
     with pytest.raises(PreconditionError):
@@ -370,6 +382,44 @@ def test_witness_rejects_nonpositive_eps():
     rep = Representation(1, {"u1": np.array([[1.0]])})
     with pytest.raises(PreconditionError):
         stability_witness("free_unitaries:1", rep, 0.0)
+
+
+def test_witness_decides_gates_without_exact_defect(monkeypatch):
+    """Admissible input: no relation_defect call; inadmissible: the measured defect."""
+    import cstarkit.presentations as presentations
+    fam = registered_presentation("matrix_units:3")
+    rng = rng_from_seed(86)
+    m = fam.table.of(4)
+    rep = noisy_rep(_exact_matrix_unit_images(3, 6, random_unitary(rng, 6)), rng,
+                    2.0 ** -m / 64, 6)
+    far = noisy_rep(_exact_matrix_unit_images(3, 6), rng, 2.0 ** -m * 4, 6)
+    defect = relation_defect(fam.presentation, far)
+    assert 0 < relation_defect(fam.presentation, rep) <= 2.0 ** -m < defect
+    calls = []
+
+    def counted(pres, representation, _original=presentations.relation_defect):
+        calls.append(representation)
+        return _original(pres, representation)
+    monkeypatch.setattr(presentations, "relation_defect", counted)
+    out = stability_witness("matrix_units:3", rep, 2.0 ** -4)
+    assert calls == []
+    assert relation_defect(fam.presentation, out) <= 1e-10
+    with pytest.raises(HypothesisError) as info:
+        stability_witness("matrix_units:3", far, 2.0 ** -4)
+    assert calls == [far]
+    assert info.value.defect == defect
+
+
+def test_witness_raises_on_inexact_output(monkeypatch):
+    """A witness that returns a non-representation fails the exactness check."""
+    import cstarkit.presentations as presentations
+    rep = Representation(1, {"u1": np.array([[1.0]])})
+    row = registered_presentation("free_unitaries:1")
+    broken = row._replace(
+        witness=lambda pres, rep, eps, tol: Representation(1, {"u1": np.array([[1.001]])}))
+    monkeypatch.setattr(presentations, "registered_presentation", lambda pres_id: broken)
+    with pytest.raises(ArithmeticError, match="rounding missed exactness"):
+        stability_witness("free_unitaries:1", rep, 0.5)
 
 
 def test_witness_trivial_presentation():

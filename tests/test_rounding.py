@@ -456,6 +456,26 @@ def test_defects_vanish_on_exact_and_match_readme(dim):
         assert 0 < expected <= delta
 
 
+def test_stacked_defects_match_per_matrix_bit_for_bit():
+    """A (..., d, d) stack gives each matrix's max(op_norm, op_norm); a matrix gives a float."""
+    rng = rng_from_seed(57)
+    for dim in range(1, 17):
+        stack = (rng.normal(size=(2, 3, dim, dim))
+                 + 1j * rng.normal(size=(2, 3, dim, dim))) / dim
+        p1, p2 = random_projection(rng, dim), random_projection(rng, dim)
+        projection = projection_defect(stack)
+        isometry = isometry_defect(stack, p1, p2)
+        assert projection.shape == isometry.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            a = stack[index]
+            expected = max(op_norm(a - a.conj().T), op_norm(a @ a - a))
+            assert type(projection_defect(a)) is float
+            assert projection_defect(a) == projection[index] == expected
+            expected = max(op_norm(a.conj().T @ a - p1), op_norm(a @ a.conj().T - p2))
+            assert type(isometry_defect(a, p1, p2)) is float
+            assert isometry_defect(a, p1, p2) == isometry[index] == expected
+
+
 def test_pvm_defect_validates_family():
     with pytest.raises(ValueError):
         pvm_defect([])
