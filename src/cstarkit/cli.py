@@ -32,13 +32,13 @@ from .games import Measurement, NonlocalGame, game_value
 from .operators import DEFAULT_TOL, Tolerance, op_norm  # noqa: F401
 from .presentations import (RepresentationCatalog, norm_lower_enumerate,
                             registered_presentation)
-from .rounding import (ROUNDING_KINDS, round_to_partial_isometry,
-                       round_to_povm, round_to_projection, round_to_pvm,
-                       round_to_unitary, stability_modulus)
-from .sampling import (almost_partial_isometry_instance,
-                       almost_povm_instance, almost_projection_instance,
-                       almost_pvm_instance, almost_unitary_instance,
-                       rng_from_seed)
+from .rounding import (ROUNDING_KINDS, _round_partial_isometries, _round_povms,
+                       _round_projections, _round_pvms, _round_unitaries,
+                       stability_modulus)
+from .sampling import (_draw_partial_isometry, _draw_povm, _draw_projection,
+                       _draw_pvm, _draw_unitary, _partial_isometry_instances,
+                       _povm_instances, _projection_instances, _pvm_instances,
+                       _unitary_instances, rng_from_seed)
 from .search import (CandidateStream, Witness, classical_value,
                      constant_family, evaluate_stream, seesaw_optimize,
                      semidecide_membership)
@@ -46,6 +46,12 @@ from .search import (CandidateStream, Witness, classical_value,
 _COMMANDS = ("game-value", "seesaw", "semidecide", "perturb-suite",
              "norm-enumerate", "classical-value")
 _SUITE_EPS = (0.5, 0.25, 0.125)
+# instances per eps cell that perturb-suite draws and rounds together
+_SUITE_BLOCK = 32
+# entries a perturb-suite stack of base matrices (or base families) holds at
+# most: large matrices gain little from stacking, and bounded stacks keep the
+# peak memory of a run near that of rounding one instance at a time
+_SUITE_STACK_ENTRIES = 2048
 # largest matrix dimension a command accepts; desk scale with room to spare,
 # far below sizes whose draws would exhaust memory
 _MAX_DIM = 64
@@ -222,46 +228,109 @@ def _cmd_seesaw(config: RunConfig, tol: Tolerance):
     return 0, inputs, records, summary, lines
 
 
-def _suite_trial(kind: str, rng, dim: int, k: int, eps: float, tol: Tolerance):
-    """One admissible instance of `kind`, rounded; (residual, distance)."""
-    budget = float(stability_modulus(kind, eps))
+def _front_padded(parts) -> np.ndarray:
+    """The parts as one stack, shorter ones zero-padded in front along their first axis."""
+    longest = max(len(part) for part in parts)
+    if all(len(part) == longest for part in parts):
+        return np.array(parts)
+    stack = np.zeros((len(parts), longest) + parts[0].shape[1:], parts[0].dtype)
+    for item, part in zip(stack, parts):
+        item[longest - len(part):] = part
+    return stack
+
+
+def _suite_block(kind: str, rngs: list, dims: np.ndarray, first: int, count: int,
+                 tol: Tolerance):
+    """Instances first .. first + count - 1 of every eps cell of `kind`, rounded.
+
+    Each cell's stream is drawn in order; then the draws of each dimension
+    are shrunk and rounded as one stack, or as a few when its base stack
+    would hold more than _SUITE_STACK_ENTRIES entries.  Returns the
+    per-cell (residual, distance) maxima, shape (cells, 2), and the
+    refusals as ((cell, index), error) pairs.
+    """
+    groups = {}
+    for cell, rng in enumerate(rngs):
+        for index in range(first, first + count):
+            dim = int(rng.choice(dims))
+            k = int(rng.integers(2, 5))
+            if kind == "unitary":
+                draw = _draw_unitary(rng, dim)
+            elif kind == "projection":
+                draw = _draw_projection(rng, dim)
+            elif kind == "partial_isometry":
+                draw = _draw_partial_isometry(rng, dim)
+            elif kind == "povm":
+                draw = _draw_povm(rng, dim, k)
+            else:
+                draw = _draw_pvm(rng, dim, k)
+            groups.setdefault(dim, []).append(((cell, index), draw))
+    worst = np.zeros((len(rngs), 2))
+    refusals = []
+    for dim in list(groups):
+        # popped, so each group's draws are freed once it is rounded
+        group = groups.pop(dim)
+        size = max(1, _SUITE_STACK_ENTRIES // max(draw[0].size for _, draw in group))
+        for start in range(0, len(group), size):
+            ids, draws = zip(*group[start:start + size])
+            cells = [cell for cell, _ in ids]
+            errors, residual, distance = _suite_group(
+                kind, draws, [_SUITE_EPS[c] for c in cells], tol)
+            refusals += [(i, e) for i, e in zip(ids, errors) if e is not None]
+            np.maximum.at(worst, (cells, 0), residual)
+            np.maximum.at(worst, (cells, 1), distance)
+    return worst, refusals
+
+
+def _suite_group(kind: str, draws: tuple, eps: list, tol: Tolerance):
+    """Shrink and round one dimension's draws as one stack: (errors, residual, distance).
+
+    POVM and PVM families are zero-padded in front to the group's largest
+    outcome count, which moves no bit of their rounding.
+    """
+    stacks = [_front_padded(part) for part in zip(*draws)]
+    budget = np.array([float(stability_modulus(kind, e)) for e in eps])
     if kind == "unitary":
-        a, _ = almost_unitary_instance(rng, dim, budget)
-        _, report = round_to_unitary(a, eps, tol)
+        a, _ = _unitary_instances(*stacks, budget)
+        rounded = _round_unitaries(a, eps, tol)
     elif kind == "projection":
-        a, _ = almost_projection_instance(rng, dim, budget)
-        _, report = round_to_projection(a, eps, tol)
+        a, _ = _projection_instances(*stacks, budget)
+        rounded = _round_projections(a, eps, tol)
     elif kind == "partial_isometry":
-        a, _, p1, p2 = almost_partial_isometry_instance(rng, dim, budget)
-        _, report = round_to_partial_isometry(a, p1, p2, eps, tol)
-    elif kind == "povm":
-        family, _ = almost_povm_instance(rng, dim, k, budget)
-        _, report = round_to_povm(family, tol)
+        a, _, p1, p2 = _partial_isometry_instances(*stacks, budget)
+        rounded = _round_partial_isometries(a, p1, p2, eps, tol)
     else:
-        family, _ = almost_pvm_instance(rng, dim, k, budget)
-        _, report = round_to_pvm(family, tol)
-    return report.exactness_residual, report.output_distance
+        members = np.array([len(draw[0]) for draw in draws])
+        if kind == "povm":
+            family, _ = _povm_instances(*stacks, budget, members)
+            rounded = _round_povms(family, tol)
+        else:
+            family, _ = _pvm_instances(*stacks, budget, members)
+            rounded = _round_pvms(family, tol, members)
+    return rounded.errors, rounded.residual, rounded.distance
 
 
 def _cmd_perturb_suite(config: RunConfig, tol: Tolerance):
     records = []
     all_ok = True
     lines = []
-    dims = [d for d in config.dims if d >= 2]
-    if not dims:
+    dims = np.array([d for d in config.dims if d >= 2])
+    if not len(dims):
         raise PreconditionError("perturb-suite needs at least one dim >= 2")
-    for kind in ROUNDING_KINDS:
-        for eps in _SUITE_EPS:
-            rng = rng_from_seed((config.seed, ROUNDING_KINDS.index(kind),
-                                 _SUITE_EPS.index(eps)))
-            worst_residual = 0.0
-            worst_distance = 0.0
-            for _ in range(config.budget):
-                dim = int(rng.choice(dims))
-                k = int(rng.integers(2, 5))
-                residual, distance = _suite_trial(kind, rng, dim, k, eps, tol)
-                worst_residual = max(worst_residual, residual)
-                worst_distance = max(worst_distance, distance)
+    for kind_code, kind in enumerate(ROUNDING_KINDS):
+        rngs = [rng_from_seed((config.seed, kind_code, eps_code))
+                for eps_code in range(len(_SUITE_EPS))]
+        worst = np.zeros((len(_SUITE_EPS), 2))
+        refusals = []
+        for first in range(0, config.budget, _SUITE_BLOCK):
+            block_worst, block_refusals = _suite_block(
+                kind, rngs, dims, first, min(_SUITE_BLOCK, config.budget - first), tol)
+            worst = np.maximum(worst, block_worst)
+            refusals += block_refusals
+        if refusals:
+            # the error the instance-by-instance order meets first
+            raise min(refusals, key=lambda refusal: refusal[0])[1]
+        for eps, (worst_residual, worst_distance) in zip(_SUITE_EPS, worst.tolist()):
             ok = worst_residual <= 1e-10 and worst_distance < eps
             all_ok = all_ok and ok
             records.append({"type": "trial", "kind": kind, "eps": eps,

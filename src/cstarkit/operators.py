@@ -160,15 +160,32 @@ def spectral_apply(m, f, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return hermitian_eig(m, tol).apply(f)
 
 
+def _polar_unitaries(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unitary polar factor, smallest singular value) per matrix of a (..., d, d) stack.
+
+    One batched SVD, equal bit for bit to factoring each matrix alone.
+    """
+    w, s, vh = np.linalg.svd(stack)
+    return w @ vh, s[..., -1]
+
+
+def _singular_polar(smallest: float, tol: Tolerance) -> PreconditionError | None:
+    """The error for a polar factor whose smallest singular value makes a^H a singular, or None."""
+    low = float(smallest) ** 2
+    if low <= tol.spectral:
+        return PreconditionError(
+            f"a^H a is singular within tolerance: smallest eigenvalue {low:.6e}")
+    return None
+
+
 def polar_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Unitary factor a(a^H a)^(-1/2) of an invertible matrix.
 
     Computed from the SVD, which is the same matrix evaluated stably.
     Requires the smallest eigenvalue of a^H a to exceed ``tol.spectral``.
     """
-    a = as_operator(a)
-    w, s, vh = np.linalg.svd(a)
-    if float(s[-1]) ** 2 <= tol.spectral:
-        raise PreconditionError(
-            f"a^H a is singular within tolerance: smallest eigenvalue {float(s[-1])**2:.6e}")
-    return w @ vh
+    u, smallest = _polar_unitaries(as_operator(a))
+    error = _singular_polar(smallest, tol)
+    if error is not None:
+        raise error
+    return u

@@ -418,8 +418,8 @@ def stability_witness(pres_id: str, rep: Representation, eps: float,
     only where that cannot confirm a gate, to decide it and word a failure.
     """
     family = registered_presentation(pres_id)
-    if not eps > 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise PreconditionError(f"eps must be positive and finite, got {eps}")
     n = max(1, ceil_log2(1 / Fraction(eps)))
     m = family.table.of(n)
     gate = Fraction(1, 2 ** m)

@@ -13,20 +13,29 @@ dyadic rationals sitting strictly inside the admissible ranges
 so a defect within the modulus always satisfies the underlying hypothesis
 with room to spare.  The ``*_defect`` functions measure both the
 hypotheses and the exactness residuals.
+
+Each ``round_to_*`` is a thin wrapper over a private stacked core that
+takes a ``(..., d, d)`` stack (``(..., k, d, d)`` for families) with one
+eps per item; the wrapper passes its one input as a stack with no leading
+axes.  A core raises nothing for a refused item: it records the exception
+the per-item rounding raises, and the wrapper raises it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .dyadic import largest_pow2_leq
 from .errors import HypothesisError
-from .operators import (DEFAULT_TOL, Tolerance, _as_stack, as_operator, dagger,
-                        herm_part, _ordered_sum, hermitian_eig, identity_like,
-                        op_norm, op_norms, polar_unitary)
+# op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
+# checks that tracing rebinds cstarkit.rounding.op_norm
+from .operators import (DEFAULT_TOL, Tolerance, _as_stack, _ordered_sum,  # noqa: F401
+                        _polar_unitaries, _singular_polar, as_operator, dagger,
+                        herm_part, hermitian_eig, op_norm, op_norms)
 
 # the guaranteeing bound of each rounding kind, as a function of exact eps
 _BOUNDS = {
@@ -56,6 +65,21 @@ class RoundingReport:
     exactness_residual: float
 
 
+class _Rounded(NamedTuple):
+    """What a stacked rounding core did to each item of its stack, items flattened.
+
+    out is (n, d, d) or (n, k, d, d); errors holds, per item, None or the
+    exception the per-item rounding raises, and out, distance and residual
+    are meaningless where it is set.
+    """
+
+    out: np.ndarray
+    errors: list
+    defect: np.ndarray
+    distance: np.ndarray
+    residual: np.ndarray
+
+
 @cache
 def stability_modulus(kind: str, eps: float) -> Fraction:
     """Admissible input defect for rounding `kind` to within eps.
@@ -73,14 +97,74 @@ def stability_modulus(kind: str, eps: float) -> Fraction:
     return largest_pow2_leq(_BOUNDS[kind](Fraction(eps)))
 
 
-def _check(kind: str, eps: float, defect: float) -> float:
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-    delta = float(stability_modulus(kind, eps))
-    if defect > delta:
-        raise HypothesisError(f"input is not {kind}-roundable at eps={eps}",
-                              defect=defect, bound=delta)
+def _at(values, i: int) -> float:
+    """Item i, in flat order, of a per-item array (or of the float a bare matrix gives)."""
+    return float(np.ravel(values)[i])
+
+
+def _refuse(errors: list, mask, error) -> None:
+    """Record error(i) for each item i that mask flags and no earlier check refused."""
+    for i in np.flatnonzero(mask):
+        if errors[i] is None:
+            errors[i] = error(i)
+
+
+def _cleared(stack: np.ndarray, errors: list) -> np.ndarray:
+    """A (..., d, d) stack with its refused matrices zeroed, so later stages cannot overflow."""
+    refused = [e is not None for e in errors]
+    if not any(refused):
+        return stack
+    return np.where(np.reshape(refused, stack.shape[:-2] + (1, 1)), 0.0, stack)
+
+
+def _gate(kind: str, eps: list, defect: np.ndarray, errors: list) -> np.ndarray:
+    """Per-item modulus of `kind`; refuses an eps outside (0, 1) and a defect above its modulus.
+
+    Refused items get the modulus 1.0, so later stages stay finite on them.
+    """
+    delta = np.ones(len(eps))
+    for i, (e, d) in enumerate(zip(eps, np.ravel(defect).tolist())):
+        if errors[i] is not None:
+            continue
+        if not (0.0 < e < 1.0):
+            errors[i] = ValueError(f"eps must lie in (0, 1), got {e!r}")
+            continue
+        bound = float(stability_modulus(kind, e))
+        if d > bound:
+            errors[i] = HypothesisError(f"input is not {kind}-roundable at eps={e}",
+                                        defect=d, bound=bound)
+        else:
+            delta[i] = bound
     return delta
+
+
+def _flat(out: np.ndarray, errors: list, defect, distance, residual) -> _Rounded:
+    """A core's per-item results with the leading axes of its stack flattened."""
+    n = len(errors)
+    return _Rounded(out.reshape((n,) + out.shape[np.ndim(defect):]), errors,
+                    *(np.reshape(x, n) for x in (defect, distance, residual)))
+
+
+def _finish(out, errors: list, defect, distance, residual, eps, tol: Tolerance) -> _Rounded:
+    """_flat, refusing admitted items that miss exactness or, given eps, moved eps or more."""
+    rounded = _flat(out, errors, defect, distance, residual)
+    for i, error in enumerate(errors):
+        if error is None:
+            try:
+                _check_exact(float(rounded.residual[i]), tol)
+                if eps is not None:
+                    _check_moved(float(rounded.distance[i]), eps[i])
+            except ArithmeticError as missed:
+                errors[i] = missed
+    return rounded
+
+
+def _one(rounded: _Rounded):
+    """(output, report) of a one-item rounding, or the error it was refused with, raised."""
+    if rounded.errors[0] is not None:
+        raise rounded.errors[0]
+    return rounded.out[0], RoundingReport(float(rounded.defect[0]), float(rounded.distance[0]),
+                                          float(rounded.residual[0]))
 
 
 def _larger_norm(first: np.ndarray, second: np.ndarray):
@@ -108,8 +192,12 @@ def projection_defect(a):
 
 def pvm_defect(mats) -> float:
     """|sum A_i - 1| joined with the projection defect of every member."""
-    family = _family(mats)
-    return max(float(_sum_defect(family)), float(projection_defect(family).max()))
+    return float(_pvm_defects(_family(mats)))
+
+
+def _pvm_defects(stack: np.ndarray) -> np.ndarray:
+    """pvm_defect per (k, d, d) family of a (..., k, d, d) stack."""
+    return _pymax(_sum_defect(stack), projection_defect(stack).max(axis=-1))
 
 
 def _family(mats) -> np.ndarray:
@@ -133,12 +221,21 @@ def round_to_unitary(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     Hypothesis: isometry_defect(a, 1, 1) within the unitary modulus.
     Returns (u, report) with |a - u| < eps and u exactly unitary.
     """
-    a = as_operator(a)
-    eye = identity_like(a)
+    return _one(_round_unitaries(as_operator(a), [eps], tol))
+
+
+def _round_unitaries(a: np.ndarray, eps: list, tol: Tolerance) -> _Rounded:
+    """round_to_unitary over a (..., d, d) stack; eps holds one value per matrix, in flat order."""
+    errors = [None] * len(eps)
+    eye = np.eye(a.shape[-1], dtype=np.complex128)
     defect = isometry_defect(a, eye, eye)
-    _check("unitary", eps, defect)
-    u = polar_unitary(a, tol)
-    return u, _report(defect, op_norm(a - u), op_norm(dagger(u) @ u - eye), eps, tol)
+    _gate("unitary", eps, defect, errors)
+    u, smallest = _polar_unitaries(a)
+    for i, s in enumerate(np.ravel(smallest)):
+        if errors[i] is None:
+            errors[i] = _singular_polar(s, tol)
+    distance, residual = op_norms(np.stack([a - u, dagger(u) @ u - eye]))
+    return _finish(u, errors, defect, distance, residual, eps, tol)
 
 
 def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
@@ -148,22 +245,30 @@ def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     The Hermitian part then has spectrum clustered near {0, 1}; cutting at
     1/2 lands on an exact projection within eps of a.
     """
-    a = as_operator(a)
-    norm_a = op_norm(a)
-    if norm_a > 2.0:
-        raise HypothesisError(f"almost-projection must satisfy |a| <= 2, got {norm_a:.6f}")
+    return _one(_round_projections(as_operator(a), [eps], tol))
+
+
+def _round_projections(a: np.ndarray, eps: list, tol: Tolerance) -> _Rounded:
+    """round_to_projection over a (..., d, d) stack, eps as in _round_unitaries."""
+    errors = [None] * len(eps)
+    norm_a = op_norms(a)
+    _refuse(errors, norm_a > 2.0, lambda i: HypothesisError(
+        f"almost-projection must satisfy |a| <= 2, got {_at(norm_a, i):.6f}"))
+    a = _cleared(a, errors)
     defect = projection_defect(a)
-    _check("projection", eps, defect)
+    _gate("projection", eps, defect, errors)
     p = hermitian_eig(herm_part(a), tol).apply(_step_at_half)
-    return p, _report(defect, op_norm(a - p), projection_defect(p), eps, tol)
+    distance, skew, idempotent = op_norms(np.stack([a - p, p - dagger(p), p @ p - p]))
+    return _finish(p, errors, defect, distance, _pymax(skew, idempotent), eps, tol)
 
 
-def _isometry_cut(a, p1, p2, cut: float, tol: Tolerance) -> np.ndarray:
+def _isometry_cut(a, p1, p2, cut, tol: Tolerance) -> np.ndarray:
     """Partial-isometry construction: compress to the corners, then rescale.
 
     b = p2 a p1 has b^H b supported in ran(p1) with spectrum split around
     `cut`; w = b f(b^H b) with f = 0 below the cut and t^(-1/2) above is a
-    partial isometry from ran(p1) onto ran(p2).
+    partial isometry from ran(p1) onto ran(p2).  On stacks, cut may hold one
+    value per matrix, shaped to broadcast against the (..., d) eigenvalues.
     """
     b = p2 @ a @ p1
     spec = hermitian_eig(herm_part(dagger(b) @ b), tol)
@@ -181,15 +286,25 @@ def round_to_partial_isometry(a, p1, p2, eps: float, tol: Tolerance = DEFAULT_TO
     p2 = as_operator(p2)
     if a.shape != p1.shape or a.shape != p2.shape:
         raise ValueError("a, p1, p2 must share one dimension")
+    return _one(_round_partial_isometries(a, p1, p2, [eps], tol))
+
+
+def _round_partial_isometries(a: np.ndarray, p1: np.ndarray, p2: np.ndarray, eps: list,
+                              tol: Tolerance) -> _Rounded:
+    """round_to_partial_isometry over (..., d, d) stacks, eps as in _round_unitaries."""
+    errors = [None] * len(eps)
     for name, p in (("p1", p1), ("p2", p2)):
-        resid = projection_defect(p)
-        if resid > tol.algebraic:
-            raise ValueError(f"{name} is not a projection within tolerance: residual {resid:.6e}")
+        resid = projection_defect(_cleared(p, errors))
+        _refuse(errors, resid > tol.algebraic, lambda i: ValueError(
+            f"{name} is not a projection within tolerance: residual {_at(resid, i):.6e}"))
+    a, p1, p2 = (_cleared(m, errors) for m in (a, p1, p2))
     defect = isometry_defect(a, p1, p2)
-    delta = _check("partial_isometry", eps, defect)
-    gamma = 7.0 * delta ** 0.25
+    delta = _gate("partial_isometry", eps, defect, errors)
+    # the cut per matrix, from Python floats as the per-item rounding takes it
+    gamma = np.reshape([7.0 * d ** 0.25 for d in delta.tolist()], np.shape(defect) + (1,))
     w = _isometry_cut(a, p1, p2, gamma, tol)
-    return w, _report(defect, op_norm(a - w), isometry_defect(w, p1, p2), eps, tol)
+    distance, left, right = op_norms(np.stack([a - w, dagger(w) @ w - p1, w @ dagger(w) - p2]))
+    return _finish(w, errors, defect, distance, _pymax(left, right), eps, tol)
 
 
 def povm_defect(mats, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -258,17 +373,21 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     S; S ⪰ (1 - defect)·1 ⪰ 1/2 keeps the rescale well defined, and the
     output sums to the identity by construction.
     """
-    family = _family(mats)
-    rounded, refused, defect, low, residual = _repair_povms(family, tol)
-    if defect >= 0.5:
-        raise HypothesisError("family is too far from a POVM",
-                              defect=float(defect), bound=0.5)
-    if refused:
-        raise HypothesisError(
-            f"positive-part sum is singular within tolerance: smallest eigenvalue "
-            f"{float(low):.6e}")
-    return list(rounded), _report(float(defect), float(op_norms(family - rounded).max()),
-                                  float(residual), None, tol)
+    rounded, report = _one(_round_povms(_family(mats), tol))
+    return list(rounded), report
+
+
+def _round_povms(stack: np.ndarray, tol: Tolerance) -> _Rounded:
+    """round_to_povm over a (..., k, d, d) stack; _repair_povms checks exactness."""
+    rounded, refused, defect, low, residual = _repair_povms(stack, tol)
+    errors = [None] * int(np.prod(stack.shape[:-3]))
+    _refuse(errors, defect >= 0.5, lambda i: HypothesisError(
+        "family is too far from a POVM", defect=_at(defect, i), bound=0.5))
+    _refuse(errors, refused, lambda i: HypothesisError(
+        f"positive-part sum is singular within tolerance: smallest eigenvalue "
+        f"{_at(low, i):.6e}"))
+    distance = op_norms(stack - rounded).max(axis=-1)
+    return _flat(rounded, errors, defect, distance, residual)
 
 
 def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
@@ -279,30 +398,51 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     one at a time inside the corner left by the previous ones; the final
     block is the remaining corner identity, so the output sums to 1 exactly.
     """
-    family = _family(mats)
-    eye = np.eye(family.shape[-1], dtype=np.complex128)
-    defect = pvm_defect(family)
+    blocks, report = _one(_round_pvms(_family(mats), tol))
+    return list(blocks), report
+
+
+def _round_pvms(stack: np.ndarray, tol: Tolerance, members=None) -> _Rounded:
+    """round_to_pvm over a (..., k, d, d) stack: one stage per member, all families at once.
+
+    members, when given, holds per family (in flat order) how many of its k
+    slots are members; the slots before them are zero padding, which a
+    family passes through as an identity stage, so no bit of its rounding
+    moves (sums start from zeros as in sampling._povm_instances).
+    """
+    lead, k, dim = stack.shape[:-3], stack.shape[-3], stack.shape[-1]
+    errors = [None] * int(np.prod(lead))
+    pads = np.zeros(len(errors), int) if members is None else k - np.asarray(members)
+    defect = _pvm_defects(stack)
     budget = float(PVM_ENTRY_BUDGET)
-    if defect > budget:
-        raise HypothesisError("family is too far from a PVM", defect=defect, bound=budget)
-    remaining = eye
-    blocks: list[np.ndarray] = []
-    for i, m in enumerate(family[:-1]):
-        c = remaining @ m @ remaining
+    _refuse(errors, defect > budget, lambda i: HypothesisError(
+        "family is too far from a PVM", defect=_at(defect, i), bound=budget))
+    remaining = np.eye(dim, dtype=np.complex128)
+    out = np.empty(stack.shape, np.complex128)
+    for block in range(k - 1):
+        c = remaining @ stack[..., block, :, :] @ remaining
         stage_defect = projection_defect(c)
-        if stage_defect > PVM_STAGE_GATE:
-            raise HypothesisError("compressed block drifted out of the projection cluster",
-                                  defect=stage_defect, bound=PVM_STAGE_GATE,
-                                  stage=f"block {i}")
+        active = block >= pads
+        _refuse(errors, (stage_defect > PVM_STAGE_GATE) & active.reshape(lead),
+                lambda i: HypothesisError(
+                    "compressed block drifted out of the projection cluster",
+                    defect=_at(stage_defect, i), bound=PVM_STAGE_GATE,
+                    stage=f"block {block - pads[i]}"))
         q = hermitian_eig(herm_part(c), tol).apply(_step_at_half)
-        blocks.append(q)
         # re-cut the corner so float drift cannot accumulate across stages
-        remaining = hermitian_eig(herm_part(remaining - q), tol).apply(_step_at_half)
-    blocks.append(remaining)
-    stack = np.array(blocks)
-    i, j = np.triu_indices(len(blocks), 1)
-    resid = max(pvm_defect(blocks), float(op_norms(stack[i] @ stack[j]).max(initial=0.0)))
-    return blocks, _report(defect, float(op_norms(family - stack).max()), resid, None, tol)
+        cut = hermitian_eig(herm_part(remaining - q), tol).apply(_step_at_half)
+        if not active.all():
+            active = active.reshape(lead + (1, 1))
+            q = np.where(active, q, 0.0)
+            cut = np.where(active, cut, remaining)
+        out[..., block, :, :] = q
+        remaining = cut
+    out[..., k - 1, :, :] = remaining
+    i, j = np.triu_indices(k, 1)
+    products = op_norms(out[..., i, :, :] @ out[..., j, :, :]).max(axis=-1, initial=0.0)
+    residual = _pymax(_pvm_defects(out), products)
+    distance = op_norms(stack - out).max(axis=-1)
+    return _finish(out, errors, defect, distance, residual, None, tol)
 
 
 def _check_exact(residual: float, tol: Tolerance) -> None:
@@ -315,12 +455,3 @@ def _check_moved(output_distance: float, eps: float) -> None:
     # unreachable once a hypothesis passed, as in _check_exact
     if not output_distance < eps:
         raise ArithmeticError(f"rounding moved too far: {output_distance:.6f} >= {eps}")
-
-
-def _report(input_defect: float, output_distance: float, exactness_residual: float,
-            eps: float | None, tol: Tolerance) -> RoundingReport:
-    """The report of a rounding whose output is exact and, given eps, moved less than eps."""
-    _check_exact(exactness_residual, tol)
-    if eps is not None:
-        _check_moved(output_distance, eps)
-    return RoundingReport(input_defect, output_distance, exactness_residual)

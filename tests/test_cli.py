@@ -6,14 +6,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cstarkit
+import cstarkit.cli as cli
 from cstarkit.cli import _parse_dims, console_main
+from cstarkit.errors import HypothesisError
 from cstarkit.formats import parse_polynomial, sha256_file
 from cstarkit.presentations import (RepresentationCatalog, norm_lower_enumerate,
                                     registered_presentation)
+from cstarkit.rounding import stability_modulus
+from cstarkit.sampling import almost_unitary_instance, rng_from_seed
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -442,6 +447,61 @@ def test_perturb_suite_small_run(tmp_path):
     assert records[-1]["status"] == "ok"
 
 
+def test_perturb_suite_raises_the_first_refusal_in_instance_order(monkeypatch, capsys):
+    """Refusals of instances 3 and 7 of the second eps cell: the run stops on instance 3.
+
+    At seed 11 instance 7 sits in a dimension group that is rounded before
+    instance 3's, so the stacked run meets the later refusal first.
+    """
+    seed, dims = 11, (2, 3, 4)
+    # the unitary kind's eps = 0.25 cell, replayed one instance at a time
+    rng = rng_from_seed((seed, 0, 1))
+    planted = {}
+    for index in range(8):
+        dim = int(rng.choice(dims))
+        rng.integers(2, 5)
+        a, _ = almost_unitary_instance(rng, dim, float(stability_modulus("unitary", 0.25)))
+        if index in (3, 7):
+            planted[index] = a
+    real = cli._round_unitaries
+    met = []
+
+    def refusing(a, eps, tol):
+        rounded = real(a, eps, tol)
+        for i, item in enumerate(a):
+            for index, target in planted.items():
+                if eps[i] == 0.25 and np.array_equal(item, target):
+                    rounded.errors[i] = HypothesisError(f"planted refusal of instance {index}")
+                    met.append(index)
+        return rounded
+
+    monkeypatch.setattr(cli, "_round_unitaries", refusing)
+    code = run_cli(["perturb-suite", "--budget", 10, "--dims", "2,3,4", "--seed", seed])
+    assert code == 3
+    assert capsys.readouterr().err == "precondition error: planted refusal of instance 3\n"
+    assert met == [7, 3]
+
+
+def test_perturb_suite_groups_stay_within_one_block(monkeypatch, tmp_path):
+    """--budget 100 rounds in blocks of 32 per eps cell: no group exceeds 3 x 32 instances."""
+    sizes = {}
+    for name in ("_round_unitaries", "_round_projections", "_round_partial_isometries",
+                 "_round_povms", "_round_pvms"):
+        def counted(stack, *args, _real=getattr(cli, name), _name=name):
+            sizes.setdefault(_name, []).append(len(stack))
+            return _real(stack, *args)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "report.jsonl"
+    assert run_cli(["perturb-suite", "--budget", 100, "--dims", "2", "--out", out]) == 0
+    assert len(sizes) == 5
+    for counts in sizes.values():
+        assert max(counts) <= 3 * 32
+        assert sum(counts) == 3 * 100
+    # one dimension: each unitary block is a single group of all three cells
+    assert sizes["_round_unitaries"] == [96, 96, 96, 12]
+
+
 def test_norm_enumerate_report(tmp_path):
     out = tmp_path / "report.jsonl"
     code = run_cli(["norm-enumerate", "--pres-id", "free_unitaries:1",
@@ -522,6 +582,15 @@ def test_norm_enumerate_reports_pinned(tmp_path, pres_id, poly, prefix):
     values = norm_lower_enumerate(pres, q, RepresentationCatalog(seed=3), pres_id, 70)
     assert [r["value"] for r in read_records(out) if r["type"] == "emission"] == \
         [f"{v.numerator}/{v.denominator}" for v in values]
+
+
+def test_perturb_suite_report_pinned(tmp_path):
+    """Dimensions up to 64 with several instances per dimension keep their digest."""
+    out = tmp_path / "report.jsonl"
+    code = run_cli(["perturb-suite", "--dims", "2..64", "--budget", 12, "--seed", 5,
+                    "--out", out])
+    assert code == 0
+    assert sha256_file(str(out))[:16] == "41dc0d0622b106fc"
 
 
 def test_different_seeds_differ(tmp_path):

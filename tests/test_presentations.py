@@ -384,6 +384,13 @@ def test_witness_rejects_nonpositive_eps():
         stability_witness("free_unitaries:1", rep, 0.0)
 
 
+@pytest.mark.parametrize("eps", [float("inf"), float("nan"), float("-inf")])
+def test_witness_rejects_non_finite_eps(eps):
+    rep = Representation(1, {"u1": np.array([[1.0]])})
+    with pytest.raises(PreconditionError, match="eps must be positive and finite"):
+        stability_witness("free_unitaries:1", rep, eps)
+
+
 def test_witness_decides_gates_without_exact_defect(monkeypatch):
     """Admissible input: no relation_defect call; inadmissible: the measured defect."""
     import cstarkit.presentations as presentations

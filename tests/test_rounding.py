@@ -1,13 +1,16 @@
 """Tests for rounding near-structures to exact ones under the dyadic moduli."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cstarkit.errors import HypothesisError
 from cstarkit.operators import DEFAULT_TOL, dagger, hermitian_eig, op_norm
-from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET, _repair_povms,
+from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET, PVM_STAGE_GATE, _repair_povms,
+                               _round_partial_isometries, _round_povms,
+                               _round_projections, _round_pvms, _round_unitaries,
                                isometry_defect, povm_defect,
                                projection_defect, pvm_defect,
                                round_to_partial_isometry, round_to_povm,
@@ -493,3 +496,169 @@ def test_rounding_distance_never_worsens_under_looser_eps():
     u_tight, _ = round_to_unitary(a, 0.125)
     u_loose, _ = round_to_unitary(a, 0.5)
     assert op_norm(u_tight - u_loose) < 1e-12
+
+
+# --- stacked cores ------------------------------------------------------------
+
+# a spectral tolerance wider than Tolerance admits, so that admissible inputs
+# can reach the singular-polar and singular-sum refusals
+_WIDE_TOL = SimpleNamespace(spectral=0.9999, algebraic=DEFAULT_TOL.algebraic)
+_CORE_EPS = (0.5, 0.25, 0.125)
+
+
+def _assert_core_matches_wrappers(rounded, calls):
+    """Each item of a core's result equals its wrapper call, or its error is what that raises."""
+    assert len(rounded.errors) == len(calls)
+    for i, call in enumerate(calls):
+        error = rounded.errors[i]
+        if error is None:
+            out, report = call()
+            assert np.asarray(out).tobytes() == rounded.out[i].tobytes()
+            assert report.input_defect == rounded.defect[i]
+            assert report.output_distance == rounded.distance[i]
+            assert report.exactness_residual == rounded.residual[i]
+        else:
+            with pytest.raises(type(error)) as raised:
+                call()
+            assert type(raised.value) is type(error)
+            assert str(raised.value) == str(error)
+    return [str(e) for e in rounded.errors if e is not None]
+
+
+def _mixed_eps(rng, n):
+    """Per-item eps, and the moduli of independently drawn eps the items are built at."""
+    eps = [float(e) for e in rng.choice(_CORE_EPS, size=n)]
+    return eps, [float(e) for e in rng.choice(_CORE_EPS, size=n)]
+
+
+def test_stacked_unitary_core_matches_per_item_rounding():
+    rng = rng_from_seed(70)
+    messages = []
+    for dim in range(1, 17):
+        eps, built_at = _mixed_eps(rng, 6)
+        stack = np.array([
+            almost_unitary_instance(rng, dim, float(stability_modulus("unitary", e)))[0]
+            for e in built_at])
+        stack[4] = 1.6 * stack[4]  # too far at every eps
+        eps[5] = 1.0  # outside (0, 1)
+        for tol in (DEFAULT_TOL, _WIDE_TOL):
+            rounded = _round_unitaries(stack, eps, tol)
+            messages += _assert_core_matches_wrappers(
+                rounded, [lambda i=i: round_to_unitary(stack[i], eps[i], tol) for i in range(6)])
+    assert any("not unitary-roundable" in m for m in messages)
+    assert any("eps must lie in (0, 1)" in m for m in messages)
+    assert any("a^H a is singular" in m for m in messages)
+    assert len(messages) < 16 * 6 * 2  # some items are admitted
+
+
+def test_stacked_projection_core_matches_per_item_rounding():
+    rng = rng_from_seed(71)
+    messages = []
+    for dim in range(1, 17):
+        eps, built_at = _mixed_eps(rng, 6)
+        stack = np.array([
+            almost_projection_instance(rng, dim, float(stability_modulus("projection", e)))[0]
+            for e in built_at])
+        # |a| > 2, and far; at 1e200 the defect's a @ a would overflow
+        stack[3] = (3.0 if dim % 2 else 1e200) * stack[3]
+        stack[4] = stack[4] + 0.2 * np.eye(dim)  # too far at every eps
+        eps[5] = float("nan")
+        rounded = _round_projections(stack, eps, DEFAULT_TOL)
+        messages += _assert_core_matches_wrappers(
+            rounded, [lambda i=i: round_to_projection(stack[i], eps[i]) for i in range(6)])
+    assert any("|a| <= 2" in m for m in messages)
+    assert any("not projection-roundable" in m for m in messages)
+    assert any("eps must lie in (0, 1)" in m for m in messages)
+    assert len(messages) < 16 * 6
+
+
+def test_stacked_partial_isometry_core_matches_per_item_rounding():
+    rng = rng_from_seed(72)
+    messages = []
+    for dim in range(1, 17):
+        eps, built_at = _mixed_eps(rng, 6)
+        instances = [almost_partial_isometry_instance(
+            rng, dim, float(stability_modulus("partial_isometry", e))) for e in built_at]
+        a, _, p1, p2 = (np.array(part) for part in zip(*instances))
+        a[2] = a[2] + 0.1 * p2[2] @ p1[2]  # too far at every eps
+        p1[3] = 0.5 * p1[3]  # not a projection
+        p2[4] = p2[4] + 1e-3 * np.eye(dim)  # not a projection
+        p1[5] = 0.5 * p1[5]  # p1 refuses before p2, and before a^H a overflows
+        p2[5] = 0.5 * p2[5]
+        a[5] = 1e200 * a[5]
+        rounded = _round_partial_isometries(a, p1, p2, eps, DEFAULT_TOL)
+        messages += _assert_core_matches_wrappers(rounded, [
+            lambda i=i: round_to_partial_isometry(a[i], p1[i], p2[i], eps[i]) for i in range(6)])
+    assert any("not partial_isometry-roundable" in m for m in messages)
+    assert any(m.startswith("p1 is not a projection") for m in messages)
+    assert any(m.startswith("p2 is not a projection") for m in messages)
+    assert len(messages) < 16 * 6
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_stacked_povm_core_matches_per_item_rounding(k):
+    rng = rng_from_seed(73 + k)
+    messages = []
+    for dim in range(1, 17):
+        deltas = [float(stability_modulus("povm", e)) for e in rng.choice(_CORE_EPS, size=5)]
+        stack = np.array([almost_povm_instance(rng, dim, k, delta)[0] for delta in deltas])
+        stack[3] = 2.0 * stack[3]  # too far: the sum defect is 1
+        for tol in (DEFAULT_TOL, _WIDE_TOL):
+            rounded = _round_povms(stack, tol)
+            messages += _assert_core_matches_wrappers(
+                rounded, [lambda i=i: round_to_povm(list(stack[i]), tol) for i in range(5)])
+    assert any("too far from a POVM" in m for m in messages)
+    assert any("positive-part sum is singular" in m for m in messages)
+    assert len(messages) < 16 * 5 * 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_stacked_pvm_core_matches_per_item_rounding(k):
+    rng = rng_from_seed(76 + k)
+    messages = []
+    for dim in range(1, 17):
+        deltas = [float(stability_modulus("pvm", e)) for e in rng.choice(_CORE_EPS, size=5)]
+        stack = np.array([almost_pvm_instance(rng, dim, k, delta)[0] for delta in deltas])
+        stack[2] = stack[2] + 0.01 * np.eye(dim)  # too far from a PVM
+        rounded = _round_pvms(stack, DEFAULT_TOL)
+        messages += _assert_core_matches_wrappers(
+            rounded, [lambda i=i: round_to_pvm(list(stack[i])) for i in range(5)])
+    assert any("too far from a PVM" in m for m in messages)
+    assert len(messages) < 16 * 5
+
+
+def _front_padded_families(families):
+    """Families of mixed sizes as one stack, each zero-padded in front to the largest."""
+    k = max(len(f) for f in families)
+    dim = families[0][0].shape[0]
+    stack = np.zeros((len(families), k, dim, dim), dtype=np.complex128)
+    for item, family in zip(stack, families):
+        item[k - len(family):] = family
+    return stack, np.array([len(f) for f in families])
+
+
+@pytest.mark.parametrize("kind", ["povm", "pvm"])
+def test_padded_family_cores_match_per_item_rounding(kind, monkeypatch):
+    """Zero members in front move no bit: each padded family rounds as it does alone."""
+    import cstarkit.rounding as rounding
+    builder, wrapper = ((almost_povm_instance, round_to_povm) if kind == "povm"
+                        else (almost_pvm_instance, round_to_pvm))
+    rng = rng_from_seed(79)
+    messages = []
+    # a stage gate of -1 makes every real PVM stage drift, so the stage labels show
+    for gate in (PVM_STAGE_GATE, -1.0):
+        monkeypatch.setattr(rounding, "PVM_STAGE_GATE", gate)
+        for dim in (1, 2, 5, 9):
+            families = [builder(rng, dim, int(k), float(stability_modulus(kind, 0.25)))[0]
+                        for k in rng.integers(1, 5, size=6)]
+            families[2] = [2.0 * m for m in families[2]]  # too far
+            stack, members = _front_padded_families(families)
+            rounded = (_round_povms(stack, DEFAULT_TOL) if kind == "povm"
+                       else _round_pvms(stack, DEFAULT_TOL, members))
+            trimmed = rounded._replace(out=[out[len(out) - n:]
+                                            for out, n in zip(rounded.out, members)])
+            messages += _assert_core_matches_wrappers(
+                trimmed, [lambda f=f: wrapper(f) for f in families])
+    assert any("too far" in m for m in messages)
+    if kind == "pvm":
+        assert any("(stage: block 0)" in m for m in messages)
