@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that raises one.
 
 Plain ``ValueError`` is used for malformed inputs (shape mismatches,
 non-finite entries, out-of-range parameters).  The classes below cover
@@ -6,9 +6,22 @@ the remaining failure modes that callers may want to distinguish.
 """
 from __future__ import annotations
 
+import operator
+
 
 class PreconditionError(ValueError):
     """A mathematical precondition of an operation does not hold."""
+
+
+def integral(value, name: str) -> int:
+    """value as a Python int (numpy integers too); PreconditionError for anything else.
+
+    Uses operator.index, so 2.7 or 10.0 is refused rather than truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
 
 
 class HypothesisError(PreconditionError):

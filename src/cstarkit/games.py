@@ -202,10 +202,14 @@ def correlation(strategy: Strategy, x: int, y: int, a: int, b: int,
     return p
 
 
-# [..., a, b] tables of sqrt(A_a) B_b sqrt(A_a) and sqrt(B_b) A_a sqrt(B_b); the
-# batched einsum matches a per-pair one bit for bit, a matmul chain does not
+# [..., a, b] tables of sqrt(A_a) B_b sqrt(A_a) and sqrt(B_b) A_a sqrt(B_b), then their
+# weighted sum over (a, b); a chunk of weighted (x, y) pairs rides on the first leading
+# axis, and the batched einsum matches a per-pair one bit for bit, a matmul chain does not
 _FIRST = "...aij,...bjk,...akl->...abil"
 _SECOND = "...bij,...ajk,...bkl->...abil"
+_WEIGH = "...ab,...abil->...il"
+# product-table entries one chunk may hold; a pair whose table alone is larger is its own chunk
+_PAIR_CHUNK_ENTRIES = 2 ** 15
 
 
 def game_element(game: NonlocalGame, alice: Measurement, bob: Measurement,
@@ -230,13 +234,19 @@ def _game_elements(game: NonlocalGame, alice_ops: np.ndarray, bob_ops: np.ndarra
     roots = np.moveaxis(_psd_sqrt(np.stack([alice_ops, bob_ops], axis=-5), tol), -5, 0)
     # question axis first: ra[x] is the (..., k, d, d) stack of sqrt(A^x_a)
     ra, rb, alice_ops, bob_ops = (np.moveaxis(m, -4, 0) for m in (*roots, alice_ops, bob_ops))
-    # every (x, y) pair contracts the same shapes, so plan each contraction once
-    first_path = np.einsum_path(_FIRST, ra[0], bob_ops[0], ra[0], optimize=True)[0]
-    second_path = np.einsum_path(_SECOND, rb[0], alice_ops[0], rb[0], optimize=True)[0]
-    for x, y in pairs:
-        first = np.einsum(_FIRST, ra[x], bob_ops[y], ra[x], optimize=first_path)
-        second = np.einsum(_SECOND, rb[y], alice_ops[x], rb[y], optimize=second_path)
-        element += np.einsum("ab,...abil->...il", weights[x, y], (first + second) / 2)
+    step = max(1, _PAIR_CHUNK_ENTRIES // (element.size * game.k ** 2))
+    for start in range(0, len(pairs), step):
+        xs, ys = pairs[start:start + step].T
+        if len(xs) == 1:  # unbatched: einsum would copy every operand to drop a length-one axis
+            xs, ys = xs[0], ys[0]
+        root_a, root_b = ra[xs], rb[ys]
+        first = np.einsum(_FIRST, root_a, bob_ops[ys], root_a, optimize=True)
+        second = np.einsum(_SECOND, root_b, alice_ops[xs], root_b, optimize=True)
+        # (pairs, 1, ..., 1, k, k): the pair axis meets the tables' own, the stack axes broadcast
+        w = weights[xs, ys].reshape(np.shape(xs) + (1,) * (element.ndim - 2) + weights.shape[2:])
+        # added one pair at a time, in pair order, as a per-pair loop adds them
+        for term in np.einsum(_WEIGH, w, (first + second) / 2).reshape((-1,) + element.shape):
+            element += term
     return herm_part(element)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .dyadic import ceil_log2, is_dyadic
-from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError
+from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError, integral
 from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm, op_norms
 from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials, generator,
                           lipschitz_bound)
@@ -484,12 +484,18 @@ class RepresentationCatalog:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(integral(d, "dims entries") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise PreconditionError(f"dims must be positive integers, got {self.dims}")
-        if self.per_round < 0:
-            raise PreconditionError(f"per_round must be nonnegative, got {self.per_round}")
         object.__setattr__(self, "dims", dims)
+        per_round = integral(self.per_round, "per_round")
+        if per_round < 0:
+            raise PreconditionError(f"per_round must be nonnegative, got {self.per_round}")
+        object.__setattr__(self, "per_round", per_round)
+        seed = integral(self.seed, "seed")
+        if seed < 0:
+            raise PreconditionError(f"seed must be nonnegative, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     def batch(self, pres_id: str, round_index: int) -> list[Representation]:
         """Deterministic list of candidate representations for one round."""

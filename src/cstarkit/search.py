@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, integral
 from .games import (
     CommutationCheck,
     Measurement,
@@ -84,20 +84,20 @@ class CandidateStream:
     planted: tuple = ()
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(integral(d, "dims entries") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise PreconditionError("dims must be a nonempty sequence of positive integers")
         object.__setattr__(self, "dims", dims)
-        q = int(self.grid_denominator)
+        q = integral(self.grid_denominator, "grid_denominator")
         if q < 2 or q & (q - 1):
             raise PreconditionError("grid_denominator must be a power of two, at least 2, "
                                     f"got {self.grid_denominator!r}")
         object.__setattr__(self, "grid_denominator", q)
-        budget = int(self.budget)
+        budget = integral(self.budget, "budget")
         if budget < 1:
             raise PreconditionError(f"budget must be at least 1, got {self.budget!r}")
         object.__setattr__(self, "budget", budget)
-        seed = int(self.seed)
+        seed = integral(self.seed, "seed")
         if seed < 0:
             raise PreconditionError(f"seed must be nonnegative, got {self.seed!r}")
         object.__setattr__(self, "seed", seed)

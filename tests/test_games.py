@@ -1,10 +1,12 @@
 """Tests for nonlocal games, strategies, and the symmetrized product."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from cstarkit import games
 from cstarkit.errors import PreconditionError
 from cstarkit.games import (Measurement, NonlocalGame, State, Strategy,
                             best_value, chsh, commutator_defects, correlation,
@@ -401,22 +403,45 @@ def _per_pair_element(game, alice, bob):
     return herm_part(element)
 
 
-@pytest.mark.parametrize("lead", [(5,), (2, 3)])
-def test_stacked_game_cores_match_per_pair_calls(lead):
-    """commutator_defects and the element core on stacks equal per-pair calls bit for bit."""
+def _weighted_games(rng, n, k):
+    """A random game, one with exactly one weighted (x, y) pair, and one with all n^2 weighted."""
+    pi = rng.random((n, n))
+    yield NonlocalGame(pi / pi.sum(), rng.integers(0, 2, size=(n, n, k, k)))
+    one = np.zeros((n, n))
+    one[rng.integers(n), rng.integers(n)] = 1.0
+    for weights in (one, pi / pi.sum()):
+        predicate = rng.integers(0, 2, size=(n, n, k, k))
+        predicate[:, :, 0, 0] = 1
+        yield NonlocalGame(weights, predicate)
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3), ()])
+def test_stacked_game_cores_match_per_pair_calls(lead, monkeypatch):
+    """The element core and commutator_defects on stacks equal per-pair calls bit for bit.
+
+    The element core is also checked with its weighted pairs split into
+    chunks of one or two, so a chunk boundary falls mid-pairs.
+    """
     rng = rng_from_seed(71)
-    for dim in range(1, 6):
-        for n, k in ((2, 2), (3, 2), (2, 3)):
-            pi = rng.random((n, n))
-            game = NonlocalGame(pi / pi.sum(), rng.integers(0, 2, size=(n, n, k, k)))
+    budget = games._PAIR_CHUNK_ENTRIES
+    for dim, (n, k), pairs_per_chunk in itertools.product(
+            range(1, 5), ((1, 2), (2, 2), (3, 2), (2, 3), (3, 3)), (None, 1, 2)):
+        table = math.prod(lead) * k * k * dim * dim
+        monkeypatch.setattr(games, "_PAIR_CHUNK_ENTRIES",
+                            pairs_per_chunk * table if pairs_per_chunk else budget)
+        for game in _weighted_games(rng, n, k):
             alice = _measurement_stack(rng, lead, n, k, dim)
             bob = _measurement_stack(rng, lead, n, k, dim)
-            tables = commutator_defects(alice, bob)
             elements = _game_elements(game, alice, bob, DEFAULT_TOL)
-            assert tables.shape == lead + (n, n)
             assert elements.shape == lead + (dim, dim)
+            tables = None if pairs_per_chunk else commutator_defects(alice, bob)
             for index in np.ndindex(*lead):
                 pair = Measurement(alice[index]), Measurement(bob[index])
+                assert np.array_equal(elements[index], game_element(game, *pair))
+                assert np.array_equal(elements[index],
+                                      _per_pair_element(game, alice[index], bob[index]))
+                if tables is None:
+                    continue
                 norms = [op_norm(alice[index][x, a] @ bob[index][y, b]
                                  - bob[index][y, b] @ alice[index][x, a])
                          for x in range(n) for y in range(n)
@@ -425,15 +450,60 @@ def test_stacked_game_cores_match_per_pair_calls(lead):
                 for j, norm in enumerate(norms):  # (a, b) order, one add at a time
                     expected[j // (k * k)] += norm
                 assert np.array_equal(tables[index], expected.reshape(n, n))
-                assert np.array_equal(tables[index], commutator_defects(*(m.ops for m in pair)))
-                assert np.array_equal(elements[index], game_element(game, *pair))
-                assert np.array_equal(elements[index],
-                                      _per_pair_element(game, alice[index], bob[index]))
+                assert np.array_equal(tables[index],
+                                      commutator_defects(*(m.ops for m in pair)))
+
+
+def test_weighted_game_shapes():
+    """_weighted_games yields one game with a single weighted pair and one with all n^2."""
+    for n in (1, 3):
+        counts = [int(game.predicate.any(axis=(2, 3))[game.pi > 0].sum())
+                  for game in _weighted_games(rng_from_seed(73), n, 2)]
+        assert counts[1:] == [1, n * n]
+
+
+def _einsum_spy(monkeypatch):
+    """Record each np.einsum call's subscripts and its largest operand or result size."""
+    calls = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        calls.append((subscripts, max(np.size(m) for m in (*operands, out))))
+        return out
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_game_element_contracts_all_pairs_in_three_einsums(n, monkeypatch):
+    """All weighted pairs of a small game share one chunk: three einsum calls, as for n = 1."""
+    game = NonlocalGame(np.full((n, n), 1 / n ** 2), np.ones((n, n, 2, 2), dtype=np.int8))
+    rng = rng_from_seed(74)
+    alice, bob = (_measurement_stack(rng, (4,), n, 2, 2) for _ in range(2))
+    calls = _einsum_spy(monkeypatch)
+    _game_elements(game, alice, bob, DEFAULT_TOL)
+    assert len(calls) == 3
+    assert max(size for _, size in calls) <= games._PAIR_CHUNK_ENTRIES
+
+
+def test_large_stack_chunks_stay_within_the_entry_budget(monkeypatch):
+    """A (32, 3, 3, 64, 64) all-weighted stack: one pair per chunk, no table over one pair's."""
+    n, k, dim, lead = 3, 3, 64, 32
+    game = NonlocalGame(np.full((n, n), 1 / n ** 2), np.ones((n, n, k, k), dtype=np.int8))
+    ops = np.broadcast_to(np.eye(dim) / k, (lead, n, k, dim, dim)).astype(np.complex128)
+    calls = _einsum_spy(monkeypatch)
+    element = _game_elements(game, ops, ops, DEFAULT_TOL)
+    one_pair = lead * k * k * dim * dim
+    assert one_pair > games._PAIR_CHUNK_ENTRIES
+    assert len(calls) == 3 * n * n
+    assert max(size for _, size in calls) == one_pair
+    assert np.allclose(element, np.eye(dim))  # every answer wins: sum_ab A_a • B_b = 1
 
 
 def test_weightless_game_element_is_zero_without_roots(monkeypatch):
     """No weighted (x, y) pair: the element is exact zeros and nothing is rooted."""
-    import cstarkit.games as games
     never = NonlocalGame(np.full((2, 2), 0.25), np.zeros((2, 2, 2, 2), dtype=np.int8))
     strategy = random_strategy(rng_from_seed(72), 2, 2, 3)
     monkeypatch.setattr(games, "hermitian_eig", None)

@@ -621,6 +621,28 @@ def test_catalog_dims_validation():
         RepresentationCatalog(dims=(0,))
     with pytest.raises(PreconditionError):
         RepresentationCatalog(per_round=-1)
+    with pytest.raises(PreconditionError):
+        RepresentationCatalog(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [("dims", (3.9,)), ("dims", (2, 3.0)),
+                                          ("per_round", 1.5), ("seed", 2.5), ("seed", "2")])
+def test_catalog_rejects_non_integral_fields(field, value):
+    """Refused at construction: dims=(3.9,) used to sample dimension 3, and
+    per_round=1.5 used to raise a TypeError inside batch."""
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        RepresentationCatalog(**{field: value})
+
+
+def test_catalog_accepts_numpy_integers():
+    catalog = RepresentationCatalog(dims=np.arange(2, 4), per_round=np.int64(2), seed=np.int32(5))
+    assert (catalog.dims, catalog.per_round, catalog.seed) == ((2, 3), 2, 5)
+    plain = RepresentationCatalog(dims=(2, 3), per_round=2, seed=5)
+    batch, expected = catalog.batch("free_unitaries:2", 0), plain.batch("free_unitaries:2", 0)
+    assert len(batch) == len(expected)
+    for rep, same in zip(batch, expected):
+        assert rep.dim == same.dim and rep.images.keys() == same.images.keys()
+        assert all(np.array_equal(rep.images[name], same.images[name]) for name in rep.images)
 
 
 def test_catalog_matrix_units_reps_are_exact():

@@ -57,6 +57,24 @@ def test_stream_validation():
         CandidateStream(dims=(2,), seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [("dims", (2.7, 3)), ("dims", (2, 3.0)),
+                                          ("grid_denominator", 1024.9),
+                                          ("grid_denominator", 1024.0),
+                                          ("budget", 10.9), ("seed", 1.5), ("seed", "1")])
+def test_stream_rejects_non_integral_fields(field, value):
+    """Floats, even integral ones, are refused rather than truncated."""
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        CandidateStream(**{"dims": (2,), field: value})
+
+
+def test_stream_accepts_numpy_integers():
+    stream = CandidateStream(dims=np.array([2, 3]), grid_denominator=np.int64(1024),
+                             budget=np.int32(10), seed=np.uint8(1))
+    fields = (*stream.dims, stream.grid_denominator, stream.budget, stream.seed)
+    assert fields == (2, 3, 1024, 10, 1)
+    assert all(type(v) is int for v in fields)
+
+
 def test_deterministic_measurement():
     meas = deterministic_measurement((1, 0), 2)
     assert meas.dim == 1
