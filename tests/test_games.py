@@ -1,6 +1,5 @@
 """Tests for nonlocal games, strategies, and the symmetrized product."""
 
-import itertools
 import math
 
 import numpy as np
@@ -415,6 +414,13 @@ def _weighted_games(rng, n, k):
         yield NonlocalGame(weights, predicate)
 
 
+_CORE_SHAPES = ((1, 2), (2, 2), (3, 2), (2, 3), (3, 3))
+# (dim, (n, k), pairs per chunk): every shape at the default entry budget, and a few
+# with the budget cut to one or two pairs' tables, so a chunk boundary falls mid-pairs
+_CORE_CASES = ([(dim, nk, None) for dim in range(1, 6) for nk in _CORE_SHAPES]
+               + [(dim, nk, per) for dim in (1, 3) for nk in ((3, 2), (3, 3)) for per in (1, 2)])
+
+
 @pytest.mark.parametrize("lead", [(5,), (2, 3), ()])
 def test_stacked_game_cores_match_per_pair_calls(lead, monkeypatch):
     """The element core and commutator_defects on stacks equal per-pair calls bit for bit.
@@ -424,34 +430,34 @@ def test_stacked_game_cores_match_per_pair_calls(lead, monkeypatch):
     """
     rng = rng_from_seed(71)
     budget = games._PAIR_CHUNK_ENTRIES
-    for dim, (n, k), pairs_per_chunk in itertools.product(
-            range(1, 5), ((1, 2), (2, 2), (3, 2), (2, 3), (3, 3)), (None, 1, 2)):
+    for dim, (n, k), pairs_per_chunk in _CORE_CASES:
         table = math.prod(lead) * k * k * dim * dim
         monkeypatch.setattr(games, "_PAIR_CHUNK_ENTRIES",
                             pairs_per_chunk * table if pairs_per_chunk else budget)
+        alice = _measurement_stack(rng, lead, n, k, dim)
+        bob = _measurement_stack(rng, lead, n, k, dim)
         for game in _weighted_games(rng, n, k):
-            alice = _measurement_stack(rng, lead, n, k, dim)
-            bob = _measurement_stack(rng, lead, n, k, dim)
             elements = _game_elements(game, alice, bob, DEFAULT_TOL)
             assert elements.shape == lead + (dim, dim)
-            tables = None if pairs_per_chunk else commutator_defects(alice, bob)
             for index in np.ndindex(*lead):
                 pair = Measurement(alice[index]), Measurement(bob[index])
                 assert np.array_equal(elements[index], game_element(game, *pair))
                 assert np.array_equal(elements[index],
                                       _per_pair_element(game, alice[index], bob[index]))
-                if tables is None:
-                    continue
-                norms = [op_norm(alice[index][x, a] @ bob[index][y, b]
-                                 - bob[index][y, b] @ alice[index][x, a])
-                         for x in range(n) for y in range(n)
-                         for a in range(k) for b in range(k)]
-                expected = np.zeros(n * n)
-                for j, norm in enumerate(norms):  # (a, b) order, one add at a time
-                    expected[j // (k * k)] += norm
-                assert np.array_equal(tables[index], expected.reshape(n, n))
-                assert np.array_equal(tables[index],
-                                      commutator_defects(*(m.ops for m in pair)))
+        if pairs_per_chunk:
+            continue
+        tables = commutator_defects(alice, bob)
+        assert tables.shape == lead + (n, n)
+        for index in np.ndindex(*lead):
+            norms = [op_norm(alice[index][x, a] @ bob[index][y, b]
+                             - bob[index][y, b] @ alice[index][x, a])
+                     for x in range(n) for y in range(n)
+                     for a in range(k) for b in range(k)]
+            expected = np.zeros(n * n)
+            for j, norm in enumerate(norms):  # (a, b) order, one add at a time
+                expected[j // (k * k)] += norm
+            assert np.array_equal(tables[index], expected.reshape(n, n))
+            assert np.array_equal(tables[index], commutator_defects(alice[index], bob[index]))
 
 
 def test_weighted_game_shapes():
