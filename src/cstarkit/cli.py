@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, integral
 from .formats import (FORMAT_VERSION, parse_game, parse_polynomial,
                       parse_presentation, report_lines, sha256_file,
                       write_report)
@@ -82,13 +82,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
             raise PreconditionError(f"unknown command {self.command!r}")
-        if not isinstance(self.seed, int) or not isinstance(self.budget, int):
-            raise PreconditionError("seed and budget must be integers")
+        for name in ("seed", "budget", "iters", "dim", "grid_denominator"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
+        object.__setattr__(self, "dims", tuple(integral(d, "dims entries") for d in self.dims))
         if self.budget < 0:
             raise PreconditionError(f"budget must be nonnegative, got {self.budget}")
         if self.seed < 0:
             raise PreconditionError(f"seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         for d in (*self.dims, self.dim):
             if d > _MAX_DIM:
                 raise PreconditionError(

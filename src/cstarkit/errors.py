@@ -6,6 +6,7 @@ the remaining failure modes that callers may want to distinguish.
 """
 from __future__ import annotations
 
+import contextlib
 import operator
 
 
@@ -16,12 +17,13 @@ class PreconditionError(ValueError):
 def integral(value, name: str) -> int:
     """value as a Python int (numpy integers too); PreconditionError for anything else.
 
-    Uses operator.index, so 2.7 or 10.0 is refused rather than truncated.
+    Uses operator.index, so 2.7 or 10.0 is refused rather than truncated;
+    a bool is refused too, although Python counts it as an int.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise PreconditionError(f"{name} must be an integer, got {value!r}")
 
 
 class HypothesisError(PreconditionError):

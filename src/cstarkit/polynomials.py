@@ -244,22 +244,25 @@ class CompiledPolynomials:
     coeffs: np.ndarray
     widths: tuple[int, ...]
 
-    def evaluate(self, images: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
-        """(polynomials, dim, dim) stack of the values at the images.
+    def evaluate(self, images: Mapping[str, np.ndarray], dim: int, lead: tuple = ()) -> np.ndarray:
+        """(polynomials, *lead, dim, dim) stack of the values at the images.
 
-        Words are left-fold products and each value sums its terms one at a
-        time from zero, so every matrix equals the term-by-term sum of
-        coefficient times product bit for bit.
+        Each image is a (*lead, dim, dim) stack, so one call evaluates every
+        polynomial at every item of the stack.  Words are left-fold products
+        and each value sums its terms one at a time from zero, so every
+        matrix equals the term-by-term sum of coefficient times product bit
+        for bit, and an item's values do not depend on the rest of its stack.
         """
         n = len(self.names)
-        letters = np.empty((2 * n, dim, dim), dtype=np.complex128)
+        shape = (*lead, dim, dim)
+        letters = np.empty((2 * n, *shape), dtype=np.complex128)
         for k, name in enumerate(self.names):
             if name not in images:
                 raise PreconditionError(f"no image for generator '{name}'")
             letters[k] = np.asarray(images[name], dtype=np.complex128)
         letters[n:] = dagger(letters[:n])
         count = sum(len(table) for table in self.words)
-        words = np.empty((count + 1, dim, dim), dtype=np.complex128)
+        words = np.empty((count + 1, *shape), dtype=np.complex128)
         words[count] = 0
         at = 0
         for table in self.words:
@@ -270,13 +273,15 @@ class CompiledPolynomials:
                     product = product @ letters.take(column, axis=0)
                 words[at:at + len(rows)] = product
                 at += len(rows)
-        out = np.zeros((len(self.index), dim, dim), dtype=np.complex128)
+        out = np.zeros((len(self.index), *shape), dtype=np.complex128)
         # an in-place multiply rounds differently at dim 1, so two buffers
-        taken = np.empty((min(_CHUNK, len(out)), dim, dim), dtype=np.complex128)
+        taken = np.empty((min(_CHUNK, len(out)), *shape), dtype=np.complex128)
         term = np.empty_like(taken)
+        # one coefficient per polynomial and slot, broadcast over each value
+        spread = (slice(None), slice(None)) + (None,) * len(shape)
         for start, width in zip(range(0, len(out), _CHUNK), self.widths):
             index = self.index[start:start + _CHUNK]
-            coeffs = self.coeffs[start:start + _CHUNK, :, None, None]
+            coeffs = self.coeffs[start:start + _CHUNK][spread]
             part, rows = out[start:start + _CHUNK], len(index)
             for slot in range(width):
                 words.take(index[:, slot], axis=0, out=taken[:rows])

@@ -26,13 +26,16 @@ import numpy as np
 
 from .dyadic import ceil_log2, is_dyadic
 from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError, integral
-from .operators import DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm, op_norms
+# op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
+# checks that tracing rebinds cstarkit.presentations.op_norm
+from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm,  # noqa: F401
+                        op_norms)
 from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials, generator,
                           lipschitz_bound)
 from .rounding import (_check_exact, _check_moved, _isometry_cut, isometry_defect,
                        round_to_projection, round_to_pvm, round_to_unitary,
                        stability_modulus)
-from .sampling import random_projection, random_unitary, rng_from_seed
+from .sampling import _draw_ginibre, _haar_unitaries, _rank_projections, rng_from_seed
 
 
 class _DefectTable(NamedTuple):
@@ -131,23 +134,87 @@ def eval_poly(p: NCPolynomial, rep: Representation) -> np.ndarray:
     return p.evaluate(rep.images, rep.dim)
 
 
-def _defect_parts(pres: Presentation, rep: Representation) -> tuple[np.ndarray, np.ndarray]:
-    """Norm-bound excess per generator and the (relations, dim, dim) relation values."""
-    unit_img = rep.images.get(pres.unit_generator)
-    if unit_img is None:
-        raise PreconditionError(f"missing image for generator {pres.unit_generator!r}")
-    if not np.array_equal(unit_img, np.eye(rep.dim, dtype=np.complex128)):
-        raise PreconditionError(
-            f"unit generator {pres.unit_generator!r} must map to the identity exactly")
-    for name in pres.names:
-        if name not in rep.images:
-            raise PreconditionError(f"missing image for generator {name!r}")
-    excess = op_norms(np.array([rep.images[name] for name in pres.names])) - pres._table.bounds
+# relation-table entries (relations x items x dim^2) one stacked gate pass
+# holds at most; bounds the temporaries of a norm-enumeration round
+_STACK_ENTRIES = 2 ** 14
+
+
+def _stack_of_one(rep: Representation) -> dict[str, np.ndarray]:
+    """rep's images as (1, dim, dim) stacks."""
+    return {name: img[None] for name, img in rep.images.items()}
+
+
+def _below(values: np.ndarray, gate: Fraction | float) -> np.ndarray:
+    """values < gate, exactly as Python compares each float with the gate.
+
+    float(gate) is the float nearest the gate, so no float lies strictly
+    between the two.
+    """
+    near = float(gate)
+    return values <= near if near < gate else values < near
+
+
+def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray]):
+    """(excess, relations, fault) over a stack of (L, dim, dim) images per generator.
+
+    excess is each item's largest norm-bound excess, shape (L,), and
+    relations the (relations, L, dim, dim) relation values.  An item faults
+    with the PreconditionError relation_defect raises on it alone: a missing
+    or non-identity unit image, a missing generator image, or a relation
+    that overflows.  fault is the first faulting item and its error, or None.
+    A missing image faults the first item, and excess and relations are None.
+    """
+    unit = images.get(pres.unit_generator)
+    if unit is None:
+        return None, None, (0, PreconditionError(
+            f"missing image for generator {pres.unit_generator!r}"))
+    wrong_unit = ~(unit == np.eye(dim)).all(axis=(-2, -1))
+    not_unit = f"unit generator {pres.unit_generator!r} must map to the identity exactly"
+    missing = [name for name in pres.names if name not in images]
+    if missing:
+        return None, None, (0, PreconditionError(
+            not_unit if wrong_unit[0] else f"missing image for generator {missing[0]!r}"))
+    generators = np.stack([images[name] for name in pres.names], axis=1)
+    excess = (op_norms(generators) - pres._table.bounds).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        relations = pres._table.relations.evaluate(rep.images, rep.dim)
-    if not np.isfinite(relations).all():
-        raise PreconditionError(f"a relation overflows float range at dimension {rep.dim}")
-    return excess, relations
+        relations = pres._table.relations.evaluate(images, dim, (len(unit),))
+    bad = wrong_unit | ~np.isfinite(relations).all(axis=(0, 2, 3))
+    if not bad.any():
+        return excess, relations, None
+    first = int(np.argmax(bad))
+    return excess, relations, (first, PreconditionError(
+        not_unit if wrong_unit[first] else f"a relation overflows float range at dimension {dim}"))
+
+
+def _gates(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
+           gate: Fraction | float) -> tuple[np.ndarray, PreconditionError | None]:
+    """relation_defect < gate per item of a stack, with an SVD only where a cheap bound is unsure.
+
+    Returns the decisions of the items before the first fault and that
+    fault's error (None when no item faults).  sqrt(|X|_1 |X|_inf) bounds
+    |X| from above, so a relation whose bound is below gate/2 has a
+    computed norm below gate too; the factor 2 covers the rounding of both.
+    Taking the roots before the product keeps it from underflowing; an
+    overflowing bound reads inf and falls through.
+    """
+    excess, relations, fault = _defect_parts(pres, dim, images)
+    stop, error = fault if fault is not None else (len(images[pres.unit_generator]), None)
+    if not stop:
+        return np.zeros(0, dtype=bool), error
+    relations = relations[:, :stop]
+    passed = _below(excess[:stop], gate)
+    mags = np.abs(relations)
+    with np.errstate(over="ignore"):
+        bound = (np.sqrt(mags.sum(axis=-2).max(axis=-1, initial=0.0))
+                 * np.sqrt(mags.sum(axis=-1).max(axis=-1, initial=0.0)))
+    unsure = ~(bound < float(gate) / 2) & passed
+    if not unsure.any():
+        return passed, error
+    # a sure relation counts as norm 0, below any positive gate; at a gate
+    # <= 0 no relation is sure
+    norms = np.zeros(unsure.shape)
+    norms[unsure] = op_norms(relations[unsure])
+    return passed & _below(norms.max(axis=0, initial=0.0), gate), error
 
 
 def relation_defect(pres: Presentation, rep: Representation) -> float:
@@ -155,27 +222,18 @@ def relation_defect(pres: Presentation, rep: Representation) -> float:
 
     Zero exactly on representations; the unit must be imaged by the identity.
     """
-    excess, relations = _defect_parts(pres, rep)
-    return max(0.0, float(excess.max()), float(op_norms(relations).max(initial=0.0)))
+    excess, relations, fault = _defect_parts(pres, rep.dim, _stack_of_one(rep))
+    if fault is not None:
+        raise fault[1]
+    return max(0.0, float(excess[0]), float(op_norms(relations[:, 0]).max(initial=0.0)))
 
 
 def _defect_below(pres: Presentation, rep: Representation, gate: Fraction | float) -> bool:
-    """relation_defect(pres, rep) < gate, with an SVD only where a cheap bound is unsure.
-
-    sqrt(|X|_1 |X|_inf) bounds |X| from above, so a relation whose bound is
-    below gate/2 has a computed norm below gate too; the factor 2 covers
-    the rounding of both.  Taking the roots before the product keeps it
-    from underflowing; an overflowing bound reads inf and falls through.
-    """
-    excess, relations = _defect_parts(pres, rep)
-    if not float(excess.max()) < gate:
-        return False
-    mags = np.abs(relations)
-    with np.errstate(over="ignore"):
-        bound = (np.sqrt(mags.sum(axis=-2).max(axis=-1, initial=0.0))
-                 * np.sqrt(mags.sum(axis=-1).max(axis=-1, initial=0.0)))
-    unsure = relations[~(bound < float(gate) / 2)]
-    return not len(unsure) or float(op_norms(unsure).max()) < gate
+    """relation_defect(pres, rep) < gate: the stacked gate on a stack of one."""
+    passed, error = _gates(pres, rep.dim, _stack_of_one(rep), gate)
+    if error is not None:
+        raise error
+    return bool(passed[0])
 
 
 @dataclass(frozen=True)
@@ -271,14 +329,19 @@ def toeplitz() -> Presentation:
 class RegisteredFamily(NamedTuple):
     """Everything a registered id means, down to its catalog supply.
 
-    A catalog round yields `canonical`, then seeded `sample(rng, dim)` draws.
+    A catalog round yields `canonical`, then seeded draws.  draw(rng, dim)
+    takes one item's random numbers from the generator and returns the
+    item's dimension and those numbers as a tuple of arrays; finish(*stacks)
+    turns the draws of one dimension, each array stacked on a new first
+    axis, into one (L, d, d) image stack per non-unit generator.
     """
 
     presentation: Presentation
     table: StabilityModulusTable
     witness: Callable[[Presentation, Representation, float, Tolerance], Representation]
     canonical: tuple[Representation, ...]
-    sample: Callable[[np.random.Generator, int], Representation]
+    draw: Callable[[np.random.Generator, int], tuple[int, tuple]]
+    finish: Callable[..., dict[str, np.ndarray]]
 
 
 # generator count of matrix_units:9, the largest registered family
@@ -305,35 +368,42 @@ def registered_presentation(pres_id: str) -> RegisteredFamily:
         return RegisteredFamily(
             trivial_presentation(), StabilityModulusTable(pres_id, lambda n: 0),
             lambda pres, rep, eps, tol: Representation(rep.dim, {}, unit=pres.unit_generator),
-            (Representation(1, {}),), lambda rng, dim: Representation(dim, {}))
+            (Representation(1, {}),), lambda rng, dim: (dim, ()), lambda: {})
     # the lambdas look the rounding and sampling functions up at call time,
     # so a rebinding of those module attributes reaches the cached rows too
     if head == "free_unitaries" and size is not None:
         return _one_by_one(free_unitaries(size), pres_id, "unitary",
                            lambda a, eps, tol: round_to_unitary(a, eps, tol),
-                           lambda rng, dim: random_unitary(rng, dim), (1.0, -1.0))
+                           lambda rng, dim: (_draw_ginibre(rng, dim),),
+                           lambda z: _haar_unitaries(z), (1.0, -1.0))
     if head == "projections" and size is not None:
         return _one_by_one(projections_presentation(size), pres_id, "projection",
                            lambda a, eps, tol: round_to_projection(a, eps, tol),
-                           lambda rng, dim: random_projection(rng, dim), (0.0, 1.0))
+                           lambda rng, dim: (int(rng.integers(0, dim + 1)),
+                                             _draw_ginibre(rng, dim)),
+                           lambda ranks, z: _rank_projections(_haar_unitaries(z), ranks),
+                           (0.0, 1.0))
     if head == "matrix_units" and size is not None:
         return RegisteredFamily(
             matrix_units(size), StabilityModulusTable(pres_id, _matrix_units_modulus),
             partial(_witness_matrix_units, size),
             (Representation(size, _exact_matrix_unit_images(size, size)),),
-            partial(_sample_matrix_units, size))
+            partial(_draw_matrix_units, size),
+            lambda z: _exact_matrix_unit_images(size, z.shape[-1], _haar_unitaries(z)))
     raise UnsupportedPresentationError(
         f"presentation id {pres_id!r} has no registered stability witness")
 
 
-def _one_by_one(pres: Presentation, pres_id: str, kind: str, round_one, draw,
+def _one_by_one(pres: Presentation, pres_id: str, kind: str, round_one, draw_one, finish_one,
                 values: tuple[float, float]) -> RegisteredFamily:
     """Row of a family whose non-unit generators are rounded and drawn one at a time.
 
     round_one is the `kind` rounder, so the modulus table maps n to m with
     2^-m = stability_modulus(kind, 2^-n): the relation defect bounds each
-    generator's rounding defect.  The canonical representations image every
-    generator by the same scalar.
+    generator's rounding defect.  draw_one(rng, dim) draws one generator's
+    random numbers as a tuple, and finish_one maps those numbers, stacked on
+    leading axes, to the generator's images.  The canonical representations
+    image every generator by the same scalar.
     """
     names = tuple(name for name in pres.names if name != pres.unit_generator)
     table = StabilityModulusTable(
@@ -343,12 +413,16 @@ def _one_by_one(pres: Presentation, pres_id: str, kind: str, round_one, draw,
         images = {name: round_one(rep.images[name], eps, tol)[0] for name in names}
         return Representation(rep.dim, images, unit=pres.unit_generator)
 
-    def sample(rng, dim):
-        return Representation(dim, {name: draw(rng, dim) for name in names})
+    def draw(rng, dim):
+        return dim, tuple(map(np.array, zip(*(draw_one(rng, dim) for _ in names))))
+
+    def finish(*stacks):
+        images = finish_one(*stacks)
+        return {name: images[:, g] for g, name in enumerate(names)}
 
     canonical = tuple(Representation(1, {name: np.array([[value]]) for name in names})
                       for value in values)
-    return RegisteredFamily(pres, table, witness, canonical, sample)
+    return RegisteredFamily(pres, table, witness, canonical, draw, finish)
 
 
 def _matrix_units_modulus(n: int) -> int:
@@ -389,22 +463,24 @@ def _witness_matrix_units(k, pres, rep, eps, tol):
 
 
 def _exact_matrix_unit_images(k: int, dim: int, u: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """e{i}{j} as E_ij (x) 1 on dim = k * (dim // k), conjugated by u when given."""
+    """e{i}{j} as E_ij (x) 1 on dim = k * (dim // k), conjugated by u when given.
+
+    A (..., dim, dim) stack of unitaries gives a (..., dim, dim) stack per unit.
+    """
     units = np.eye(k * k, dtype=np.complex128).reshape(k * k, k, k)
     reps = dim // k
     imgs = np.einsum("nab,cd->nacbd", units, np.eye(reps, dtype=np.complex128))
     imgs = imgs.reshape(k * k, k * reps, k * reps)
     if u is not None:
-        imgs = u @ imgs @ dagger(u)
+        imgs = np.moveaxis(u[..., None, :, :] @ imgs @ dagger(u)[..., None, :, :], -3, 0)
     return {f"e{i}{j}": img
             for (i, j), img in zip(itertools.product(range(1, k + 1), repeat=2), imgs)}
 
 
-def _sample_matrix_units(k: int, rng, dim: int) -> Representation:
-    """Matrix units on the largest multiple of k up to dim (at least k), randomly rotated."""
+def _draw_matrix_units(k: int, rng, dim: int) -> tuple[int, tuple]:
+    """The largest multiple of k up to dim (at least k), and a draw to rotate matrix units by."""
     full = max(1, dim // k) * k
-    u = random_unitary(rng, full)
-    return Representation(full, _exact_matrix_unit_images(k, full, u))
+    return full, (_draw_ginibre(rng, full),)
 
 
 def stability_witness(pres_id: str, rep: Representation, eps: float,
@@ -499,10 +575,81 @@ class RepresentationCatalog:
 
     def batch(self, pres_id: str, round_index: int) -> list[Representation]:
         """Deterministic list of candidate representations for one round."""
+        canonical = registered_presentation(pres_id).canonical
+        reps = list(canonical) + [None] * self.per_round
+        for block in self._round(pres_id, round_index, len(reps)):
+            for row, at in enumerate(block.at):
+                if at >= len(canonical):
+                    reps[at] = Representation(
+                        block.dim, {name: img[row] for name, img in block.images.items()})
+        return reps
+
+    def _round(self, pres_id: str, round_index: int, count: int) -> list[_Block]:
+        """The round's first `count` items, one block per dimension.
+
+        Every item is drawn, in catalog order, before any is finished; the
+        draws of one dimension are then finished as one stack.  Blocks come
+        in the order their dimensions first appear.
+        """
         family = registered_presentation(pres_id)
+        head = family.canonical[:count]
         rng = rng_from_seed(_subseed(self.seed, pres_id, round_index))
-        return list(family.canonical) + [family.sample(rng, self.dims[i % len(self.dims)])
-                                         for i in range(self.per_round)]
+        drawn = [family.draw(rng, self.dims[i % len(self.dims)])
+                 for i in range(count - len(head))]
+        dims = [rep.dim for rep in head] + [dim for dim, _ in drawn]
+        unit = family.presentation.unit_generator
+        names = [name for name in family.presentation.names if name != unit]
+        blocks = []
+        for dim in dict.fromkeys(dims):
+            at = [i for i, d in enumerate(dims) if d == dim]
+            stacks = {name: [head[i].images[name][None] for i in at if i < len(head)]
+                      for name in names}
+            parts = [drawn[i - len(head)][1] for i in at if i >= len(head)]
+            if parts:
+                for name, stack in family.finish(*map(np.array, zip(*parts))).items():
+                    stacks[name].append(stack)
+            images = {name: np.concatenate(stack) for name, stack in stacks.items()}
+            images[unit] = np.broadcast_to(np.eye(dim, dtype=np.complex128), (len(at), dim, dim))
+            blocks.append(_Block(dim, at, images))
+        return blocks
+
+
+class _Block(NamedTuple):
+    """The items of one catalog round that share a dimension.
+
+    at lists their positions in the round, increasing; images holds one
+    (len(at), dim, dim) stack per generator, the unit's last.
+    """
+
+    dim: int
+    at: list[int]
+    images: dict[str, np.ndarray]
+
+
+def _gated_norms(pres: Presentation, q: CompiledPolynomials, dim: int,
+                 images: Mapping[str, np.ndarray],
+                 gate: Fraction) -> tuple[np.ndarray, PreconditionError | None]:
+    """|q| at each item of a stack whose relation defect is below gate, NaN at the others.
+
+    Covers the items before the first fault and returns that fault's error
+    (None when no item faults): the gate's faults, or a |q| that overflows.
+    """
+    passed, error = _gates(pres, dim, images, gate)
+    norms = np.full(len(passed), np.nan)
+    if passed.any():
+        rows = np.flatnonzero(passed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = q.evaluate({name: images[name][rows] for name in q.names},
+                               dim, (len(rows),))[0]
+        finite = np.isfinite(image).all(axis=(-2, -1))
+        values = np.full(len(rows), np.inf)
+        values[finite] = op_norms(image[finite])
+        norms[rows] = values
+        overflow = ~np.isfinite(values)
+        if overflow.any():
+            return norms[:rows[np.argmax(overflow)]], PreconditionError(
+                f"|q| overflows float range at dimension {dim}")
+    return norms, error
 
 
 def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
@@ -518,8 +665,14 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
     The emitted value is the largest multiple of 2^-(j+4) at or below
     |q(rep)| - 2^-j that beats all previous outputs.  The budget counts
     catalog representations examined; exhausting it ends the stream.
+
+    A round is drawn only as far as the budget reaches and gated per
+    dimension, in stacks of at most _STACK_ENTRIES relation-table entries;
+    its items are then read in catalog order, so emissions and errors come
+    out as from one representation at a time.
     """
-    modulus = registered_presentation(pres_id).table
+    family = registered_presentation(pres_id)
+    budget = integral(budget, "budget")
     if budget < 0:
         raise PreconditionError(f"budget must be nonnegative, got {budget}")
     stray = q.symbols() - set(pres.names)
@@ -527,25 +680,38 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
         raise PreconditionError(f"q mentions undeclared generators: {sorted(stray)}")
     lip = lipschitz_bound(q, pres.bounds)
     pad = max(0, ceil_log2(lip)) if lip > 0 else 0
+    q_table = compile_polynomials((q,))
+    size = len(family.canonical) + catalog.per_round
     best: Fraction | None = None
     examined = 0
     for j in itertools.count():
         if examined >= budget:
             return
-        gate = Fraction(1, 2 ** modulus.of(j + pad + 1))
+        gate = Fraction(1, 2 ** family.table.of(j + pad + 1))
         grid = 2 ** (j + 4)
-        for rep in catalog.batch(pres_id, j):
-            if examined >= budget:
-                return
-            examined += 1
-            if not _defect_below(pres, rep, gate):
+        count = min(size, budget - examined)
+        norms = np.full(count, np.nan)
+        stop, error = count, None
+        for block in catalog._round(pres_id, j, count):
+            step = max(1, _STACK_ENTRIES // (max(1, len(pres.relations)) * block.dim ** 2))
+            for start in range(0, len(block.at), step):
+                at = block.at[start:start + step]
+                part, fault = _gated_norms(
+                    pres, q_table, block.dim,
+                    {name: img[start:start + step] for name, img in block.images.items()}, gate)
+                norms[at[:len(part)]] = part
+                if fault is not None:
+                    if at[len(part)] < stop:
+                        stop, error = at[len(part)], fault
+                    break
+        for value in norms[:stop].tolist():
+            if math.isnan(value):
                 continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                image = eval_poly(q, rep)
-            if not (np.isfinite(image).all() and math.isfinite(value := op_norm(image))):
-                raise PreconditionError(f"|q| overflows float range at dimension {rep.dim}")
             # exact product: (value - 2^-j) * grid may overflow as a float
             d = Fraction(math.floor(Fraction(value - 2.0 ** -j) * grid), grid)
             if d > 0 and (best is None or d > best):
                 best = d
                 yield d
+        if error is not None:
+            raise error
+        examined += count

@@ -29,10 +29,19 @@ def rng_from_seed(seed) -> np.random.Generator:
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase correction."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return _haar_unitaries(_draw_ginibre(rng, dim))
+
+
+def _draw_ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A complex Gaussian matrix: the real parts drawn first, then the imaginary parts."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """random_unitary over a (..., d, d) stack of draws: one batched QR, phases fixed per item."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_projection(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
@@ -40,9 +49,21 @@ def random_projection(rng: np.random.Generator, dim: int, rank: int | None = Non
         rank = int(rng.integers(0, dim + 1))
     if not 0 <= rank <= dim:
         raise ValueError(f"rank must lie in [0, {dim}], got {rank}")
-    u = random_unitary(rng, dim)
-    cols = u[:, :rank]
-    return cols @ dagger(cols)
+    return _rank_projections(random_unitary(rng, dim)[None], np.array([rank]))[0]
+
+
+def _rank_projections(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """random_projection over a (..., d, d) stack of unitaries and a (...) stack of ranks.
+
+    Each projection is onto the span of its unitary's first `rank` columns.
+    """
+    out = np.empty_like(u)
+    # a set, not np.unique: the first np.unique call of a process adds 1.7 MB to
+    # its peak RSS (numpy 2.4)
+    for rank in set(np.ravel(ranks).tolist()):
+        cols = u[ranks == rank][..., :rank]
+        out[ranks == rank] = cols @ dagger(cols)
+    return out
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, norm: float = 1.0) -> np.ndarray:
@@ -66,7 +87,7 @@ def _scaled(h: np.ndarray, norm: float) -> np.ndarray:
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = _draw_ginibre(rng, dim)
     rho = g @ dagger(g)
     return rho / float(np.trace(rho).real)
 
@@ -163,7 +184,7 @@ def almost_projection_instance(rng: np.random.Generator, dim: int, delta: float)
 def _draw_projection(rng: np.random.Generator, dim: int) -> tuple:
     p = random_projection(rng, dim, rank=int(rng.integers(1, dim)) if dim > 1 else 1)
     h = _draw_hermitians(rng, dim, 1)[0]
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = _draw_ginibre(rng, dim)
     return p, h, (g - dagger(g)) / 2
 
 
@@ -193,8 +214,7 @@ def _draw_partial_isometry(rng: np.random.Generator, dim: int) -> tuple:
     v = u2[:, :rank] @ dagger(u1[:, :rank])
     p1 = u1[:, :rank] @ dagger(u1[:, :rank])
     p2 = u2[:, :rank] @ dagger(u2[:, :rank])
-    e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return v, p1, p2, e
+    return v, p1, p2, _draw_ginibre(rng, dim)
 
 
 def _partial_isometry_instances(v: np.ndarray, p1: np.ndarray, p2: np.ndarray, e: np.ndarray,

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import cstarkit
 import cstarkit.cli as cli
-from cstarkit.cli import _parse_dims, console_main
-from cstarkit.errors import HypothesisError
+from cstarkit.cli import RunConfig, _parse_dims, console_main
+from cstarkit.errors import HypothesisError, PreconditionError
 from cstarkit.formats import parse_polynomial, sha256_file
 from cstarkit.presentations import (RepresentationCatalog, norm_lower_enumerate,
                                     registered_presentation)
@@ -118,6 +118,32 @@ def test_dims_range_past_cap_is_not_built():
     assert _parse_dims("2..100000") == tuple(range(2, 66))
     assert _parse_dims("3,100..100000") == (3, 100)
     assert _parse_dims("60..64") == tuple(range(60, 65))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dims", (2.7, 3.9)), ("dims", (2, 3.0)), ("dim", 2.5), ("grid_denominator", 1024.5),
+    ("grid_denominator", 1024.0), ("seed", 1.0), ("budget", 10.5), ("seed", True),
+    ("budget", "10"), ("iters", 2.5)])
+def test_run_config_rejects_non_integral_fields(field, value):
+    """dims=(2.7, 3.9) used to build as (2, 3); dim, grid_denominator and iters went
+    unchecked (iters=2.5 ended seesaw in a TypeError)."""
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        RunConfig("game-value", **{field: value})
+
+
+def test_run_config_accepts_numpy_integers(tmp_path):
+    """numpy integers are stored as ints, so the report echoes them as a plain config does."""
+    game = str(DATA / "chsh.json")
+    config = RunConfig("game-value", game=game, seed=np.int64(3), budget=np.int32(10),
+                       dims=np.arange(2, 4), dim=np.int16(2), grid_denominator=np.uint16(64),
+                       iters=np.int8(7), out=str(tmp_path / "numpy.jsonl"))
+    fields = (config.seed, config.budget, *config.dims, config.dim, config.grid_denominator,
+              config.iters)
+    assert fields == (3, 10, 2, 3, 2, 64, 7) and all(type(v) is int for v in fields)
+    plain = RunConfig("game-value", game=game, seed=3, budget=10, dims=(2, 3), dim=2,
+                      grid_denominator=64, iters=7, out=str(tmp_path / "plain.jsonl"))
+    assert cli.run(config) == cli.run(plain) == 0
+    assert (tmp_path / "numpy.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
 
 
 # Each command with desk-scale defaults (later flags override them) and the

@@ -182,6 +182,27 @@ def test_compiled_evaluation_is_bit_identical_to_term_by_term(polys, dim, seed):
         assert p.evaluate(images, dim).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_stacked_evaluate_matches_per_item_calls(dim):
+    """Images with leading axes give each item's per-item values bit for bit."""
+    a, b = generator("a"), generator("b")
+    i = GaussianRational(Fraction(1, 3), Fraction(-2, 7))
+    polys = (NCPolynomial.zero(), i * (a * b.adjoint() * a) + Fraction(5, 9) * b.adjoint(),
+             a.adjoint() * a - b * b.adjoint(), NCPolynomial.zero(),
+             *(Fraction(k, 3) * a * b.adjoint() for k in range(1, 20)))
+    rng = rng_from_seed((74, dim))
+    for lead in [(1,), (7,), (2, 3)]:
+        shape = (*lead, dim, dim)
+        images = {name: rng.normal(size=shape) + 1j * rng.normal(size=shape) for name in "ab"}
+        for table in (compile_polynomials(polys), compile_polynomials(polys[:1])):
+            stacked = table.evaluate(images, dim, lead)
+            assert stacked.shape == (len(table.index), *lead, dim, dim)
+            for item in np.ndindex(*lead):
+                one = table.evaluate({name: img[item] for name, img in images.items()}, dim)
+                assert stacked[(slice(None), *item)].tobytes() == one.tobytes()
+    assert not stacked.any()
+
+
 def test_evaluate_missing_image():
     p = generator("missing")
     with pytest.raises(PreconditionError):

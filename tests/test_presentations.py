@@ -2,15 +2,19 @@
 
 import hashlib
 import itertools
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cstarkit.presentations as presentations
+from cstarkit.dyadic import ceil_log2
 from cstarkit.errors import (HypothesisError, PreconditionError,
                              UnsupportedPresentationError)
 from cstarkit.operators import dagger, op_norm
-from cstarkit.polynomials import generator
+from cstarkit.polynomials import NCPolynomial, generator, lipschitz_bound
 from cstarkit.presentations import (Presentation, Representation,
                                     RepresentationCatalog,
                                     StabilityModulusTable, combine_moduli,
@@ -20,7 +24,8 @@ from cstarkit.presentations import (Presentation, Representation,
                                     registered_presentation, relation_defect,
                                     stability_witness, toeplitz,
                                     trivial_presentation)
-from cstarkit.presentations import _defect_below, _exact_matrix_unit_images, _subseed
+from cstarkit.presentations import (_defect_below, _exact_matrix_unit_images, _gates,
+                                    _subseed)
 from cstarkit.sampling import (random_projection, random_unitary,
                                rng_from_seed)
 
@@ -219,6 +224,78 @@ def test_screened_gate_decides_as_relation_defect():
     assert _defect_below(trivial_presentation(), Representation(3, {}), Fraction(1, 2 ** 60))
 
 
+def _stack(reps):
+    """Representations of one dimension as (L, dim, dim) image stacks."""
+    return {name: np.array([rep.images[name] for rep in reps]) for name in reps[0].images}
+
+
+@pytest.mark.parametrize("pres_id, kind, size, dim", [
+    ("matrix_units:2", "matrix_units", 2, 4),
+    ("matrix_units:3", "matrix_units", 3, 3),
+    ("free_unitaries:2", "free_unitaries", 2, 3),
+    ("projections:3", "projections", 3, 2),
+])
+def test_stacked_gate_decides_as_relation_defect_per_item(pres_id, kind, size, dim):
+    """_gates on a stack is relation_defect(pres, rep) < gate item by item.
+
+    The items straddle the gate 2^-m, so many relations are left unsure by
+    the cheap bound and take the SVD; gates equal to an item's defect, and
+    one float above it, cover the exact comparison.
+    """
+    fam = registered_presentation(pres_id)
+    pres = fam.presentation
+    rng = rng_from_seed((87, size, dim))
+    unsure = 0
+    for n in (1, 4):
+        m = fam.table.of(n)
+        reps = [_perturbed_family_rep(kind, size, rng, dim, 2.0 ** -m * scale)
+                for scale in (0.0, 1 / 64, 1 / 8, 1 / 4, 1 / 2, 1, 2, 1 / 16, 1 / 4)]
+        defects = [relation_defect(pres, rep) for rep in reps]
+        gates = [Fraction(1, 2 ** m), Fraction(1, 2 ** (m + 1))]
+        gates += [Fraction(defect) for defect in defects[1:4]]
+        gates += [float(np.nextafter(defect, np.inf)) for defect in defects[1:4]]
+        for gate in gates:
+            passed, error = _gates(pres, dim, _stack(reps), gate)
+            assert error is None
+            assert passed.tolist() == [defect < gate for defect in defects], (pres_id, gate)
+            assert passed.tolist() == [_defect_below(pres, rep, gate) for rep in reps]
+            for rep in reps:
+                bounds = [np.sqrt(np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf))
+                          for x in (eval_poly(p, rep) for p in pres.relations)]
+                unsure += any(b >= float(gate) / 2 for b in bounds)
+        assert [defect < Fraction(defect) for defect in defects] == [False] * len(reps)
+    assert unsure > 20
+
+
+def test_stacked_gate_stops_at_the_first_fault():
+    """The decisions cover the items before the first fault; its error is the per-item one."""
+    pres = free_unitaries(1)
+    rng = rng_from_seed(88)
+    images = _stack([Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(5)])
+    gate = Fraction(1, 2 ** 10)
+    passed, error = _gates(pres, 2, images, gate)
+    assert passed.tolist() == [True] * 5 and error is None
+    images["e"] = images["e"].copy()
+    images["e"][3, 0, 1] = 1e-300
+    passed, error = _gates(pres, 2, images, gate)
+    assert passed.tolist() == [True] * 3
+    assert str(error) == "unit generator 'e' must map to the identity exactly"
+    images["u1"][2] *= 1e200
+    passed, error = _gates(pres, 2, images, gate)
+    assert passed.tolist() == [True] * 2
+    assert str(error) == "a relation overflows float range at dimension 2"
+    with pytest.raises(PreconditionError, match="a relation overflows"):
+        relation_defect(pres, Representation(2, {"u1": images["u1"][2]}))
+    missing = {"e": images["e"]}
+    passed, error = _gates(pres, 2, missing, gate)
+    assert len(passed) == 0 and str(error) == "missing image for generator 'u1'"
+    missing["e"] = missing["e"][[3, 0, 1, 2, 4]]
+    passed, error = _gates(pres, 2, missing, gate)
+    assert len(passed) == 0 and "must map to the identity" in str(error)
+    passed, error = _gates(pres, 2, {"u1": images["u1"]}, gate)
+    assert len(passed) == 0 and str(error) == "missing image for generator 'e'"
+
+
 def test_presentation_compiles_relations_once(monkeypatch):
     """One compile per Presentation, none per representation the enumerator examines."""
     import cstarkit.polynomials as polynomials
@@ -238,7 +315,7 @@ def test_presentation_compiles_relations_once(monkeypatch):
     compiled.clear()
     out = list(norm_lower_enumerate(fam.presentation, q, RepresentationCatalog(per_round=8),
                                     "matrix_units:3", 40))
-    # q compiles on its first evaluate; no representation compiles anything
+    # the enumerator compiles q once; no representation compiles anything
     assert out and fam.presentation._table is table and compiled == [1]
     assert trivial_presentation()._table.relations.evaluate({}, 2).shape == (0, 2, 2)
 
@@ -277,7 +354,7 @@ def test_registered_families_built_once(monkeypatch):
     for pres_id in REGISTERED_IDS:
         assert registered_presentation(pres_id) is registered_presentation(pres_id)
     calls = []
-    for name in ("random_unitary", "random_projection", "round_to_unitary",
+    for name in ("_haar_unitaries", "_rank_projections", "round_to_unitary",
                  "round_to_projection", "round_to_pvm"):
         def counted(*args, _name=name, _original=getattr(presentations, name)):
             calls.append(_name)
@@ -287,8 +364,9 @@ def test_registered_families_built_once(monkeypatch):
     for pres_id in ("free_unitaries:1", "projections:1", "matrix_units:2"):
         rep = catalog.batch(pres_id, 0)[-1]
         stability_witness(pres_id, rep, 0.5)
-    assert calls == ["random_unitary", "round_to_unitary", "random_projection",
-                     "round_to_projection", "random_unitary", "round_to_pvm"]
+    assert calls == ["_haar_unitaries", "round_to_unitary", "_haar_unitaries",
+                     "_rank_projections", "round_to_projection", "_haar_unitaries",
+                     "round_to_pvm"]
 
 
 def test_generator_count_is_capped_before_building(monkeypatch):
@@ -601,7 +679,11 @@ def _batch_digest(batch):
 
 @pytest.mark.parametrize("pres_id", sorted(_BATCH_PINS))
 def test_catalog_batch_reads_the_registry_row(pres_id):
-    """A batch is the row's canonical representations, then the row's seeded draws."""
+    """A batch is the row's canonical representations, then the row's seeded draws.
+
+    The batch finishes each dimension's draws as one stack; drawn and
+    finished one at a time, as stacks of one, they give the same bytes.
+    """
     fam = registered_presentation(pres_id)
     batch = RepresentationCatalog(dims=(1, 2, 3, 5), per_round=5, seed=7).batch(pres_id, 2)
     dims, digest = _BATCH_PINS[pres_id]
@@ -610,7 +692,11 @@ def test_catalog_batch_reads_the_registry_row(pres_id):
     head = len(fam.canonical)
     assert all(rep is canon for rep, canon in zip(batch, fam.canonical))
     rng = rng_from_seed(_subseed(7, pres_id, 2))
-    draws = [fam.sample(rng, dim) for dim in (1, 2, 3, 5, 1)]
+    draws = []
+    for dim in (1, 2, 3, 5, 1):
+        full, parts = fam.draw(rng, dim)
+        images = fam.finish(*(part[None] for part in parts))
+        draws.append(Representation(full, {name: img[0] for name, img in images.items()}))
     assert _batch_digest(draws) == _batch_digest(batch[head:])
 
 
@@ -626,7 +712,8 @@ def test_catalog_dims_validation():
 
 
 @pytest.mark.parametrize("field, value", [("dims", (3.9,)), ("dims", (2, 3.0)),
-                                          ("per_round", 1.5), ("seed", 2.5), ("seed", "2")])
+                                          ("per_round", 1.5), ("seed", 2.5), ("seed", "2"),
+                                          ("per_round", True)])
 def test_catalog_rejects_non_integral_fields(field, value):
     """Refused at construction: dims=(3.9,) used to sample dimension 3, and
     per_round=1.5 used to raise a TypeError inside batch."""
@@ -721,6 +808,133 @@ def test_enumeration_rejects_stray_symbols():
     with pytest.raises(PreconditionError):
         list(norm_lower_enumerate(fam.presentation, generator("u1"), catalog,
                                   "free_unitaries:1", -1))
+
+
+@pytest.mark.parametrize("budget", [2.5, 40.0, True, "40"])
+def test_enumeration_rejects_non_integral_budget(budget):
+    """budget=2.5 used to examine 3 representations and budget=True one."""
+    fam = registered_presentation("free_unitaries:1")
+    with pytest.raises(PreconditionError, match="budget must be an integer"):
+        list(norm_lower_enumerate(fam.presentation, generator("u1"), RepresentationCatalog(),
+                                  "free_unitaries:1", budget))
+
+
+def test_enumeration_accepts_numpy_integer_budget():
+    q = generator("u1") + generator("u1").adjoint()
+    assert _enumerate("free_unitaries:1", q, np.int64(70)) == _enumerate("free_unitaries:1", q, 70)
+
+
+def _reference_enumerate(pres, q, catalog, pres_id, budget):
+    """norm_lower_enumerate one representation at a time: _defect_below, eval_poly, op_norm."""
+    table = registered_presentation(pres_id).table
+    lip = lipschitz_bound(q, pres.bounds)
+    pad = max(0, ceil_log2(lip)) if lip > 0 else 0
+    best = None
+    examined = 0
+    for j in itertools.count():
+        if examined >= budget:
+            return
+        gate = Fraction(1, 2 ** table.of(j + pad + 1))
+        grid = 2 ** (j + 4)
+        for rep in catalog.batch(pres_id, j):
+            if examined >= budget:
+                return
+            examined += 1
+            if not _defect_below(pres, rep, gate):
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                image = eval_poly(q, rep)
+            if not (np.isfinite(image).all() and math.isfinite(value := op_norm(image))):
+                raise PreconditionError(f"|q| overflows float range at dimension {rep.dim}")
+            d = Fraction(math.floor(Fraction(value - 2.0 ** -j) * grid), grid)
+            if d > 0 and (best is None or d > best):
+                best = d
+                yield d
+
+
+def _emissions(stream):
+    """The values a stream yields before it ends or fails, and the failure's message."""
+    values = []
+    try:
+        for value in stream:
+            values.append(value)
+    except PreconditionError as error:
+        return values, str(error)
+    return values, None
+
+
+_REFERENCE_CASES = {
+    "free_unitaries:2": generator("u1") + generator("u2").adjoint() * generator("u1"),
+    "projections:3": generator("p1") + generator("p2") * generator("p3"),
+    "matrix_units:2": generator("e12") + generator("e11"),
+    "matrix_units:3": generator("e12") + generator("e21") + generator("e33"),
+}
+
+
+@pytest.mark.parametrize("pres_id", sorted(_REFERENCE_CASES))
+def test_enumeration_matches_rep_by_rep_reference(pres_id, monkeypatch):
+    """The stacked rounds emit the reference's values, with budgets cutting a round mid-way.
+
+    Seed 0 also runs with stacks of one item and with one stack per dimension.
+    """
+    pres, q = registered_presentation(pres_id).presentation, _REFERENCE_CASES[pres_id]
+    runs = [(seed, budget, presentations._STACK_ENTRIES)
+            for seed in range(4) for budget in (40, 70, 99)]
+    runs += [(0, 99, 1), (0, 99, 2 ** 30)]
+    for seed, budget, entries in runs:
+        monkeypatch.setattr(presentations, "_STACK_ENTRIES", entries)
+        catalog = RepresentationCatalog(seed=seed)
+        stacked = _emissions(norm_lower_enumerate(pres, q, catalog, pres_id, budget))
+        assert stacked == _emissions(_reference_enumerate(pres, q, catalog, pres_id, budget))
+        assert stacked[0] and stacked[1] is None
+
+
+def test_round_stacks_hold_at_most_the_entry_cap(monkeypatch):
+    """Every gate pass holds at most _STACK_ENTRIES relation-table entries, or one item."""
+    sizes = []
+
+    def recorded(pres, dim, images, gate, _original=presentations._gates):
+        sizes.append((len(pres.relations) * len(images["e"]) * dim ** 2, len(images["e"])))
+        return _original(pres, dim, images, gate)
+    monkeypatch.setattr(presentations, "_gates", recorded)
+    pres = registered_presentation("matrix_units:3").presentation
+    catalog = RepresentationCatalog(seed=1)
+    list(norm_lower_enumerate(pres, generator("e12"), catalog, "matrix_units:3", 66))
+    assert sum(items for _, items in sizes) == 66
+    assert all(entries <= presentations._STACK_ENTRIES or items == 1 for entries, items in sizes)
+    assert max(items for _, items in sizes) > 1
+
+
+def test_enumeration_errors_follow_earlier_emissions():
+    """An error is raised at its catalog position, after the emissions of earlier ones."""
+    huge = Fraction(10) ** 308
+    # projections:1 starts with p1 = 0, then p1 = 1, where the two huge terms overflow
+    q = 4 * generator("e") + huge * generator("p1") + huge * generator("p1").adjoint()
+    pres = registered_presentation("projections:1").presentation
+    catalog = RepresentationCatalog(seed=2)
+    expected = ([Fraction(3)], "|q| overflows float range at dimension 1")
+    assert _emissions(norm_lower_enumerate(pres, q, catalog, "projections:1", 50)) == expected
+    assert _emissions(_reference_enumerate(pres, q, catalog, "projections:1", 50)) == expected
+    # u1 as the unit: the catalog images it by 1, then by -1
+    pres = Presentation((("u1", 1), ("e", 1)), (), unit_generator="u1")
+    q = 4 * generator("e")
+    expected = ([Fraction(3)], "unit generator 'u1' must map to the identity exactly")
+    assert _emissions(norm_lower_enumerate(pres, q, catalog, "free_unitaries:1", 50)) == expected
+    assert _emissions(_reference_enumerate(pres, q, catalog, "free_unitaries:1", 50)) == expected
+    # a relation that overflows in the first dimension's block and in a later one:
+    # the earlier catalog position's error wins
+    big = Fraction(sys.float_info.max)
+    u = generator("u1")
+    pres = Presentation((("e", 1), ("u1", 1)), (big * u + big * u.adjoint(),))
+    catalog = RepresentationCatalog(dims=(1, 2), seed=2)
+    expected = ([], "a relation overflows float range at dimension 1")
+    assert _emissions(norm_lower_enumerate(pres, u, catalog, "free_unitaries:1", 50)) == expected
+    assert _emissions(_reference_enumerate(pres, u, catalog, "free_unitaries:1", 50)) == expected
+    # a generator the family lacks is missing from the first representation on
+    pres = Presentation((("e", 1), ("u1", 1), ("v", 1)), ())
+    expected = ([], "missing image for generator 'v'")
+    assert _emissions(norm_lower_enumerate(pres, q, catalog, "free_unitaries:1", 50)) == expected
+    assert _emissions(_reference_enumerate(pres, q, catalog, "free_unitaries:1", 50)) == expected
 
 
 def test_enumeration_matrix_units_off_diagonal():

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from cstarkit.rounding import ROUNDING_KINDS, isometry_defect, stability_modulus
-from cstarkit.sampling import (_draw_partial_isometry, _draw_povm, _draw_projection,
-                               _draw_pvm, _draw_unitary, _partial_isometry_instances,
+from cstarkit.sampling import (_draw_ginibre, _draw_partial_isometry, _draw_povm,
+                               _draw_projection, _draw_pvm, _draw_unitary, _haar_unitaries,
+                               _partial_isometry_instances, _rank_projections,
                                _povm_instances, _projection_instances, _pvm_instances,
                                _shrink, _unitary_instances, almost_partial_isometry_instance,
                                almost_povm_instance, almost_projection_instance,
                                almost_pvm_instance, almost_unitary_instance,
-                               random_hermitian, random_unitary, rng_from_seed)
+                               random_hermitian, random_projection, random_unitary,
+                               rng_from_seed)
 
 
 def _stacked(kind, rng, dim, k, deltas):
@@ -127,3 +129,20 @@ def test_padded_family_draws_match_per_item_builders(kind):
             assert np.array(expected_base).tobytes() == base[i, max(ks) - k:].tobytes()
             assert not family[i, :max(ks) - k].any()
         assert stacked_rng.bit_generator.state == item_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_stacked_haar_cores_match_per_item_draws(dim):
+    """Draws finished as one stack equal random_unitary and random_projection call by call."""
+    stacked_rng, item_rng = rng_from_seed((81, dim)), rng_from_seed((81, dim))
+    z = np.array([_draw_ginibre(stacked_rng, dim) for _ in range(6)])
+    unitaries = _haar_unitaries(z)
+    for i in range(6):
+        assert unitaries[i].tobytes() == random_unitary(item_rng, dim).tobytes()
+    assert _haar_unitaries(z.reshape(2, 3, dim, dim)).tobytes() == unitaries.tobytes()
+    ranks, z = zip(*((int(stacked_rng.integers(0, dim + 1)), _draw_ginibre(stacked_rng, dim))
+                     for _ in range(6)))
+    projections = _rank_projections(_haar_unitaries(np.array(z)), np.array(ranks))
+    for i in range(6):
+        assert projections[i].tobytes() == random_projection(item_rng, dim).tobytes()
+    assert stacked_rng.bit_generator.state == item_rng.bit_generator.state

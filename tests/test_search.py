@@ -60,7 +60,8 @@ def test_stream_validation():
 @pytest.mark.parametrize("field, value", [("dims", (2.7, 3)), ("dims", (2, 3.0)),
                                           ("grid_denominator", 1024.9),
                                           ("grid_denominator", 1024.0),
-                                          ("budget", 10.9), ("seed", 1.5), ("seed", "1")])
+                                          ("budget", 10.9), ("seed", 1.5), ("seed", "1"),
+                                          ("budget", True)])
 def test_stream_rejects_non_integral_fields(field, value):
     """Floats, even integral ones, are refused rather than truncated."""
     with pytest.raises(PreconditionError, match="must be an integer"):
