@@ -66,10 +66,6 @@ def herm_part(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def identity_like(a: np.ndarray) -> np.ndarray:
-    return np.eye(a.shape[0], dtype=np.complex128)
-
-
 def _ordered_sum(stack: np.ndarray, axis: int) -> np.ndarray:
     """Sum along axis term by term from 0, in Python sum's order, on any leading axes."""
     total = 0

@@ -24,8 +24,6 @@ from .operators import dagger
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\*?\Z")
 
-Scalar = "int | Fraction | GaussianRational"
-
 
 @dataclass(frozen=True)
 class GaussianRational:

@@ -32,7 +32,7 @@ from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm,  #
                         op_norms)
 from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials, generator,
                           lipschitz_bound)
-from .rounding import (_check_exact, _check_moved, _isometry_cut, isometry_defect,
+from .rounding import (_check_exact, _check_moved, _isometry_cut, _refuse, isometry_defect,
                        round_to_projection, round_to_pvm, round_to_unitary,
                        stability_modulus)
 from .sampling import _draw_ginibre, _haar_unitaries, _rank_projections, rng_from_seed
@@ -107,8 +107,10 @@ class Representation:
     unit: str = "e"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
+        dim = integral(self.dim, "dim")
+        if dim < 1:
             raise PreconditionError(f"dim must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", dim)
         eye = np.eye(self.dim, dtype=np.complex128)
         fixed: dict[str, np.ndarray] = {}
         for name, img in dict(self.images).items():
@@ -154,67 +156,62 @@ def _below(values: np.ndarray, gate: Fraction | float) -> np.ndarray:
     return values <= near if near < gate else values < near
 
 
-def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray]):
-    """(excess, relations, fault) over a stack of (L, dim, dim) images per generator.
+def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray], count: int):
+    """(excess, relations, errors) over a stack of (count, dim, dim) images per generator.
 
-    excess is each item's largest norm-bound excess, shape (L,), and
-    relations the (relations, L, dim, dim) relation values.  An item faults
-    with the PreconditionError relation_defect raises on it alone: a missing
-    or non-identity unit image, a missing generator image, or a relation
-    that overflows.  fault is the first faulting item and its error, or None.
-    A missing image faults the first item, and excess and relations are None.
+    excess is each item's largest norm-bound excess, shape (count,), and
+    relations the (relations, count, dim, dim) relation values.  errors
+    holds per item None or the PreconditionError relation_defect raises on
+    it alone: a non-identity unit image, a missing image, or a relation that
+    overflows.  A missing image refuses every item, and excess and relations
+    are then None.
     """
+    errors = [None] * count
     unit = images.get(pres.unit_generator)
-    if unit is None:
-        return None, None, (0, PreconditionError(
-            f"missing image for generator {pres.unit_generator!r}"))
-    wrong_unit = ~(unit == np.eye(dim)).all(axis=(-2, -1))
-    not_unit = f"unit generator {pres.unit_generator!r} must map to the identity exactly"
-    missing = [name for name in pres.names if name not in images]
+    if unit is not None:
+        _refuse(errors, ~(unit == np.eye(dim)).all(axis=(-2, -1)), lambda i: PreconditionError(
+            f"unit generator {pres.unit_generator!r} must map to the identity exactly"))
+    missing = [name for name in (pres.unit_generator, *pres.names) if name not in images]
     if missing:
-        return None, None, (0, PreconditionError(
-            not_unit if wrong_unit[0] else f"missing image for generator {missing[0]!r}"))
+        _refuse(errors, np.ones(count, bool), lambda i: PreconditionError(
+            f"missing image for generator {missing[0]!r}"))
+        return None, None, errors
     generators = np.stack([images[name] for name in pres.names], axis=1)
     excess = (op_norms(generators) - pres._table.bounds).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        relations = pres._table.relations.evaluate(images, dim, (len(unit),))
-    bad = wrong_unit | ~np.isfinite(relations).all(axis=(0, 2, 3))
-    if not bad.any():
-        return excess, relations, None
-    first = int(np.argmax(bad))
-    return excess, relations, (first, PreconditionError(
-        not_unit if wrong_unit[first] else f"a relation overflows float range at dimension {dim}"))
+        relations = pres._table.relations.evaluate(images, dim, (count,))
+    _refuse(errors, ~np.isfinite(relations).all(axis=(0, 2, 3)), lambda i: PreconditionError(
+        f"a relation overflows float range at dimension {dim}"))
+    return excess, relations, errors
 
 
 def _gates(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
-           gate: Fraction | float) -> tuple[np.ndarray, PreconditionError | None]:
+           gate: Fraction | float, count: int) -> tuple[np.ndarray, list]:
     """relation_defect < gate per item of a stack, with an SVD only where a cheap bound is unsure.
 
-    Returns the decisions of the items before the first fault and that
-    fault's error (None when no item faults).  sqrt(|X|_1 |X|_inf) bounds
-    |X| from above, so a relation whose bound is below gate/2 has a
-    computed norm below gate too; the factor 2 covers the rounding of both.
-    Taking the roots before the product keeps it from underflowing; an
-    overflowing bound reads inf and falls through.
+    Returns (passed, errors), errors as in _defect_parts; a refused item is
+    not passed.  sqrt(|X|_1 |X|_inf) bounds |X| from above, so a relation
+    whose bound is below gate/2 has a computed norm below gate too; the
+    factor 2 covers the rounding of both.  Taking the roots before the
+    product keeps it from underflowing; an overflowing bound reads inf and
+    falls through.
     """
-    excess, relations, fault = _defect_parts(pres, dim, images)
-    stop, error = fault if fault is not None else (len(images[pres.unit_generator]), None)
-    if not stop:
-        return np.zeros(0, dtype=bool), error
-    relations = relations[:, :stop]
-    passed = _below(excess[:stop], gate)
+    excess, relations, errors = _defect_parts(pres, dim, images, count)
+    if relations is None:
+        return np.zeros(count, dtype=bool), errors
+    passed = _below(excess, gate) & np.equal(errors, None)
     mags = np.abs(relations)
     with np.errstate(over="ignore"):
         bound = (np.sqrt(mags.sum(axis=-2).max(axis=-1, initial=0.0))
                  * np.sqrt(mags.sum(axis=-1).max(axis=-1, initial=0.0)))
     unsure = ~(bound < float(gate) / 2) & passed
     if not unsure.any():
-        return passed, error
+        return passed, errors
     # a sure relation counts as norm 0, below any positive gate; at a gate
     # <= 0 no relation is sure
     norms = np.zeros(unsure.shape)
     norms[unsure] = op_norms(relations[unsure])
-    return passed & _below(norms.max(axis=0, initial=0.0), gate), error
+    return passed & _below(norms.max(axis=0, initial=0.0), gate), errors
 
 
 def relation_defect(pres: Presentation, rep: Representation) -> float:
@@ -222,17 +219,17 @@ def relation_defect(pres: Presentation, rep: Representation) -> float:
 
     Zero exactly on representations; the unit must be imaged by the identity.
     """
-    excess, relations, fault = _defect_parts(pres, rep.dim, _stack_of_one(rep))
-    if fault is not None:
-        raise fault[1]
+    excess, relations, errors = _defect_parts(pres, rep.dim, _stack_of_one(rep), 1)
+    if errors[0] is not None:
+        raise errors[0]
     return max(0.0, float(excess[0]), float(op_norms(relations[:, 0]).max(initial=0.0)))
 
 
 def _defect_below(pres: Presentation, rep: Representation, gate: Fraction | float) -> bool:
     """relation_defect(pres, rep) < gate: the stacked gate on a stack of one."""
-    passed, error = _gates(pres, rep.dim, _stack_of_one(rep), gate)
-    if error is not None:
-        raise error
+    passed, errors = _gates(pres, rep.dim, _stack_of_one(rep), gate, 1)
+    if errors[0] is not None:
+        raise errors[0]
     return bool(passed[0])
 
 
@@ -244,7 +241,8 @@ class StabilityModulusTable:
     modulus: Callable[[int], int]
 
     def of(self, n: int) -> int:
-        if not isinstance(n, int) or n < 0:
+        n = integral(n, "modulus argument")
+        if n < 0:
             raise PreconditionError(f"modulus argument must be a natural number, got {n}")
         m = self.modulus(n)
         if not isinstance(m, int) or m < 0:
@@ -266,7 +264,7 @@ def trivial_presentation() -> Presentation:
 
 def free_unitaries(n: int) -> Presentation:
     """n universal unitaries u1..un: uk* uk = uk uk* = 1, bounds 1."""
-    if n < 1:
+    if integral(n, "unitary count") < 1:
         raise PreconditionError(f"need at least one unitary generator, got {n}")
     names = [f"u{k}" for k in range(1, n + 1)]
     e = generator("e")
@@ -276,7 +274,7 @@ def free_unitaries(n: int) -> Presentation:
 
 def projections_presentation(n: int) -> Presentation:
     """n universal projections p1..pn: pk = pk* = pk^2, bounds 1."""
-    if n < 1:
+    if integral(n, "projection count") < 1:
         raise PreconditionError(f"need at least one projection generator, got {n}")
     names = [f"p{k}" for k in range(1, n + 1)]
     return _unital(names, [rel for p in map(generator, names)
@@ -290,7 +288,7 @@ def matrix_units(k: int) -> Presentation:
     and sum of diagonal units equal to the unit.  Single-digit indices keep
     names unambiguous, so k is capped at 9 (far beyond desk scale already).
     """
-    if not 1 <= k <= 9:
+    if not 1 <= integral(k, "matrix-unit size") <= 9:
         raise PreconditionError(f"matrix-unit size must be between 1 and 9, got {k}")
     index = range(1, k + 1)
     units = {(i, j): generator(f"e{i}{j}") for i in index for j in index}
@@ -311,7 +309,7 @@ def cuntz(n: int) -> Presentation:
     Constructible for defect evaluation only; deliberately not registered
     for stability witnesses (no finite-dimensional representations exist).
     """
-    if n < 2:
+    if integral(n, "isometry count") < 2:
         raise PreconditionError(f"Cuntz relations need at least two isometries, got {n}")
     names = [f"s{k}" for k in range(1, n + 1)]
     s = [generator(name) for name in names]
@@ -523,7 +521,8 @@ def combine_moduli(kind: str, base: StabilityModulusTable, size: int) -> Stabili
     shifted index and the block bookkeeping (unit projections of summands,
     matrix units of the amplification) adds its own rounding budget.
     """
-    if not isinstance(size, int) or size < 1:
+    size = integral(size, "size")
+    if size < 1:
         raise PreconditionError(f"size must be a positive integer, got {size!r}")
     pad = (size - 1).bit_length()
     label = f"{kind}({base.presentation_id},{size})"
@@ -627,15 +626,15 @@ class _Block(NamedTuple):
 
 
 def _gated_norms(pres: Presentation, q: CompiledPolynomials, dim: int,
-                 images: Mapping[str, np.ndarray],
-                 gate: Fraction) -> tuple[np.ndarray, PreconditionError | None]:
-    """|q| at each item of a stack whose relation defect is below gate, NaN at the others.
+                 images: Mapping[str, np.ndarray], gate: Fraction,
+                 count: int) -> tuple[np.ndarray, list]:
+    """(norms, errors) over a stack: |q| where relation_defect < gate, NaN elsewhere.
 
-    Covers the items before the first fault and returns that fault's error
-    (None when no item faults): the gate's faults, or a |q| that overflows.
+    errors holds per item None or its error: the gate's, or a |q| that
+    overflows.
     """
-    passed, error = _gates(pres, dim, images, gate)
-    norms = np.full(len(passed), np.nan)
+    passed, errors = _gates(pres, dim, images, gate, count)
+    norms = np.full(count, np.nan)
     if passed.any():
         rows = np.flatnonzero(passed)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -645,11 +644,9 @@ def _gated_norms(pres: Presentation, q: CompiledPolynomials, dim: int,
         values = np.full(len(rows), np.inf)
         values[finite] = op_norms(image[finite])
         norms[rows] = values
-        overflow = ~np.isfinite(values)
-        if overflow.any():
-            return norms[:rows[np.argmax(overflow)]], PreconditionError(
-                f"|q| overflows float range at dimension {dim}")
-    return norms, error
+        _refuse(errors, np.isinf(norms), lambda i: PreconditionError(
+            f"|q| overflows float range at dimension {dim}"))
+    return norms, errors
 
 
 def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
@@ -668,8 +665,8 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
 
     A round is drawn only as far as the budget reaches and gated per
     dimension, in stacks of at most _STACK_ENTRIES relation-table entries;
-    its items are then read in catalog order, so emissions and errors come
-    out as from one representation at a time.
+    its norms and errors are then read in catalog order, so emissions and
+    the first error come out as from one representation at a time.
     """
     family = registered_presentation(pres_id)
     budget = integral(budget, "budget")
@@ -691,20 +688,20 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
         grid = 2 ** (j + 4)
         count = min(size, budget - examined)
         norms = np.full(count, np.nan)
-        stop, error = count, None
+        errors = [None] * count
         for block in catalog._round(pres_id, j, count):
             step = max(1, _STACK_ENTRIES // (max(1, len(pres.relations)) * block.dim ** 2))
             for start in range(0, len(block.at), step):
                 at = block.at[start:start + step]
-                part, fault = _gated_norms(
+                norms[at], refused = _gated_norms(
                     pres, q_table, block.dim,
-                    {name: img[start:start + step] for name, img in block.images.items()}, gate)
-                norms[at[:len(part)]] = part
-                if fault is not None:
-                    if at[len(part)] < stop:
-                        stop, error = at[len(part)], fault
-                    break
-        for value in norms[:stop].tolist():
+                    {name: img[start:start + step] for name, img in block.images.items()},
+                    gate, len(at))
+                for i, error in zip(at, refused):
+                    errors[i] = error
+        for value, error in zip(norms.tolist(), errors):
+            if error is not None:
+                raise error
             if math.isnan(value):
                 continue
             # exact product: (value - 2^-j) * grid may overflow as a float
@@ -712,6 +709,4 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
             if d > 0 and (best is None or d > best):
                 best = d
                 yield d
-        if error is not None:
-            raise error
         examined += count

@@ -15,10 +15,10 @@ with room to spare.  The ``*_defect`` functions measure both the
 hypotheses and the exactness residuals.
 
 Each ``round_to_*`` is a thin wrapper over a private stacked core that
-takes a ``(..., d, d)`` stack (``(..., k, d, d)`` for families) with one
-eps per item; the wrapper passes its one input as a stack with no leading
-axes.  A core raises nothing for a refused item: it records the exception
-the per-item rounding raises, and the wrapper raises it.
+takes an ``(n, d, d)`` stack (``(n, k, d, d)`` for families) with one eps
+per item; the wrapper passes its one input as a stack of one.  A core
+raises nothing for a refused item: ``_refuse`` records the exception the
+per-item rounding raises, and the wrapper raises it.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ class RoundingReport:
 
 
 class _Rounded(NamedTuple):
-    """What a stacked rounding core did to each item of its stack, items flattened.
+    """What a stacked rounding core did to each item of its stack.
 
     out is (n, d, d) or (n, k, d, d); errors holds, per item, None or the
     exception the per-item rounding raises, and out, distance and residual
@@ -97,24 +97,22 @@ def stability_modulus(kind: str, eps: float) -> Fraction:
     return largest_pow2_leq(_BOUNDS[kind](Fraction(eps)))
 
 
-def _at(values, i: int) -> float:
-    """Item i, in flat order, of a per-item array (or of the float a bare matrix gives)."""
-    return float(np.ravel(values)[i])
-
-
 def _refuse(errors: list, mask, error) -> None:
-    """Record error(i) for each item i that mask flags and no earlier check refused."""
+    """Record error(i) for each item i that mask flags and no earlier check refused.
+
+    error(i) may return None, which leaves item i admitted.
+    """
     for i in np.flatnonzero(mask):
         if errors[i] is None:
             errors[i] = error(i)
 
 
 def _cleared(stack: np.ndarray, errors: list) -> np.ndarray:
-    """A (..., d, d) stack with its refused matrices zeroed, so later stages cannot overflow."""
+    """An (n, d, d) stack with its refused matrices zeroed, so later stages cannot overflow."""
     refused = [e is not None for e in errors]
     if not any(refused):
         return stack
-    return np.where(np.reshape(refused, stack.shape[:-2] + (1, 1)), 0.0, stack)
+    return np.where(np.array(refused)[:, None, None], 0.0, stack)
 
 
 def _gate(kind: str, eps: list, defect: np.ndarray, errors: list) -> np.ndarray:
@@ -122,41 +120,33 @@ def _gate(kind: str, eps: list, defect: np.ndarray, errors: list) -> np.ndarray:
 
     Refused items get the modulus 1.0, so later stages stay finite on them.
     """
-    delta = np.ones(len(eps))
-    for i, (e, d) in enumerate(zip(eps, np.ravel(defect).tolist())):
-        if errors[i] is not None:
-            continue
-        if not (0.0 < e < 1.0):
-            errors[i] = ValueError(f"eps must lie in (0, 1), got {e!r}")
-            continue
-        bound = float(stability_modulus(kind, e))
-        if d > bound:
-            errors[i] = HypothesisError(f"input is not {kind}-roundable at eps={e}",
-                                        defect=d, bound=bound)
-        else:
-            delta[i] = bound
-    return delta
-
-
-def _flat(out: np.ndarray, errors: list, defect, distance, residual) -> _Rounded:
-    """A core's per-item results with the leading axes of its stack flattened."""
-    n = len(errors)
-    return _Rounded(out.reshape((n,) + out.shape[np.ndim(defect):]), errors,
-                    *(np.reshape(x, n) for x in (defect, distance, residual)))
+    valid = [0.0 < e < 1.0 for e in eps]
+    _refuse(errors, np.logical_not(valid), lambda i: ValueError(
+        f"eps must lie in (0, 1), got {eps[i]!r}"))
+    bound = np.array([float(stability_modulus(kind, e)) if ok else 1.0
+                      for e, ok in zip(eps, valid)])
+    _refuse(errors, defect > bound, lambda i: HypothesisError(
+        f"input is not {kind}-roundable at eps={eps[i]}", defect=float(defect[i]),
+        bound=float(bound[i])))
+    return np.where(np.equal(errors, None), bound, 1.0)
 
 
 def _finish(out, errors: list, defect, distance, residual, eps, tol: Tolerance) -> _Rounded:
-    """_flat, refusing admitted items that miss exactness or, given eps, moved eps or more."""
-    rounded = _flat(out, errors, defect, distance, residual)
-    for i, error in enumerate(errors):
-        if error is None:
-            try:
-                _check_exact(float(rounded.residual[i]), tol)
-                if eps is not None:
-                    _check_moved(float(rounded.distance[i]), eps[i])
-            except ArithmeticError as missed:
-                errors[i] = missed
-    return rounded
+    """A core's results, after refusing admitted items that miss exactness.
+
+    Given eps, an item that moved eps or more is refused too.
+    """
+    def missed(i):
+        try:
+            _check_exact(float(residual[i]), tol)
+            if eps is not None:
+                _check_moved(float(distance[i]), eps[i])
+        except ArithmeticError as error:
+            return error
+        return None
+
+    _refuse(errors, np.ones(len(errors), bool), missed)
+    return _Rounded(out, errors, defect, distance, residual)
 
 
 def _one(rounded: _Rounded):
@@ -221,19 +211,17 @@ def round_to_unitary(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     Hypothesis: isometry_defect(a, 1, 1) within the unitary modulus.
     Returns (u, report) with |a - u| < eps and u exactly unitary.
     """
-    return _one(_round_unitaries(as_operator(a), [eps], tol))
+    return _one(_round_unitaries(as_operator(a)[None], [eps], tol))
 
 
 def _round_unitaries(a: np.ndarray, eps: list, tol: Tolerance) -> _Rounded:
-    """round_to_unitary over a (..., d, d) stack; eps holds one value per matrix, in flat order."""
+    """round_to_unitary over an (n, d, d) stack; eps holds one value per matrix."""
     errors = [None] * len(eps)
     eye = np.eye(a.shape[-1], dtype=np.complex128)
     defect = isometry_defect(a, eye, eye)
     _gate("unitary", eps, defect, errors)
     u, smallest = _polar_unitaries(a)
-    for i, s in enumerate(np.ravel(smallest)):
-        if errors[i] is None:
-            errors[i] = _singular_polar(s, tol)
+    _refuse(errors, np.ones(len(errors), bool), lambda i: _singular_polar(smallest[i], tol))
     distance, residual = op_norms(np.stack([a - u, dagger(u) @ u - eye]))
     return _finish(u, errors, defect, distance, residual, eps, tol)
 
@@ -245,15 +233,15 @@ def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     The Hermitian part then has spectrum clustered near {0, 1}; cutting at
     1/2 lands on an exact projection within eps of a.
     """
-    return _one(_round_projections(as_operator(a), [eps], tol))
+    return _one(_round_projections(as_operator(a)[None], [eps], tol))
 
 
 def _round_projections(a: np.ndarray, eps: list, tol: Tolerance) -> _Rounded:
-    """round_to_projection over a (..., d, d) stack, eps as in _round_unitaries."""
+    """round_to_projection over an (n, d, d) stack, eps as in _round_unitaries."""
     errors = [None] * len(eps)
     norm_a = op_norms(a)
     _refuse(errors, norm_a > 2.0, lambda i: HypothesisError(
-        f"almost-projection must satisfy |a| <= 2, got {_at(norm_a, i):.6f}"))
+        f"almost-projection must satisfy |a| <= 2, got {norm_a[i]:.6f}"))
     a = _cleared(a, errors)
     defect = projection_defect(a)
     _gate("projection", eps, defect, errors)
@@ -286,22 +274,22 @@ def round_to_partial_isometry(a, p1, p2, eps: float, tol: Tolerance = DEFAULT_TO
     p2 = as_operator(p2)
     if a.shape != p1.shape or a.shape != p2.shape:
         raise ValueError("a, p1, p2 must share one dimension")
-    return _one(_round_partial_isometries(a, p1, p2, [eps], tol))
+    return _one(_round_partial_isometries(a[None], p1[None], p2[None], [eps], tol))
 
 
 def _round_partial_isometries(a: np.ndarray, p1: np.ndarray, p2: np.ndarray, eps: list,
                               tol: Tolerance) -> _Rounded:
-    """round_to_partial_isometry over (..., d, d) stacks, eps as in _round_unitaries."""
+    """round_to_partial_isometry over (n, d, d) stacks, eps as in _round_unitaries."""
     errors = [None] * len(eps)
     for name, p in (("p1", p1), ("p2", p2)):
         resid = projection_defect(_cleared(p, errors))
         _refuse(errors, resid > tol.algebraic, lambda i: ValueError(
-            f"{name} is not a projection within tolerance: residual {_at(resid, i):.6e}"))
+            f"{name} is not a projection within tolerance: residual {resid[i]:.6e}"))
     a, p1, p2 = (_cleared(m, errors) for m in (a, p1, p2))
     defect = isometry_defect(a, p1, p2)
     delta = _gate("partial_isometry", eps, defect, errors)
     # the cut per matrix, from Python floats as the per-item rounding takes it
-    gamma = np.reshape([7.0 * d ** 0.25 for d in delta.tolist()], np.shape(defect) + (1,))
+    gamma = np.array([7.0 * d ** 0.25 for d in delta.tolist()])[:, None]
     w = _isometry_cut(a, p1, p2, gamma, tol)
     distance, left, right = op_norms(np.stack([a - w, dagger(w) @ w - p1, w @ dagger(w) - p2]))
     return _finish(w, errors, defect, distance, _pymax(left, right), eps, tol)
@@ -373,21 +361,20 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     S; S ⪰ (1 - defect)·1 ⪰ 1/2 keeps the rescale well defined, and the
     output sums to the identity by construction.
     """
-    rounded, report = _one(_round_povms(_family(mats), tol))
+    rounded, report = _one(_round_povms(_family(mats)[None], tol))
     return list(rounded), report
 
 
 def _round_povms(stack: np.ndarray, tol: Tolerance) -> _Rounded:
-    """round_to_povm over a (..., k, d, d) stack; _repair_povms checks exactness."""
+    """round_to_povm over an (n, k, d, d) stack; _repair_povms checks exactness."""
     rounded, refused, defect, low, residual = _repair_povms(stack, tol)
-    errors = [None] * int(np.prod(stack.shape[:-3]))
+    errors = [None] * len(stack)
     _refuse(errors, defect >= 0.5, lambda i: HypothesisError(
-        "family is too far from a POVM", defect=_at(defect, i), bound=0.5))
+        "family is too far from a POVM", defect=float(defect[i]), bound=0.5))
     _refuse(errors, refused, lambda i: HypothesisError(
-        f"positive-part sum is singular within tolerance: smallest eigenvalue "
-        f"{_at(low, i):.6e}"))
+        f"positive-part sum is singular within tolerance: smallest eigenvalue {low[i]:.6e}"))
     distance = op_norms(stack - rounded).max(axis=-1)
-    return _flat(rounded, errors, defect, distance, residual)
+    return _Rounded(rounded, errors, defect, distance, residual)
 
 
 def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
@@ -398,48 +385,48 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     one at a time inside the corner left by the previous ones; the final
     block is the remaining corner identity, so the output sums to 1 exactly.
     """
-    blocks, report = _one(_round_pvms(_family(mats), tol))
+    blocks, report = _one(_round_pvms(_family(mats)[None], tol))
     return list(blocks), report
 
 
 def _round_pvms(stack: np.ndarray, tol: Tolerance, members=None) -> _Rounded:
-    """round_to_pvm over a (..., k, d, d) stack: one stage per member, all families at once.
+    """round_to_pvm over an (n, k, d, d) stack: one stage per member, all families at once.
 
-    members, when given, holds per family (in flat order) how many of its k
+    members, when given, holds per family how many of its k
     slots are members; the slots before them are zero padding, which a
     family passes through as an identity stage, so no bit of its rounding
     moves (sums start from zeros as in sampling._povm_instances).
     """
-    lead, k, dim = stack.shape[:-3], stack.shape[-3], stack.shape[-1]
-    errors = [None] * int(np.prod(lead))
-    pads = np.zeros(len(errors), int) if members is None else k - np.asarray(members)
+    n, k, _, dim = stack.shape
+    errors = [None] * n
+    pads = np.zeros(n, int) if members is None else k - np.asarray(members)
     defect = _pvm_defects(stack)
     budget = float(PVM_ENTRY_BUDGET)
     _refuse(errors, defect > budget, lambda i: HypothesisError(
-        "family is too far from a PVM", defect=_at(defect, i), bound=budget))
+        "family is too far from a PVM", defect=float(defect[i]), bound=budget))
     remaining = np.eye(dim, dtype=np.complex128)
     out = np.empty(stack.shape, np.complex128)
     for block in range(k - 1):
-        c = remaining @ stack[..., block, :, :] @ remaining
+        c = remaining @ stack[:, block] @ remaining
         stage_defect = projection_defect(c)
         active = block >= pads
-        _refuse(errors, (stage_defect > PVM_STAGE_GATE) & active.reshape(lead),
+        _refuse(errors, (stage_defect > PVM_STAGE_GATE) & active,
                 lambda i: HypothesisError(
                     "compressed block drifted out of the projection cluster",
-                    defect=_at(stage_defect, i), bound=PVM_STAGE_GATE,
+                    defect=float(stage_defect[i]), bound=PVM_STAGE_GATE,
                     stage=f"block {block - pads[i]}"))
         q = hermitian_eig(herm_part(c), tol).apply(_step_at_half)
         # re-cut the corner so float drift cannot accumulate across stages
         cut = hermitian_eig(herm_part(remaining - q), tol).apply(_step_at_half)
         if not active.all():
-            active = active.reshape(lead + (1, 1))
+            active = active[:, None, None]
             q = np.where(active, q, 0.0)
             cut = np.where(active, cut, remaining)
-        out[..., block, :, :] = q
+        out[:, block] = q
         remaining = cut
-    out[..., k - 1, :, :] = remaining
+    out[:, k - 1] = remaining
     i, j = np.triu_indices(k, 1)
-    products = op_norms(out[..., i, :, :] @ out[..., j, :, :]).max(axis=-1, initial=0.0)
+    products = op_norms(out[:, i] @ out[:, j]).max(axis=-1, initial=0.0)
     residual = _pymax(_pvm_defects(out), products)
     distance = op_norms(stack - out).max(axis=-1)
     return _finish(out, errors, defect, distance, residual, None, tol)

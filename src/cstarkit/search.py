@@ -446,6 +446,11 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
         raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
     if not (math.isfinite(mu) and mu >= 0):
         raise PreconditionError(f"mu must be finite and nonnegative, got {mu!r}")
+    # the penalty sums n^2 k^2 commutator norms, each at most 2
+    largest = 2 * game.n ** 2 * game.k ** 2
+    if not math.isfinite(mu * largest):
+        raise PreconditionError(
+            f"mu = {mu!r} times the largest possible penalty {largest} overflows float range")
     if iters < 1:
         raise PreconditionError(f"iters must be at least 1, got {iters!r}")
     if init is not None:

@@ -98,6 +98,19 @@ def test_invalid_parameters_exit_three(tmp_path, capsys, argv):
     assert any(line.startswith("precondition error: ") for line in err_lines)
 
 
+@pytest.mark.parametrize("mu, code", [(1e308, 3), (5.6e306, 0)])
+def test_seesaw_refuses_a_mu_whose_penalty_overflows(tmp_path, capsys, mu, code):
+    """mu times the largest CHSH penalty, 2 n^2 k^2 = 32, must be finite; 1e308 ended in a
+    traceback from the report writer."""
+    argv = ["seesaw", "--game", DATA / "chsh.json", "--mu", mu, "--delta", 0, "--dim", 3,
+            "--iters", 1, "--out", tmp_path / "report.jsonl"]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("precondition error: mu = 1e+308 times the largest possible penalty 32 "
+                       "overflows float range\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["game-value", "--game", DATA / "chsh.json", "--budget", 50, "--dims", "2,20000"],
     ["semidecide", "--game", DATA / "chsh.json", "--budget", 50, "--dims", "65"],

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cstarkit.operators import (DEFAULT_TOL, Tolerance, as_operator, commutator,
-                                dagger, herm_part, hermitian_eig, identity_like,
-                                op_norm, op_norms, polar_unitary, spectral_apply)
+                                dagger, herm_part, hermitian_eig, op_norm, op_norms,
+                                polar_unitary, spectral_apply)
 from cstarkit.errors import PreconditionError
 from cstarkit.sampling import random_hermitian, random_unitary, rng_from_seed
 
@@ -263,7 +263,7 @@ def test_polar_unitary_is_unitary_and_positive_factor():
         dim = int(rng.integers(1, 7))
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) + 3 * np.eye(dim)
         u = polar_unitary(a)
-        eye = identity_like(a)
+        eye = np.eye(dim)
         assert op_norm(dagger(u) @ u - eye) < 1e-12
         # the remaining factor u^H a must be positive semidefinite
         h = dagger(u) @ a

@@ -14,7 +14,7 @@ from cstarkit.dyadic import ceil_log2
 from cstarkit.errors import (HypothesisError, PreconditionError,
                              UnsupportedPresentationError)
 from cstarkit.operators import dagger, op_norm
-from cstarkit.polynomials import NCPolynomial, generator, lipschitz_bound
+from cstarkit.polynomials import NCPolynomial, compile_polynomials, generator, lipschitz_bound
 from cstarkit.presentations import (Presentation, Representation,
                                     RepresentationCatalog,
                                     StabilityModulusTable, combine_moduli,
@@ -24,8 +24,8 @@ from cstarkit.presentations import (Presentation, Representation,
                                     registered_presentation, relation_defect,
                                     stability_witness, toeplitz,
                                     trivial_presentation)
-from cstarkit.presentations import (_defect_below, _exact_matrix_unit_images, _gates,
-                                    _subseed)
+from cstarkit.presentations import (_Block, _defect_below, _exact_matrix_unit_images, _gated_norms,
+                                    _gates, _subseed)
 from cstarkit.sampling import (random_projection, random_unitary,
                                rng_from_seed)
 
@@ -83,6 +83,12 @@ def test_builders_have_expected_relation_counts():
         matrix_units(10)
     with pytest.raises(PreconditionError):
         cuntz(1)
+    # sizes go through errors.integral: no TypeError for a float, no bool taken as 1
+    builders = (free_unitaries, projections_presentation, matrix_units, cuntz)
+    for builder, bad in itertools.product(builders, (2.5, 2.0, True)):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            builder(bad)
+    assert len(cuntz(np.int64(2)).relations) == len(cuntz(2).relations)
 
 
 def test_representation_unit_handling():
@@ -94,6 +100,11 @@ def test_representation_unit_handling():
         Representation(2, {"g": np.zeros((3, 3))})
     with pytest.raises(PreconditionError):
         Representation(0, {})
+    for bad in (2.0, True):
+        with pytest.raises(PreconditionError, match="dim must be an integer"):
+            Representation(bad, {})
+    rep = Representation(np.int64(2), {})
+    assert type(rep.dim) is int and np.array_equal(rep.images["e"], np.eye(2))
 
 
 def test_representation_images_read_only():
@@ -255,8 +266,8 @@ def test_stacked_gate_decides_as_relation_defect_per_item(pres_id, kind, size, d
         gates += [Fraction(defect) for defect in defects[1:4]]
         gates += [float(np.nextafter(defect, np.inf)) for defect in defects[1:4]]
         for gate in gates:
-            passed, error = _gates(pres, dim, _stack(reps), gate)
-            assert error is None
+            passed, errors = _gates(pres, dim, _stack(reps), gate, len(reps))
+            assert errors == [None] * len(reps)
             assert passed.tolist() == [defect < gate for defect in defects], (pres_id, gate)
             assert passed.tolist() == [_defect_below(pres, rep, gate) for rep in reps]
             for rep in reps:
@@ -267,33 +278,90 @@ def test_stacked_gate_decides_as_relation_defect_per_item(pres_id, kind, size, d
     assert unsure > 20
 
 
-def test_stacked_gate_stops_at_the_first_fault():
-    """The decisions cover the items before the first fault; its error is the per-item one."""
+_NOT_UNIT = "unit generator 'e' must map to the identity exactly"
+_OVERFLOW = "a relation overflows float range at dimension 2"
+
+
+def _messages(errors):
+    return [None if error is None else str(error) for error in errors]
+
+
+def test_stacked_gate_refuses_each_faulting_item():
+    """Every item is decided or refused with the error relation_defect raises on it alone."""
     pres = free_unitaries(1)
     rng = rng_from_seed(88)
-    images = _stack([Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(5)])
+    reps = [Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(5)]
+    images = _stack(reps)
     gate = Fraction(1, 2 ** 10)
-    passed, error = _gates(pres, 2, images, gate)
-    assert passed.tolist() == [True] * 5 and error is None
+    passed, errors = _gates(pres, 2, images, gate, 5)
+    assert passed.tolist() == [True] * 5 and errors == [None] * 5
     images["e"] = images["e"].copy()
     images["e"][3, 0, 1] = 1e-300
-    passed, error = _gates(pres, 2, images, gate)
-    assert passed.tolist() == [True] * 3
-    assert str(error) == "unit generator 'e' must map to the identity exactly"
+    passed, errors = _gates(pres, 2, images, gate, 5)
+    assert passed.tolist() == [True, True, True, False, True]
+    assert _messages(errors) == [None, None, None, _NOT_UNIT, None]
     images["u1"][2] *= 1e200
-    passed, error = _gates(pres, 2, images, gate)
-    assert passed.tolist() == [True] * 2
-    assert str(error) == "a relation overflows float range at dimension 2"
+    passed, errors = _gates(pres, 2, images, gate, 5)
+    assert passed.tolist() == [True, True, False, False, True]
+    assert _messages(errors) == [None, None, _OVERFLOW, _NOT_UNIT, None]
     with pytest.raises(PreconditionError, match="a relation overflows"):
         relation_defect(pres, Representation(2, {"u1": images["u1"][2]}))
+    # an item that is wrong twice keeps the unit's error
+    images["u1"][3] *= 1e200
+    passed, errors = _gates(pres, 2, images, gate, 5)
+    assert passed.tolist() == [True, True, False, False, True]
+    assert _messages(errors) == [None, None, _OVERFLOW, _NOT_UNIT, None]
     missing = {"e": images["e"]}
-    passed, error = _gates(pres, 2, missing, gate)
-    assert len(passed) == 0 and str(error) == "missing image for generator 'u1'"
-    missing["e"] = missing["e"][[3, 0, 1, 2, 4]]
-    passed, error = _gates(pres, 2, missing, gate)
-    assert len(passed) == 0 and "must map to the identity" in str(error)
-    passed, error = _gates(pres, 2, {"u1": images["u1"]}, gate)
-    assert len(passed) == 0 and str(error) == "missing image for generator 'e'"
+    passed, errors = _gates(pres, 2, missing, gate, 5)
+    assert passed.tolist() == [False] * 5
+    assert _messages(errors) == ["missing image for generator 'u1'"] * 3 + [_NOT_UNIT] + [
+        "missing image for generator 'u1'"]
+    passed, errors = _gates(pres, 2, {"u1": images["u1"]}, gate, 5)
+    assert passed.tolist() == [False] * 5
+    assert _messages(errors) == ["missing image for generator 'e'"] * 5
+
+
+@pytest.mark.parametrize("unit_at, overflow_at", [(1, 3), (3, 1)])
+def test_stack_faults_keep_their_own_errors(unit_at, overflow_at, monkeypatch):
+    """A wrong unit and an overflowing relation in one stack each keep their message.
+
+    The other items are decided and normed, no SVD sees a refused item's
+    values, and the enumerator raises the earlier catalog position's error.
+    """
+    pres = free_unitaries(1)
+    rng = rng_from_seed(89)
+    reps = [Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(5)]
+    images = _stack(reps)
+    images["e"][unit_at, 1, 1] = 2.0
+    images["u1"][overflow_at] *= 1e200
+    gate = Fraction(1, 2 ** 10)
+    q = 4 * generator("e") + generator("u1")
+    real = presentations.op_norms
+
+    def finite_only(stack):
+        assert np.isfinite(stack).all()
+        return real(stack)
+    monkeypatch.setattr(presentations, "op_norms", finite_only)
+    expected = [None] * 5
+    expected[unit_at], expected[overflow_at] = _NOT_UNIT, _OVERFLOW
+    passed, errors = _gates(pres, 2, images, gate, 5)
+    assert _messages(errors) == expected
+    assert passed.tolist() == [message is None for message in expected]
+    norms, errors = _gated_norms(pres, compile_polynomials((q,)), 2, images, gate, 5)
+    assert _messages(errors) == expected
+    for i, rep in enumerate(reps):
+        if expected[i] is None:
+            assert _defect_below(pres, rep, gate)
+            assert norms[i] == op_norm(eval_poly(q, rep))
+        else:
+            assert math.isnan(norms[i])
+    monkeypatch.setattr(RepresentationCatalog, "_round",
+                        lambda self, pres_id, j, count: [_Block(2, list(range(count)), images)])
+    catalog = RepresentationCatalog(per_round=3)
+    stream = norm_lower_enumerate(pres, q, catalog, "free_unitaries:1", 5)
+    # round 0 emits item 0's |q| - 1 on the grid 2^-4, then meets the first fault
+    first = Fraction(math.floor((norms[0] - 1) * 16), 16)
+    assert _emissions(stream) == ([first], expected[min(unit_at, overflow_at)])
 
 
 def test_presentation_compiles_relations_once(monkeypatch):
@@ -411,6 +479,9 @@ def test_modulus_table_rejects_bad_argument():
         table.of(-1)
     with pytest.raises(PreconditionError):
         table.of(1.5)
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        table.of(True)
+    assert registered_presentation("free_unitaries:1").table.of(np.int64(3)) == 4
 
 
 def test_modulus_table_guards_non_natural_output():
@@ -597,6 +668,11 @@ def test_combine_moduli_validation():
         combine_moduli("tensor", base, 2)
     with pytest.raises(PreconditionError):
         combine_moduli("direct_sum", base, 0)
+    for bad in (True, 2.0):
+        with pytest.raises(PreconditionError, match="size must be an integer"):
+            combine_moduli("direct_sum", base, bad)
+    assert combine_moduli("direct_sum", base, np.int64(2)).of(3) == combine_moduli(
+        "direct_sum", base, 2).of(3)
 
 
 def test_amplified_scalars_modulus_admits_witness():
@@ -893,9 +969,10 @@ def test_round_stacks_hold_at_most_the_entry_cap(monkeypatch):
     """Every gate pass holds at most _STACK_ENTRIES relation-table entries, or one item."""
     sizes = []
 
-    def recorded(pres, dim, images, gate, _original=presentations._gates):
-        sizes.append((len(pres.relations) * len(images["e"]) * dim ** 2, len(images["e"])))
-        return _original(pres, dim, images, gate)
+    def recorded(pres, dim, images, gate, count, _original=presentations._gates):
+        assert count == len(images["e"])
+        sizes.append((len(pres.relations) * count * dim ** 2, count))
+        return _original(pres, dim, images, gate, count)
     monkeypatch.setattr(presentations, "_gates", recorded)
     pres = registered_presentation("matrix_units:3").presentation
     catalog = RepresentationCatalog(seed=1)

@@ -272,7 +272,7 @@ def test_round_to_povm_factors_two_spectra(monkeypatch):
     family, _ = almost_povm_instance(rng, 4, 5, float(stability_modulus("povm", 0.25)))
     monkeypatch.setattr(rounding, "hermitian_eig", counted)
     expected = round_to_povm(family)
-    assert calls == [(5, 4, 4), (4, 4)]
+    assert calls == [(1, 5, 4, 4), (1, 4, 4)]
     monkeypatch.undo()
     out, report = round_to_povm(family)
     assert report == expected[1]
