@@ -291,22 +291,22 @@ def _suite_group(kind: str, draws: tuple, eps: list, tol: Tolerance):
     stacks = [_front_padded(part) for part in zip(*draws)]
     budget = np.array([float(stability_modulus(kind, e)) for e in eps])
     if kind == "unitary":
-        a, _ = _unitary_instances(*stacks, budget)
-        rounded = _round_unitaries(a, eps, tol)
+        a, defect, _ = _unitary_instances(*stacks, budget)
+        rounded = _round_unitaries(a, eps, tol, defect)
     elif kind == "projection":
-        a, _ = _projection_instances(*stacks, budget)
-        rounded = _round_projections(a, eps, tol)
+        a, defect, _ = _projection_instances(*stacks, budget)
+        rounded = _round_projections(a, eps, tol, defect)
     elif kind == "partial_isometry":
-        a, _, p1, p2 = _partial_isometry_instances(*stacks, budget)
-        rounded = _round_partial_isometries(a, p1, p2, eps, tol)
+        a, defect, _, p1, p2 = _partial_isometry_instances(*stacks, budget)
+        rounded = _round_partial_isometries(a, p1, p2, eps, tol, defect)
     else:
         members = np.array([len(draw[0]) for draw in draws])
         if kind == "povm":
-            family, _ = _povm_instances(*stacks, budget, members)
-            rounded = _round_povms(family, tol)
+            family, parts, _ = _povm_instances(*stacks, budget, members)
+            rounded = _round_povms(family, tol, parts)
         else:
-            family, _ = _pvm_instances(*stacks, budget, members)
-            rounded = _round_pvms(family, tol, members)
+            family, defect, _ = _pvm_instances(*stacks, budget, members)
+            rounded = _round_pvms(family, tol, defect, members)
     return rounded.errors, rounded.residual, rounded.distance
 
 

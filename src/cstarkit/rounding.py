@@ -16,7 +16,11 @@ hypotheses and the exactness residuals.
 
 Each ``round_to_*`` is a thin wrapper over a private stacked core that
 takes an ``(n, d, d)`` stack (``(n, k, d, d)`` for families) with one eps
-per item; the wrapper passes its one input as a stack of one.  A core
+per item, and gates on a given defect per item (for POVMs, ``_povm_parts``'
+pair): the wrapper measures its one input, a stack of one, and
+perturb-suite passes its sampler's last measurement.  Given none, the
+projection and partial-isometry cores measure after refusing and
+clearing the items that could overflow the measurement.  A core
 raises nothing for a refused item: ``_refuse`` records the exception the
 per-item rounding raises, and the wrapper raises it.
 """
@@ -211,14 +215,15 @@ def round_to_unitary(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     Hypothesis: isometry_defect(a, 1, 1) within the unitary modulus.
     Returns (u, report) with |a - u| < eps and u exactly unitary.
     """
-    return _one(_round_unitaries(as_operator(a)[None], [eps], tol))
+    a = as_operator(a)[None]
+    eye = np.eye(a.shape[-1], dtype=np.complex128)
+    return _one(_round_unitaries(a, [eps], tol, isometry_defect(a, eye, eye)))
 
 
-def _round_unitaries(a: np.ndarray, eps: list, tol: Tolerance) -> _Rounded:
-    """round_to_unitary over an (n, d, d) stack; eps holds one value per matrix."""
+def _round_unitaries(a: np.ndarray, eps: list, tol: Tolerance, defect) -> _Rounded:
+    """round_to_unitary over an (n, d, d) stack; eps and defect hold one value per matrix."""
     errors = [None] * len(eps)
     eye = np.eye(a.shape[-1], dtype=np.complex128)
-    defect = isometry_defect(a, eye, eye)
     _gate("unitary", eps, defect, errors)
     u, smallest = _polar_unitaries(a)
     _refuse(errors, np.ones(len(errors), bool), lambda i: _singular_polar(smallest[i], tol))
@@ -236,14 +241,14 @@ def round_to_projection(a, eps: float, tol: Tolerance = DEFAULT_TOL):
     return _one(_round_projections(as_operator(a)[None], [eps], tol))
 
 
-def _round_projections(a: np.ndarray, eps: list, tol: Tolerance) -> _Rounded:
-    """round_to_projection over an (n, d, d) stack, eps as in _round_unitaries."""
+def _round_projections(a: np.ndarray, eps: list, tol: Tolerance, defect=None) -> _Rounded:
+    """round_to_projection over an (n, d, d) stack, eps and defect as in _round_unitaries."""
     errors = [None] * len(eps)
     norm_a = op_norms(a)
     _refuse(errors, norm_a > 2.0, lambda i: HypothesisError(
         f"almost-projection must satisfy |a| <= 2, got {norm_a[i]:.6f}"))
     a = _cleared(a, errors)
-    defect = projection_defect(a)
+    defect = projection_defect(a) if defect is None else defect
     _gate("projection", eps, defect, errors)
     p = hermitian_eig(herm_part(a), tol).apply(_step_at_half)
     distance, skew, idempotent = op_norms(np.stack([a - p, p - dagger(p), p @ p - p]))
@@ -278,15 +283,15 @@ def round_to_partial_isometry(a, p1, p2, eps: float, tol: Tolerance = DEFAULT_TO
 
 
 def _round_partial_isometries(a: np.ndarray, p1: np.ndarray, p2: np.ndarray, eps: list,
-                              tol: Tolerance) -> _Rounded:
-    """round_to_partial_isometry over (n, d, d) stacks, eps as in _round_unitaries."""
+                              tol: Tolerance, defect=None) -> _Rounded:
+    """round_to_partial_isometry over (n, d, d) stacks, eps and defect as in _round_unitaries."""
     errors = [None] * len(eps)
     for name, p in (("p1", p1), ("p2", p2)):
         resid = projection_defect(_cleared(p, errors))
         _refuse(errors, resid > tol.algebraic, lambda i: ValueError(
             f"{name} is not a projection within tolerance: residual {resid[i]:.6e}"))
     a, p1, p2 = (_cleared(m, errors) for m in (a, p1, p2))
-    defect = isometry_defect(a, p1, p2)
+    defect = isometry_defect(a, p1, p2) if defect is None else defect
     delta = _gate("partial_isometry", eps, defect, errors)
     # the cut per matrix, from Python floats as the per-item rounding takes it
     gamma = np.array([7.0 * d ** 0.25 for d in delta.tolist()])[:, None]
@@ -333,15 +338,16 @@ def povm_residual(mats) -> float:
     return float(_povm_residual(_family(mats)))
 
 
-def _repair_povms(stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, ...]:
+def _repair_povms(stack: np.ndarray, tol: Tolerance, parts: tuple) -> tuple[np.ndarray, ...]:
     """Round each (k, d, d) family of a (..., k, d, d) stack to an exact POVM.
 
-    Returns (rounded, refused, defect, low, residual) per family.  Refused
-    families (defect >= 1/2, or low = min eig of the positive-part sum S <=
-    tol.spectral) are masked out before S^(-1/2), raise nothing and hold
-    meaningless rounded slots; an accepted one missing exactness raises.
+    Gates on the stack's _povm_parts pair.  Returns (rounded, refused,
+    defect, low, residual) per family.  Refused families (defect >= 1/2, or
+    low = min eig of the positive-part sum S <= tol.spectral) are masked out
+    before S^(-1/2), raise nothing and hold meaningless rounded slots; an
+    accepted one missing exactness raises.
     """
-    defect, positives = _povm_parts(stack, tol)
+    defect, positives = parts
     far = defect >= 0.5
     eye = np.eye(stack.shape[-1])
     spec = hermitian_eig(np.where(far[..., None, None], eye, _ordered_sum(positives, -3)), tol)
@@ -361,13 +367,14 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     S; S ⪰ (1 - defect)·1 ⪰ 1/2 keeps the rescale well defined, and the
     output sums to the identity by construction.
     """
-    rounded, report = _one(_round_povms(_family(mats)[None], tol))
+    family = _family(mats)[None]
+    rounded, report = _one(_round_povms(family, tol, _povm_parts(family, tol)))
     return list(rounded), report
 
 
-def _round_povms(stack: np.ndarray, tol: Tolerance) -> _Rounded:
-    """round_to_povm over an (n, k, d, d) stack; _repair_povms checks exactness."""
-    rounded, refused, defect, low, residual = _repair_povms(stack, tol)
+def _round_povms(stack: np.ndarray, tol: Tolerance, parts: tuple) -> _Rounded:
+    """round_to_povm over an (n, k, d, d) stack; _repair_povms gates and checks exactness."""
+    rounded, refused, defect, low, residual = _repair_povms(stack, tol, parts)
     errors = [None] * len(stack)
     _refuse(errors, defect >= 0.5, lambda i: HypothesisError(
         "family is too far from a POVM", defect=float(defect[i]), bound=0.5))
@@ -385,22 +392,23 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     one at a time inside the corner left by the previous ones; the final
     block is the remaining corner identity, so the output sums to 1 exactly.
     """
-    blocks, report = _one(_round_pvms(_family(mats)[None], tol))
+    family = _family(mats)[None]
+    blocks, report = _one(_round_pvms(family, tol, _pvm_defects(family)))
     return list(blocks), report
 
 
-def _round_pvms(stack: np.ndarray, tol: Tolerance, members=None) -> _Rounded:
+def _round_pvms(stack: np.ndarray, tol: Tolerance, defect, members=None) -> _Rounded:
     """round_to_pvm over an (n, k, d, d) stack: one stage per member, all families at once.
 
-    members, when given, holds per family how many of its k
-    slots are members; the slots before them are zero padding, which a
-    family passes through as an identity stage, so no bit of its rounding
-    moves (sums start from zeros as in sampling._povm_instances).
+    defect holds _pvm_defects per family.  members, when given, holds per
+    family how many of its k slots are members; the slots before them are
+    zero padding, which a family passes through as an identity stage, so no
+    bit of its rounding moves (sums start from zeros as in
+    sampling._povm_instances).
     """
     n, k, _, dim = stack.shape
     errors = [None] * n
     pads = np.zeros(n, int) if members is None else k - np.asarray(members)
-    defect = _pvm_defects(stack)
     budget = float(PVM_ENTRY_BUDGET)
     _refuse(errors, defect > budget, lambda i: HypothesisError(
         "family is too far from a PVM", defect=float(defect[i]), bound=budget))

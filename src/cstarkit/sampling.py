@@ -125,25 +125,31 @@ def random_pvm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
     return blocks
 
 
-def _shrink(build, measure, budget: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _shrink(build, measure, budget: np.ndarray, start: np.ndarray) -> tuple:
     """Deterministically shrink each item's perturbation until its defect fits.
 
     build(items, scales) stacks the candidates of the listed items at those
-    scales and measure(items, candidates) gives their defects; only the
-    items whose defect is still above their budget are halved and rebuilt.
+    scales and measure(items, candidates) gives their defects, or a tuple
+    led by them; only the items whose defect is still above their budget
+    are halved and rebuilt.  Returns each item's output and its last (the
+    fitting) measurement, for a rounding core to gate on; each _*_instances
+    returns these two, then the exact structures drawn.
     """
     scale = np.array(start, dtype=float)
     items = np.arange(len(scale))
-    out = None
+    kept = None
     for _ in range(60):
         candidates = build(items, scale[items])
-        if out is None:
-            out = candidates
+        measured = measure(items, candidates)
+        parts = (candidates, *measured) if isinstance(measured, tuple) else (candidates, measured)
+        if kept is None:
+            kept, last = parts, measured  # last shares kept's arrays, so it sees their updates
         else:
-            out[items] = candidates
-        items = items[~(measure(items, candidates) <= budget[items])]
+            for whole, part in zip(kept, parts):
+                whole[items] = part
+        items = items[~(parts[1] <= budget[items])]
         if not len(items):
-            return out
+            return kept[0], last
         scale[items] /= 2
     raise ArithmeticError("perturbation failed to shrink under the budget")
 
@@ -155,7 +161,7 @@ def _single(draw: tuple) -> list:
 
 def almost_unitary_instance(rng: np.random.Generator, dim: int, delta: float):
     """(a, u0): a within the unitary hypothesis at delta, u0 the seed unitary."""
-    a, u = _unitary_instances(*_single(_draw_unitary(rng, dim)), np.array([delta]))
+    a, _, u = _unitary_instances(*_single(_draw_unitary(rng, dim)), np.array([delta]))
     return a[0], u[0]
 
 
@@ -171,13 +177,12 @@ def _unitary_instances(u: np.ndarray, h: np.ndarray, delta: np.ndarray):
     def build(items, scale):
         return u[items] @ (eye + scale[:, None, None] * h[items])
 
-    a = _shrink(build, lambda items, a: isometry_defect(a, eye, eye), delta, delta / 4)
-    return a, u
+    return _shrink(build, lambda items, a: isometry_defect(a, eye, eye), delta, delta / 4) + (u,)
 
 
 def almost_projection_instance(rng: np.random.Generator, dim: int, delta: float):
     """(a, p0): a within the projection hypothesis at delta (and |a| <= 2)."""
-    a, p = _projection_instances(*_single(_draw_projection(rng, dim)), np.array([delta]))
+    a, _, p = _projection_instances(*_single(_draw_projection(rng, dim)), np.array([delta]))
     return a[0], p[0]
 
 
@@ -197,13 +202,13 @@ def _projection_instances(p: np.ndarray, h: np.ndarray, skew: np.ndarray, delta:
         scale = scale[:, None, None]
         return p[items] + scale * h[items] + scale * skew[items]
 
-    return _shrink(build, lambda items, a: projection_defect(a), delta, delta / 8), p
+    return _shrink(build, lambda items, a: projection_defect(a), delta, delta / 8) + (p,)
 
 
 def almost_partial_isometry_instance(rng: np.random.Generator, dim: int, delta: float):
     """(a, v0, p1, p2): a within the partial-isometry hypothesis at delta."""
-    a, v, p1, p2 = _partial_isometry_instances(*_single(_draw_partial_isometry(rng, dim)),
-                                               np.array([delta]))
+    a, _, v, p1, p2 = _partial_isometry_instances(*_single(_draw_partial_isometry(rng, dim)),
+                                                  np.array([delta]))
     return a[0], v[0], p1[0], p2[0]
 
 
@@ -228,11 +233,11 @@ def _partial_isometry_instances(v: np.ndarray, p1: np.ndarray, p2: np.ndarray, e
     def measure(items, a):
         return isometry_defect(a, p1[items], p2[items])
 
-    return _shrink(build, measure, delta, delta / 4), v, p1, p2
+    return _shrink(build, measure, delta, delta / 4) + (v, p1, p2)
 
 
 def _family_instances(base: np.ndarray, bumps: np.ndarray, measure, delta: np.ndarray,
-                      start: np.ndarray) -> np.ndarray:
+                      start: np.ndarray) -> tuple:
     """base plus one shrinking unit-norm Hermitian bump per member, per (k, d, d) family.
 
     Families shorter than the stack are zero-padded in front; a zero member
@@ -248,8 +253,8 @@ def _family_instances(base: np.ndarray, bumps: np.ndarray, measure, delta: np.nd
 
 def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
     """(family, base): family within povm_defect <= delta of the exact base."""
-    family, base = _povm_instances(*_single(_draw_povm(rng, dim, k)), np.array([delta]),
-                                   np.array([k]))
+    family, _, base = _povm_instances(*_single(_draw_povm(rng, dim, k)), np.array([delta]),
+                                      np.array([k]))
     return list(family[0]), list(base[0])
 
 
@@ -259,21 +264,20 @@ def _draw_povm(rng: np.random.Generator, dim: int, k: int) -> tuple:
 
 def _povm_instances(base: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
                     members: np.ndarray):
-    """almost_povm_instance over (n, k, d, d) stacks of draws.
+    """almost_povm_instance over (n, k, d, d) stacks of draws; measured by _povm_parts.
 
     Item i has members[i] outcomes, after k - members[i] zero outcomes in
     front.  The member sums start from those zeros, and 0 + x equals the
     x that summing from Python's 0 gives, so the padding moves no bit.
     """
-    family = _family_instances(base, bumps, lambda f: _povm_parts(f, DEFAULT_TOL)[0],
-                               delta, delta / (2 * members))
-    return family, base
+    return _family_instances(base, bumps, lambda f: _povm_parts(f, DEFAULT_TOL),
+                             delta, delta / (2 * members)) + (base,)
 
 
 def almost_pvm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
     """(family, base): family within the PVM entry hypothesis at delta."""
-    family, base = _pvm_instances(*_single(_draw_pvm(rng, dim, k)), np.array([delta]),
-                                  np.array([k]))
+    family, _, base = _pvm_instances(*_single(_draw_pvm(rng, dim, k)), np.array([delta]),
+                                     np.array([k]))
     return list(family[0]), list(base[0])
 
 
@@ -284,4 +288,4 @@ def _draw_pvm(rng: np.random.Generator, dim: int, k: int) -> tuple:
 def _pvm_instances(base: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
                    members: np.ndarray):
     """almost_pvm_instance over (n, k, d, d) stacks of draws, padded as in _povm_instances."""
-    return _family_instances(base, bumps, _pvm_defects, delta, delta / (4 * members)), base
+    return _family_instances(base, bumps, _pvm_defects, delta, delta / (4 * members)) + (base,)

@@ -41,7 +41,7 @@ from .games import (
 # test_rebinding_is_undone checks that tracing rebinds both in cstarkit.search
 from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, dagger,  # noqa: F401
                         herm_part, hermitian_eig, op_norm, op_norms)
-from .rounding import _repair_povms, povm_residual, round_to_povm  # noqa: F401
+from .rounding import _povm_parts, _repair_povms, povm_residual, round_to_povm  # noqa: F401
 from .sampling import _gram_povms, random_povm, rng_from_seed
 
 # Certified bound on the eigenvalue error of the value estimate.  Dense
@@ -193,7 +193,8 @@ def _grid_pairs(rng: np.random.Generator, dims: list[int], game: NonlocalGame, q
     draws = [f.reshape(2, n, k, 2, dim, dim) for f, dim in zip(flat, dims)]
 
     def repaired(group: np.ndarray) -> list:
-        rounded, refused, *_ = _repair_povms(_snap_to_grid(_gram_povms(group), q), tol)
+        snapped = _snap_to_grid(_gram_povms(group), q)
+        rounded, refused, *_ = _repair_povms(snapped, tol, _povm_parts(snapped, tol))
         return [None if bad.any() else ops for ops, bad in zip(rounded, refused)]
 
     return _per_dim(draws, repaired)
@@ -412,7 +413,8 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
         scale = float(op_norms(grad).max())
         if scale <= tol.algebraic:
             continue
-        trials, refused, *_ = _repair_povms(herm_part(ops[x] + steps * (grad / scale)), tol)
+        moved = herm_part(ops[x] + steps * (grad / scale))
+        trials, refused, *_ = _repair_povms(moved, tol, _povm_parts(moved, tol))
         # refused slots hold no POVM: value the current row there and never pick it
         rows = np.concatenate([ops[x][None], np.where(refused[:, None, None, None], ops[x], trials)])
         values = _row_values(rows, weights, other.ops, table, rho, tol)

@@ -505,8 +505,8 @@ def test_perturb_suite_raises_the_first_refusal_in_instance_order(monkeypatch, c
     real = cli._round_unitaries
     met = []
 
-    def refusing(a, eps, tol):
-        rounded = real(a, eps, tol)
+    def refusing(a, eps, tol, defect):
+        rounded = real(a, eps, tol, defect)
         for i, item in enumerate(a):
             for index, target in planted.items():
                 if eps[i] == 0.25 and np.array_equal(item, target):
@@ -539,6 +539,68 @@ def test_perturb_suite_groups_stay_within_one_block(monkeypatch, tmp_path):
         assert sum(counts) == 3 * 100
     # one dimension: each unitary block is a single group of all three cells
     assert sizes["_round_unitaries"] == [96, 96, 96, 12]
+
+
+def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch, tmp_path):
+    """Each kind's defect function runs once per shrink round per group, never on a core's input.
+
+    The PVM core measures its own output for the exactness residual, and
+    the partial-isometry core checks p1 and p2 with projection_defect;
+    neither call sees the core's input.
+    """
+    import cstarkit.rounding as rounding
+    import cstarkit.sampling as sampling
+    measure_of = {"unitary": "isometry_defect", "projection": "projection_defect",
+                  "partial_isometry": "isometry_defect", "povm": "_povm_parts",
+                  "pvm": "_pvm_defects"}
+    now = {"kind": None, "input": None}
+    rounds, sampled, in_core, outputs = {}, {}, [], []
+
+    for name in set(measure_of.values()):
+        def sampler_spy(*args, _real=getattr(sampling, name), _name=name):
+            sampled[now["kind"], _name] = sampled.get((now["kind"], _name), 0) + 1
+            return _real(*args)
+
+        def core_spy(*args, _real=getattr(rounding, name), _name=name):
+            if now["input"] is not None:
+                in_core.append((now["kind"], _name, args[0]))
+            return _real(*args)
+
+        monkeypatch.setattr(sampling, name, sampler_spy)
+        monkeypatch.setattr(rounding, name, core_spy)
+
+    def group(kind, *args, _real=cli._suite_group):
+        now["kind"] = kind
+        return _real(kind, *args)
+
+    def shrink(build, *args, _real=sampling._shrink):
+        def counted(items, scale):
+            rounds[now["kind"]] = rounds.get(now["kind"], 0) + 1
+            return build(items, scale)
+        return _real(counted, *args)
+
+    monkeypatch.setattr(cli, "_suite_group", group)
+    monkeypatch.setattr(sampling, "_shrink", shrink)
+    for name in ("_round_unitaries", "_round_projections", "_round_partial_isometries",
+                 "_round_povms", "_round_pvms"):
+        def core(stack, *args, _real=getattr(cli, name)):
+            now["input"] = stack
+            try:
+                rounded = _real(stack, *args)
+            finally:
+                now["input"] = None
+            outputs.append(rounded.out)
+            return rounded
+
+        monkeypatch.setattr(cli, name, core)
+    out = tmp_path / "report.jsonl"
+    assert run_cli(["perturb-suite", "--dims", "2,3", "--budget", 10, "--out", out]) == 0
+    assert sampled == {(kind, name): rounds[kind] for kind, name in measure_of.items()}
+    measured = [(kind, arg) for kind, name, arg in in_core if name == measure_of[kind]]
+    assert measured and all(kind == "pvm" and any(arg is o for o in outputs)
+                            for kind, arg in measured)
+    assert any(kind == "partial_isometry" and name == "projection_defect"
+               for kind, name, _ in in_core)
 
 
 def test_norm_enumerate_report(tmp_path):

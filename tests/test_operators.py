@@ -54,6 +54,24 @@ def test_op_norms_matches_op_norm():
         op_norms(stack)
 
 
+@pytest.mark.parametrize("kind", ["zero", "hermitian", "skew"])
+def test_op_norms_equal_numpy_spectral_norm(kind):
+    """The first singular value equals np.linalg.norm(m, 2) bit for bit, stacked or not."""
+    rng = rng_from_seed(14)
+    for dim in range(1, 17):
+        g = rng.normal(size=(2, 3, dim, dim)) + 1j * rng.normal(size=(2, 3, dim, dim))
+        stack = {"zero": 0.0 * g, "hermitian": g + dagger(g), "skew": g - dagger(g)}[kind]
+        norms = op_norms(stack)
+        assert norms.tobytes() == np.linalg.norm(stack, 2, axis=(-2, -1)).tobytes()
+        for index in np.ndindex(2, 3):
+            expected = np.linalg.norm(stack[index], 2)
+            assert norms[index].tobytes() == expected.tobytes()
+            assert op_norm(stack[index]) == expected
+        empty = op_norms(stack[:0, 0])
+        assert empty.shape == (0,)
+        assert empty.tobytes() == np.linalg.norm(stack[:0, 0], 2, axis=(-2, -1)).tobytes()
+
+
 def test_op_norm_submultiplicative_and_triangle():
     rng = rng_from_seed(12)
     for _ in range(30):

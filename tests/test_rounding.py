@@ -8,7 +8,8 @@ import pytest
 
 from cstarkit.errors import HypothesisError
 from cstarkit.operators import DEFAULT_TOL, dagger, hermitian_eig, op_norm
-from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET, PVM_STAGE_GATE, _repair_povms,
+from cstarkit.rounding import (ROUNDING_KINDS, PVM_ENTRY_BUDGET, PVM_STAGE_GATE, _povm_parts,
+                               _pvm_defects, _repair_povms,
                                _round_partial_isometries, _round_povms,
                                _round_projections, _round_pvms, _round_unitaries,
                                isometry_defect, povm_defect,
@@ -296,7 +297,8 @@ def test_repair_povms_stack_matches_round_to_povm(lead):
     for dim in range(1, 6):
         for k in (2, 3):
             block = _povm_block(rng, lead, k, dim)
-            rounded, refused, defect, low, residual = _repair_povms(block, DEFAULT_TOL)
+            rounded, refused, defect, low, residual = _repair_povms(
+                block, DEFAULT_TOL, _povm_parts(block, DEFAULT_TOL))
             assert refused.shape == defect.shape == low.shape == residual.shape == lead
             assert not refused.any()
             for index in np.ndindex(*lead):
@@ -314,7 +316,8 @@ def test_repair_povms_flags_refused_families_without_raising():
     block[1] = [np.zeros((dim, dim)), 0.4 * np.eye(dim)]  # far: defect 0.6
     block[3] = 0.0  # positive-part sum exactly singular, and far
     with np.errstate(all="raise"):
-        rounded, refused, defect, low, residual = _repair_povms(block, DEFAULT_TOL)
+        rounded, refused, defect, low, residual = _repair_povms(
+            block, DEFAULT_TOL, _povm_parts(block, DEFAULT_TOL))
     assert refused.tolist() == [False, True, False, True, False]
     assert defect[1] == 0.6 and defect[3] == 1.0
     assert residual[1] == residual[3] == 0.0
@@ -541,8 +544,9 @@ def test_stacked_unitary_core_matches_per_item_rounding():
             for e in built_at])
         stack[4] = 1.6 * stack[4]  # too far at every eps
         eps[5] = 1.0  # outside (0, 1)
+        eye = np.eye(dim)
         for tol in (DEFAULT_TOL, _WIDE_TOL):
-            rounded = _round_unitaries(stack, eps, tol)
+            rounded = _round_unitaries(stack, eps, tol, isometry_defect(stack, eye, eye))
             messages += _assert_core_matches_wrappers(
                 rounded, [lambda i=i: round_to_unitary(stack[i], eps[i], tol) for i in range(6)])
     assert any("not unitary-roundable" in m for m in messages)
@@ -604,7 +608,7 @@ def test_stacked_povm_core_matches_per_item_rounding(k):
         stack = np.array([almost_povm_instance(rng, dim, k, delta)[0] for delta in deltas])
         stack[3] = 2.0 * stack[3]  # too far: the sum defect is 1
         for tol in (DEFAULT_TOL, _WIDE_TOL):
-            rounded = _round_povms(stack, tol)
+            rounded = _round_povms(stack, tol, _povm_parts(stack, tol))
             messages += _assert_core_matches_wrappers(
                 rounded, [lambda i=i: round_to_povm(list(stack[i]), tol) for i in range(5)])
     assert any("too far from a POVM" in m for m in messages)
@@ -620,7 +624,7 @@ def test_stacked_pvm_core_matches_per_item_rounding(k):
         deltas = [float(stability_modulus("pvm", e)) for e in rng.choice(_CORE_EPS, size=5)]
         stack = np.array([almost_pvm_instance(rng, dim, k, delta)[0] for delta in deltas])
         stack[2] = stack[2] + 0.01 * np.eye(dim)  # too far from a PVM
-        rounded = _round_pvms(stack, DEFAULT_TOL)
+        rounded = _round_pvms(stack, DEFAULT_TOL, _pvm_defects(stack))
         messages += _assert_core_matches_wrappers(
             rounded, [lambda i=i: round_to_pvm(list(stack[i])) for i in range(5)])
     assert any("too far from a PVM" in m for m in messages)
@@ -653,8 +657,9 @@ def test_padded_family_cores_match_per_item_rounding(kind, monkeypatch):
                         for k in rng.integers(1, 5, size=6)]
             families[2] = [2.0 * m for m in families[2]]  # too far
             stack, members = _front_padded_families(families)
-            rounded = (_round_povms(stack, DEFAULT_TOL) if kind == "povm"
-                       else _round_pvms(stack, DEFAULT_TOL, members))
+            rounded = (_round_povms(stack, DEFAULT_TOL, _povm_parts(stack, DEFAULT_TOL))
+                       if kind == "povm"
+                       else _round_pvms(stack, DEFAULT_TOL, _pvm_defects(stack), members))
             trimmed = rounded._replace(out=[out[len(out) - n:]
                                             for out, n in zip(rounded.out, members)])
             messages += _assert_core_matches_wrappers(
@@ -662,3 +667,60 @@ def test_padded_family_cores_match_per_item_rounding(kind, monkeypatch):
     assert any("too far" in m for m in messages)
     if kind == "pvm":
         assert any("(stage: block 0)" in m for m in messages)
+
+
+@pytest.mark.parametrize("kind", ROUNDING_KINDS)
+def test_stacked_cores_gate_on_the_supplied_defect(kind, monkeypatch):
+    """A supplied defect one float above the bound refuses an admissible item as the wrapper does.
+
+    The wrapper sees the same defect through a patched defect function, so
+    both raise one HypothesisError with one defect= value; the true defect
+    and the bound itself are admitted wherever the gate refuses only above it.
+    """
+    import cstarkit.rounding as rounding
+    rng = rng_from_seed(85)
+    eps, dim = 0.5, 3
+    delta = float(stability_modulus(kind, eps))
+    bound = {"povm": 0.5, "pvm": float(PVM_ENTRY_BUDGET)}.get(kind, delta)
+    eye = np.eye(dim)
+    if kind == "unitary":
+        a = almost_unitary_instance(rng, dim, delta)[0]
+        name, true = "isometry_defect", isometry_defect(a[None], eye, eye)
+        core = lambda defect: _round_unitaries(a[None], [eps], DEFAULT_TOL, defect)
+        wrapper = lambda: round_to_unitary(a, eps)
+    elif kind == "projection":
+        a = almost_projection_instance(rng, dim, delta)[0]
+        name, true = "projection_defect", projection_defect(a[None])
+        core = lambda defect: _round_projections(a[None], [eps], DEFAULT_TOL, defect)
+        wrapper = lambda: round_to_projection(a, eps)
+    elif kind == "partial_isometry":
+        a, _, p1, p2 = almost_partial_isometry_instance(rng, dim, delta)
+        name, true = "isometry_defect", isometry_defect(a[None], p1[None], p2[None])
+        core = lambda defect: _round_partial_isometries(a[None], p1[None], p2[None], [eps],
+                                                        DEFAULT_TOL, defect)
+        wrapper = lambda: round_to_partial_isometry(a, p1, p2, eps)
+    else:
+        builder = almost_povm_instance if kind == "povm" else almost_pvm_instance
+        family = np.array(builder(rng, dim, 3, delta)[0])
+        if kind == "povm":
+            name, true = "_povm_parts", _povm_parts(family[None], DEFAULT_TOL)
+            core = lambda defect: _round_povms(family[None], DEFAULT_TOL, defect)
+            wrapper = lambda: round_to_povm(list(family))
+        else:
+            name, true = "_pvm_defects", _pvm_defects(family[None])
+            core = lambda defect: _round_pvms(family[None], DEFAULT_TOL, defect)
+            wrapper = lambda: round_to_pvm(list(family))
+    # the core's argument for a defect: POVMs pass it with the positive parts
+    supplied = (lambda d: (d, true[1])) if kind == "povm" else (lambda d: d)
+    above = np.array([np.nextafter(bound, np.inf)])
+    assert core(true).errors == [None]
+    if kind != "povm":
+        assert core(np.array([bound])).errors == [None]
+    refused = core(supplied(above)).errors[0]
+    assert type(refused) is HypothesisError
+    assert refused.defect == float(above[0]) and refused.bound == bound
+    monkeypatch.setattr(rounding, name, lambda *args: supplied(above))
+    with pytest.raises(HypothesisError) as raised:
+        wrapper()
+    assert str(raised.value) == str(refused)
+    assert raised.value.defect == refused.defect and raised.value.bound == refused.bound

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cstarkit.rounding import ROUNDING_KINDS, isometry_defect, stability_modulus
+from cstarkit.operators import DEFAULT_TOL
+from cstarkit.rounding import ROUNDING_KINDS, _povm_parts, isometry_defect, stability_modulus
 from cstarkit.sampling import (_draw_ginibre, _draw_partial_isometry, _draw_povm,
                                _draw_projection, _draw_pvm, _draw_unitary, _haar_unitaries,
                                _partial_isometry_instances, _rank_projections,
@@ -11,8 +12,8 @@ from cstarkit.sampling import (_draw_ginibre, _draw_partial_isometry, _draw_povm
                                _shrink, _unitary_instances, almost_partial_isometry_instance,
                                almost_povm_instance, almost_projection_instance,
                                almost_pvm_instance, almost_unitary_instance,
-                               random_hermitian, random_projection, random_unitary,
-                               rng_from_seed)
+                               random_hermitian, random_povm, random_projection,
+                               random_unitary, rng_from_seed)
 
 
 def _stacked(kind, rng, dim, k, deltas):
@@ -29,8 +30,13 @@ def _stacked(kind, rng, dim, k, deltas):
         draws = [draw(rng, dim, k) for _ in deltas]
         stacks = [np.array(part) for part in zip(*draws)]
         instances = _povm_instances if kind == "povm" else _pvm_instances
-        return instances(*stacks, np.array(deltas), np.full(len(deltas), k))
-    return instances(*(np.array(part) for part in zip(*draws)), np.array(deltas))
+        return _unmeasured(instances(*stacks, np.array(deltas), np.full(len(deltas), k)))
+    return _unmeasured(instances(*(np.array(part) for part in zip(*draws)), np.array(deltas)))
+
+
+def _unmeasured(stacked):
+    """A stacked instances result without its measurement: the builder's parts, in order."""
+    return stacked[:1] + stacked[2:]
 
 
 def _per_item(kind, rng, dim, k, delta):
@@ -77,7 +83,7 @@ def test_stacked_shrink_halves_only_members_above_their_budget():
         builds.append(len(items))
         return u[items] @ (eye + scale[:, None, None] * h[items])
 
-    stacked = _shrink(build, lambda items, a: isometry_defect(a, eye, eye), budget, start)
+    stacked, _ = _shrink(build, lambda items, a: isometry_defect(a, eye, eye), budget, start)
     halvings = []
     for i in range(n):
         scale = 2.0 ** -6
@@ -92,6 +98,42 @@ def test_stacked_shrink_halves_only_members_above_their_budget():
     # the k-th build covers exactly the members that need at least k halvings
     assert builds == [sum(count >= step for count in halvings)
                       for step in range(max(halvings) + 1)]
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_stacked_shrink_returns_each_items_last_measurement(paired):
+    """Items needing 0, 1 and 3 halvings come back with their output's measurement, bit for bit.
+
+    paired measures as _povm_instances does, with the positive parts.
+    """
+    rng = rng_from_seed(83)
+    dim, k = 3, 3
+    base = np.array([random_povm(rng, dim, k) for _ in range(3)])
+    bumps = np.array([[random_hermitian(rng, dim) for _ in range(k)] for _ in range(3)])
+    start = np.full(3, 2.0 ** -4)
+    # each budget is the defect at its item's last scale, the first scale that fits
+    final = (start / 2.0 ** np.array([0, 1, 3]))[:, None, None, None]
+    budget = _povm_parts(base + final * bumps, DEFAULT_TOL)[0]
+    builds = []
+
+    def build(items, scale):
+        builds.append(items.tolist())
+        return base[items] + scale[:, None, None, None] * bumps[items]
+
+    def measure(items, family):
+        parts = _povm_parts(family, DEFAULT_TOL)
+        return parts if paired else parts[0]
+
+    out, measured = _shrink(build, measure, budget, start)
+    assert builds == [[0, 1, 2], [1, 2], [2], [2]]
+    assert out.tobytes() == (base + final * bumps).tobytes()
+    expected = _povm_parts(out, DEFAULT_TOL)
+    if paired:
+        assert isinstance(measured, tuple) and len(measured) == 2
+        assert measured[0].tobytes() == expected[0].tobytes()
+        assert measured[1].tobytes() == expected[1].tobytes()
+    else:
+        assert measured.tobytes() == expected[0].tobytes()
 
 
 def test_stacked_shrink_gives_up_after_sixty_halvings():
@@ -122,7 +164,7 @@ def test_padded_family_draws_match_per_item_builders(kind):
             for item, part in zip(stack, parts):
                 item[max(ks) - len(part):] = part
             stacks.append(stack)
-        family, base = instances(*stacks, np.array(deltas), np.array(ks))
+        family, _, base = instances(*stacks, np.array(deltas), np.array(ks))
         for i, (k, delta) in enumerate(zip(ks, deltas)):
             expected_family, expected_base = builder(item_rng, dim, k, delta)
             assert np.array(expected_family).tobytes() == family[i, max(ks) - k:].tobytes()

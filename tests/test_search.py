@@ -261,8 +261,8 @@ def test_refused_position_is_skipped_and_the_rest_is_unchanged(monkeypatch):
     real = search._repair_povms
     calls = []
 
-    def refuse_one(stack, tol):
-        rounded, refused, *rest = real(stack, tol)
+    def refuse_one(stack, tol, parts):
+        rounded, refused, *rest = real(stack, tol, parts)
         calls.append(stack.shape[0])
         if len(calls) % 6 == 4:  # each run: 6 calls; 4th is block 2, dim 3: 34, 36, ...
             refused = refused.copy()
