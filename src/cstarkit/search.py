@@ -4,8 +4,8 @@ A game family maps bit strings to games; membership is half-decided by
 sweeping a deterministic stream of measurement pairs (dimension one
 deterministic strategies first, then caller-planted pairs, then seeded
 random dyadic-grid candidates) and accepting as soon as the best state
-value certifiably exceeds one half.  A see-saw optimizer and an exact
-classical brute force round out the toolbox.
+value, less a fixed margin, exceeds one half.  A see-saw optimizer and an
+exact classical brute force round out the toolbox.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, dagger,  # noqa: F
 from .rounding import _povm_parts, _repair_povms, povm_residual, round_to_povm  # noqa: F401
 from .sampling import _gram_povms, random_povm, rng_from_seed
 
-# Certified bound on the eigenvalue error of the value estimate.  Dense
-# Hermitian solves are accurate to machine precision times the norm, so
-# this is a generous ceiling; acceptance demands value - error > 1/2.
+# Fixed margin taken off each float value estimate; acceptance demands
+# value - margin > 1/2.  It is a constant, not a computed error bound, so an
+# acceptance is not yet a proof that the value clears 1/2.
 CERTIFIED_EIG_ERROR = 2.0 ** -7
 
 _OUTCOMES = ("accepted", "budget_exhausted")
@@ -145,8 +145,13 @@ def _snap_to_grid(m: np.ndarray, q: int) -> np.ndarray:
     return (np.round(m.real * q) + 1j * np.round(m.imag * q)) / q
 
 
-# stream positions per block of the candidate pipeline
-_BLOCK = 32
+# width of the first block of the stream prefix and of the random phase; each
+# later block of a phase is twice as wide as the one before
+_FIRST_BLOCK = 16
+# complex entries in a block's (2, n, k, d, d) pair stacks, 2nkd^2 per position.
+# Budget-50 search jobs never reach it; at budget 1000 (BENCH_17.json) 2^14 to
+# 2^16 time alike and 2^12 is about 15% slower
+_BLOCK_ENTRIES = 2 ** 14
 # (examined, alice, bob, check): a stream position's pair that passed the gates
 Candidate = tuple[int, Measurement, Measurement, CommutationCheck]
 # (examined, ops, check): the same, the pair as its (2, n, k, d, d) ops stack
@@ -155,13 +160,16 @@ Gated = tuple[int, np.ndarray, CommutationCheck]
 
 def _positions(game: NonlocalGame, stream: CandidateStream) -> Iterator[np.ndarray | int]:
     """Stream order: deterministic and planted pair stacks, then a dimension per random position."""
+    for alice, bob in stream.planted:
+        check_shapes(game, alice, bob)
     k = game.k
     # each of the k^n answer functions becomes a Measurement once, when first reached
     det = functools.cache(lambda answers: deterministic_measurement(answers, k).ops)
-    for fa, fb in itertools.product(itertools.product(range(k), repeat=game.n), repeat=2):
-        yield np.array([det(fa), det(fb)])
+    # nested lazy loops: product(..., repeat=2) would first build all k^n answer functions
+    for fa in itertools.product(range(k), repeat=game.n):
+        for fb in itertools.product(range(k), repeat=game.n):
+            yield np.array([det(fa), det(fb)])
     for alice, bob in stream.planted:
-        check_shapes(game, alice, bob)
         yield np.array([alice.ops, bob.ops])
     for i in itertools.count():
         yield stream.dims[i % len(stream.dims)]
@@ -200,23 +208,53 @@ def _grid_pairs(rng: np.random.Generator, dims: list[int], game: NonlocalGame, q
     return _per_dim(draws, repaired)
 
 
+def _blocks(game: NonlocalGame, stream: CandidateStream) -> Iterator[tuple[int, list]]:
+    """(first position, positions) per block of the stream, none past the budget.
+
+    Three rules cut the blocks.  The prefix (deterministic and planted
+    positions) and the random positions never share a block.  In each of
+    the two, the first block is cut at _FIRST_BLOCK positions and each
+    later one at twice the width of the one before, unless the next block
+    would reach the end of the budget: the block then takes that rest in
+    too.  And a block holds at most _BLOCK_ENTRIES pair-stack entries
+    unless it holds a single position.  Below the entry cap, a run that
+    accepts at the r-th position of a phase has thus built fewer than
+    4 r + 3 _FIRST_BLOCK positions of that phase.
+    """
+    per_square = 2 * game.n * game.k
+    start, block, entries, width = 1, [], 0, _FIRST_BLOCK
+    for item in itertools.islice(_positions(game, stream), stream.budget):
+        dim = item if isinstance(item, int) else item.shape[-1]
+        size = per_square * dim * dim
+        new_phase = bool(block) and isinstance(item, int) != isinstance(block[0], int)
+        # cut at the width only if the next block, twice as wide, ends before the budget
+        full = len(block) >= width and stream.budget - (start + len(block) - 1) > 2 * width
+        if new_phase or full or (block and entries + size > _BLOCK_ENTRIES):
+            yield start, block
+            start, block, entries = start + len(block), [], 0
+            width = _FIRST_BLOCK if new_phase else 2 * width
+        block.append(item)
+        entries += size
+    yield start, block
+
+
 def _gated_blocks(game: NonlocalGame, stream: CandidateStream, delta: float,
                   tol: Tolerance) -> Iterator[list[Gated]]:
-    """Gated pairs per block of up to _BLOCK positions, none past the budget."""
-    source = _positions(game, stream)
+    """Gated pairs per block of _blocks, in stream order.
+
+    A random block draws and repairs all its positions before any is
+    gated, so an error from one of them can surface after an earlier
+    position of the block accepts; a prefix block draws nothing.
+    """
     rng = rng_from_seed(stream.seed)
-    start = 1
-    while start <= stream.budget:
-        block = list(itertools.islice(source, min(_BLOCK, stream.budget - start + 1)))
-        dims = [item for item in block if isinstance(item, int)]
-        drawn = iter(_grid_pairs(rng, dims, game, stream.grid_denominator, tol))
-        pairs = [next(drawn) if isinstance(item, int) else item for item in block]
-        live = [(start + i, ops) for i, ops in enumerate(pairs) if ops is not None]
+    for start, block in _blocks(game, stream):
+        if isinstance(block[0], int):
+            block = _grid_pairs(rng, block, game, stream.grid_denominator, tol)
+        live = [(start + i, ops) for i, ops in enumerate(block) if ops is not None]
         checks = _per_dim([ops for _, ops in live], lambda group: [
             _commutation_check(table, delta)
             for table in commutator_defects(group[:, 0], group[:, 1])])
         yield [(*pair, check) for pair, check in zip(live, checks) if check.ok]
-        start += len(block)
 
 
 def _handed_out(game: NonlocalGame, stream: CandidateStream, examined: int,
@@ -269,8 +307,9 @@ def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
                           tol: Tolerance = DEFAULT_TOL) -> SearchVerdict:
     """Half-decide membership of z by sweeping the candidate stream.
 
-    Accepts once best_value minus the certified eigenvalue error clears
-    one half; returns budget_exhausted otherwise.  Never answers "no".
+    Accepts once a pair's float best value minus the fixed margin
+    CERTIFIED_EIG_ERROR (2^-7, a constant, not a computed error bound)
+    clears one half; returns budget_exhausted otherwise.  Never answers "no".
     """
     if not isinstance(z, str) or set(z) - {"0", "1"}:
         raise PreconditionError(f"z must be a string of 0s and 1s, got {z!r}")

@@ -1,7 +1,9 @@
 """Tests for the semidecision harness, see-saw, and classical brute force."""
 
+import dataclasses
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,25 +259,190 @@ def test_refused_position_is_skipped_and_the_rest_is_unchanged(monkeypatch):
     """A repair refusal drops only its own position; later draws do not shift."""
     game = chsh()
     stream = CandidateStream(dims=(2, 3), seed=7, budget=16 + 50)
-    target = 16 + 20  # 20th random position (dim 3), in the second block
+    target = 16 + 20  # 20th random position (dim 3)
+    unforced = _reference_stream(game, stream, 1.0)
+    target_ops = next(np.array([alice.ops, bob.ops])
+                      for examined, alice, bob, *_ in unforced if examined == target)
     real = search._repair_povms
-    calls = []
+    calls, hits = [], []
 
     def refuse_one(stack, tol, parts):
         rounded, refused, *rest = real(stack, tol, parts)
-        calls.append(stack.shape[0])
-        if len(calls) % 6 == 4:  # each run: 6 calls; 4th is block 2, dim 3: 34, 36, ...
-            refused = refused.copy()
-            refused[1, 1, 0] = True  # position 36: one of Bob's rows
+        calls.append((stack.shape[0], stack.shape[-1]))
+        for i, ops in enumerate(rounded):
+            if np.array_equal(ops, target_ops):
+                hits.append(i)
+                refused = refused.copy()
+                refused[i, 1, 0] = True  # one of Bob's rows at the target position
         return (rounded, refused, *rest)
 
     monkeypatch.setattr(search, "_repair_povms", refuse_one)
     reference = _reference_stream(game, stream, 1.0, refuse={target})
-    unforced = _reference_stream(game, stream, 1.0)
     assert [ref[0] for ref in unforced if ref[0] != target] == [ref[0] for ref in reference]
     assert len(unforced) == len(reference) + 1
     _assert_stream_matches(game, stream, 1.0, reference)
-    assert calls == 2 * [8, 8, 16, 16, 1, 1]
+    assert len(hits) == 2  # once in each of the two runs
+    # the repair stacks cover exactly the 50 random positions of each run, within the cap
+    assert sum(count for count, _ in calls) == 2 * 50
+    assert all(count * 2 * game.n * game.k * dim ** 2 <= search._BLOCK_ENTRIES
+               for count, dim in calls)
+
+
+def _stream_outputs(game, stream, delta, monkeypatch):
+    """Every scored and every handed-out pair, with each run's final generator state."""
+    generators = []
+
+    def recorded(seed):
+        generators.append(rng_from_seed(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(search, "rng_from_seed", recorded)
+    scored = [(examined, ops.tobytes(), check, value, top.tobytes())
+              for examined, ops, check, value, top in _witnesses(game, stream, delta, DEFAULT_TOL)]
+    handed = [(examined, alice.ops.tobytes(), bob.ops.tobytes(), check)
+              for examined, alice, bob, check in enumerate_candidates(game, stream, delta)]
+    return scored, handed, [rng.bit_generator.state for rng in generators]
+
+
+def _block_streams():
+    """(game, stream) cases: budgets ending in the prefix, past it, and mid-block."""
+    games = {name: parse_game((DATA / f"{name}.json").read_text())
+             for name in ("chsh", "never_win", "all_win")}
+    planted_game, pair = diluted_chsh_with_planted_pair()
+    return [
+        (games["chsh"], CandidateStream(dims=(1, 5), seed=1, budget=10)),
+        # the default cap holds 157 random positions of dims (1, 5) for chsh
+        (games["chsh"], CandidateStream(dims=(1, 5), seed=2, budget=16 + 157 + 40)),
+        (games["never_win"], CandidateStream(dims=(5, 1), seed=3, budget=16 + 90)),
+        (games["all_win"], CandidateStream(dims=(1, 5), seed=4, budget=16 + 60)),
+        (planted_game, CandidateStream(dims=(2, 4), seed=6, budget=2 ** 6 + 1 + 30,
+                                       planted=(pair,))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_block_layout_does_not_move_the_stream(case, monkeypatch):
+    """Blocks of one position, the default layout and whole-phase blocks agree bit for bit."""
+    game, stream = _block_streams()[case]
+    outputs = []
+    for cap, first in ((1, 1), (search._BLOCK_ENTRIES, search._FIRST_BLOCK), (2 ** 30, 2 ** 30)):
+        monkeypatch.setattr(search, "_BLOCK_ENTRIES", cap)
+        monkeypatch.setattr(search, "_FIRST_BLOCK", first)
+        outputs.append(_stream_outputs(game, stream, 0.5, monkeypatch))
+    assert outputs[0][0]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("cap, first", [(1, 32), (2 ** 9, 32), (None, None), (2 ** 30, 1),
+                                        (2 ** 30, 3)])
+def test_blocks_keep_the_prefix_apart_and_stay_within_the_cap(case, cap, first, monkeypatch):
+    game, stream = _block_streams()[case]
+    if cap is not None:
+        monkeypatch.setattr(search, "_BLOCK_ENTRIES", cap)
+        monkeypatch.setattr(search, "_FIRST_BLOCK", first)
+    blocks = list(search._blocks(game, stream))
+    positions = list(itertools.islice(search._positions(game, stream), stream.budget))
+    prefix = game.k ** (2 * game.n) + len(stream.planted)
+    assert [start for start, _ in blocks] == list(
+        itertools.accumulate([1] + [len(block) for _, block in blocks[:-1]]))
+    flat = [item for _, block in blocks for item in block]
+    assert len(flat) == len(positions)
+    assert all(np.array_equal(a, b) for a, b in zip(flat, positions))
+
+    def entries(item):
+        dim = item if isinstance(item, int) else item.shape[-1]
+        return 2 * game.n * game.k * dim * dim
+
+    width = search._FIRST_BLOCK
+    for (start, block), after in itertools.zip_longest(blocks, blocks[1:]):
+        # prefix positions are pair stacks, random ones their dimension
+        in_prefix = start + len(block) - 1 <= prefix
+        assert in_prefix or start > prefix
+        assert all(isinstance(item, int) != in_prefix for item in block)
+        assert len(block) == 1 or sum(map(entries, block)) <= search._BLOCK_ENTRIES
+        # a block passes its width only when the next block would reach the budget's end
+        end = start + len(block) - 1
+        assert len(block) <= width or (stream.budget - (start + width - 1) <= 2 * width
+                                       and len(block) <= 3 * width)
+        if after is None:
+            assert end == stream.budget
+        elif after[0] == prefix + 1:  # the phase ended this block
+            width = search._FIRST_BLOCK
+        else:  # the width or the cap ended it
+            assert (len(block) == width and stream.budget - end > 2 * width
+                    or sum(map(entries, block + after[1][:1])) > search._BLOCK_ENTRIES)
+            width *= 2
+
+
+@pytest.mark.parametrize("name", ["all_win", "chsh"])
+def test_prefix_acceptance_draws_no_random_pair(name, monkeypatch):
+    game = parse_game((DATA / f"{name}.json").read_text())
+    calls = []
+    real = search._grid_pairs
+    monkeypatch.setattr(search, "_grid_pairs", lambda *args: (calls.append(1), real(*args))[1])
+    stream = CandidateStream(dims=(2, 3, 4), seed=1, budget=1000)
+    verdict = semidecide_membership(constant_family(game, 1.0), "", stream)
+    assert verdict.outcome == "accepted"
+    assert verdict.candidates_tried <= game.k ** (2 * game.n)
+    assert calls == []
+
+
+def guess_the_question_game():
+    """Bob wins iff he answers 1 - x, Alice's question; uniform questions.
+
+    Bob never learns x, so the classical value is 1/2 and the deterministic
+    prefix never accepts; random grid pairs that do not commute clear 1/2
+    within a few random positions.
+    """
+    predicate = np.zeros((2, 2, 2, 2), dtype=np.int8)
+    for x in range(2):
+        predicate[x, :, :, 1 - x] = 1
+    return NonlocalGame(np.full((2, 2), 0.25), predicate)
+
+
+@pytest.mark.parametrize("first, seed", [(1, 1), (1, 5), (4, 2), (16, 1), (32, 1)])
+def test_random_phase_acceptance_waits_for_a_bounded_block(first, seed, monkeypatch):
+    """Accepting at the r-th random position draws fewer than 4 r + 3 _FIRST_BLOCK of them."""
+    game = guess_the_question_game()
+    assert classical_value(game) == Fraction(1, 2)
+    monkeypatch.setattr(search, "_FIRST_BLOCK", first)
+    drawn = []
+    real = search._grid_pairs
+    monkeypatch.setattr(search, "_grid_pairs",
+                        lambda rng, dims, *rest: (drawn.append(len(dims)), real(rng, dims, *rest))[1])
+    stream = CandidateStream(dims=(2, 3, 4), seed=seed, budget=10_000)
+    verdict = semidecide_membership(constant_family(game, 1.0), "", stream)
+    assert verdict.outcome == "accepted"
+    r = verdict.candidates_tried - game.k ** (2 * game.n)
+    assert r >= 1
+    assert r <= sum(drawn) < 4 * r + 3 * first
+    assert drawn == [first * 2 ** j for j in range(len(drawn))]
+
+
+def test_planted_pairs_are_checked_before_the_first_position():
+    """A bad planted pair raises even when the stream would accept long before reaching it."""
+    game = constant_game(1, n=3)  # 64 deterministic positions, the first one wins
+    wrong = deterministic_measurement((0,), 2)  # one question, the game has three
+    stream = CandidateStream(dims=(2,), budget=1000, planted=((wrong, wrong),))
+    with pytest.raises(PreconditionError, match="does not match the game"):
+        semidecide_membership(constant_family(game, 1.0), "", stream)
+    with pytest.raises(PreconditionError, match="does not match the game"):
+        next(enumerate_candidates(game, dataclasses.replace(stream, budget=1), 1.0))
+
+
+def test_stream_prefix_is_lazy():
+    """The first position of an n = 18 game builds one answer function, not all 2^18."""
+    game = constant_game(0, n=18)
+    stream = CandidateStream(dims=(2,), budget=1)
+    tracemalloc.start()
+    try:
+        first = next(search._positions(game, stream))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.shape == (2, 18, 2, 1, 1)
+    assert peak < 2 ** 20
 
 
 # --- semidecision ----------------------------------------------------------------
