@@ -3,10 +3,12 @@
 
 The harness walks a deterministic stream of candidate strategies
 (deterministic answer pairs first, then planted near-optimal pairs, then
-seeded random ones), scores each with a certified eigenvalue error, and
-accepts as soon as a candidate provably clears 1/2.  A game that cannot
-clear 1/2 never accepts; the stream just exhausts its budget.  Every
-acceptance ships a witness that can be re-verified from scratch.
+seeded random ones), scores each by its float best value less a fixed
+margin of 2^-7, and accepts as soon as a score clears 1/2.  The margin is
+a constant, not a computed error bound, so an acceptance is not yet a
+proof.  A game that cannot clear 1/2 never accepts; the stream just
+exhausts its budget.  Every acceptance ships a witness that can be
+re-verified from scratch.
 """
 
 import argparse

@@ -446,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("game-value",
-                       help="best certified value over the candidate stream")
+                       help="best value over the candidate stream, less a fixed margin")
     p.add_argument("--game", required=True)
     stream(p)
 

@@ -39,11 +39,17 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _as_stack(m) -> np.ndarray:
-    """Validate m as a (..., d, d) stack of square complex matrices with finite entries."""
+def _square_stack(m) -> np.ndarray:
+    """m as a complex (..., d, d) stack of square matrices, entries unchecked."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
+def _as_stack(m) -> np.ndarray:
+    """Validate m as a (..., d, d) stack of square complex matrices with finite entries."""
+    a = _square_stack(m)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -68,9 +74,10 @@ def herm_part(a: np.ndarray) -> np.ndarray:
 
 def _ordered_sum(stack: np.ndarray, axis: int) -> np.ndarray:
     """Sum along axis term by term from 0, in Python sum's order, on any leading axes."""
+    lead = (slice(None),) * (axis % stack.ndim)
     total = 0
-    for term in np.moveaxis(stack, axis, 0):
-        total = total + term
+    for i in range(stack.shape[axis]):
+        total = total + stack[lead + (i,)]
     return total
 
 
@@ -79,14 +86,36 @@ def op_norm(m) -> float:
     return float(op_norms(as_operator(m)))
 
 
-def op_norms(stack) -> np.ndarray:
+def op_norms(stack, gate: float = 0.0) -> np.ndarray:
     """Operator norms of a (..., d, d) stack, shape (...); one batched SVD.
 
     Runs the checks of as_operator on every matrix.  The norm is the first
     of the descending singular values, so it equals np.linalg.norm(m, 2) on
     each matrix bit for bit.  An empty stack gives an empty array.
+
+    A gate > 0 is for callers that only compare the norms with it.  A
+    matrix whose bound sqrt(|X|_1 |X|_inf) lies below gate/2 gets that
+    bound and no SVD: the bound sits above the norm, and the factor 2
+    covers the rounding of both, so its SVD norm lies below gate too.
+    Every other matrix gets its SVD norm.  So <, <=, > and >= with gate
+    decide as on the plain norms, and each value at or above gate/2 is the
+    plain norm bit for bit.  The roots come before the product so it cannot
+    underflow; a bound that overflows reads inf and gets an SVD.  A bound
+    below gate/2 is finite, so only the matrices left unsure need the
+    finite-entry check.
     """
-    return np.linalg.svd(_as_stack(stack), compute_uv=False)[..., 0]
+    half = float(gate) / 2
+    if not half > 0:
+        return np.linalg.svd(_as_stack(stack), compute_uv=False)[..., 0]
+    a = _square_stack(stack)
+    with np.errstate(over="ignore"):
+        mags = np.abs(a)
+        norms = np.asarray(np.sqrt(mags.sum(axis=-2).max(axis=-1))
+                           * np.sqrt(mags.sum(axis=-1).max(axis=-1)))
+    unsure = ~(norms < half)
+    if unsure.any():
+        norms[unsure] = np.linalg.svd(_as_stack(a[unsure]), compute_uv=False)[..., 0]
+    return norms
 
 
 def commutator(a, b) -> np.ndarray:
@@ -130,15 +159,18 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
 def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> HermitianSpectrum:
     """Spectral decomposition of a Hermitian matrix or a (..., d, d) stack.
 
-    Each matrix must be Hermitian within ``tol.algebraic`` (exactly
-    Hermitian input skips the defect's SVD) and is symmetrized before
-    factoring, so the decomposition is exactly that of (m + m^H)/2.  One
-    batched eigh, equal bit for bit to factoring each matrix alone.
+    Each matrix must be Hermitian within ``tol.algebraic``: the skew
+    defect |m - m^H| goes through op_norms gated at that tolerance, so only
+    a matrix its cheap bound leaves unsure takes an SVD (exactly Hermitian
+    input takes none), and a rejection reports the exact defect.  Each
+    matrix is symmetrized before factoring, so the decomposition is
+    exactly that of (m + m^H)/2.  One batched eigh, equal bit for bit to
+    factoring each matrix alone.
     """
     a = _as_stack(m)
     skew = a - dagger(a)
     if skew.any():
-        defect = float(op_norms(skew).max())
+        defect = float(op_norms(skew, tol.algebraic).max())
         if defect > tol.algebraic:
             raise PreconditionError(
                 f"matrix is not Hermitian within tolerance: defect {defect:.6e}")

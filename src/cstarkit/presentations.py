@@ -187,31 +187,18 @@ def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray]
 
 def _gates(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
            gate: Fraction | float, count: int) -> tuple[np.ndarray, list]:
-    """relation_defect < gate per item of a stack, with an SVD only where a cheap bound is unsure.
+    """relation_defect < gate per item of a stack, the relation norms gated at gate by op_norms.
 
     Returns (passed, errors), errors as in _defect_parts; a refused item is
-    not passed.  sqrt(|X|_1 |X|_inf) bounds |X| from above, so a relation
-    whose bound is below gate/2 has a computed norm below gate too; the
-    factor 2 covers the rounding of both.  Taking the roots before the
-    product keeps it from underflowing; an overflowing bound reads inf and
-    falls through.
+    not passed.  Only the relations of items still passing are normed, so
+    no non-finite relation of a refused item reaches op_norms.
     """
     excess, relations, errors = _defect_parts(pres, dim, images, count)
     if relations is None:
         return np.zeros(count, dtype=bool), errors
     passed = _below(excess, gate) & np.equal(errors, None)
-    mags = np.abs(relations)
-    with np.errstate(over="ignore"):
-        bound = (np.sqrt(mags.sum(axis=-2).max(axis=-1, initial=0.0))
-                 * np.sqrt(mags.sum(axis=-1).max(axis=-1, initial=0.0)))
-    unsure = ~(bound < float(gate) / 2) & passed
-    if not unsure.any():
-        return passed, errors
-    # a sure relation counts as norm 0, below any positive gate; at a gate
-    # <= 0 no relation is sure
-    norms = np.zeros(unsure.shape)
-    norms[unsure] = op_norms(relations[unsure])
-    return passed & _below(norms.max(axis=0, initial=0.0), gate), errors
+    passed[passed] = _below(op_norms(relations[:, passed], gate).max(axis=0, initial=0.0), gate)
+    return passed, errors
 
 
 def relation_defect(pres: Presentation, rep: Representation) -> float:

@@ -161,9 +161,9 @@ def _one(rounded: _Rounded):
                                           float(rounded.residual[0]))
 
 
-def _larger_norm(first: np.ndarray, second: np.ndarray):
-    """max(|first|, |second|) per matrix, from one op_norms call; a float for 2-D terms."""
-    norms = op_norms(np.stack([first, second]))
+def _larger_norm(first: np.ndarray, second: np.ndarray, gate: float = 0.0):
+    """max(|first|, |second|) per matrix from one op_norms call at gate; a float for 2-D terms."""
+    norms = op_norms(np.stack([first, second]), gate)
     larger = _pymax(norms[0], norms[1])
     return float(larger) if larger.ndim == 0 else larger
 
@@ -180,8 +180,12 @@ def isometry_defect(a, p1, p2):
 
 def projection_defect(a):
     """max(|a - a^H|, |a^2 - a|), per matrix of a (..., d, d) stack as isometry_defect."""
-    a = _as_stack(a)
-    return _larger_norm(a - dagger(a), a @ a - a)
+    return _projection_defect(_as_stack(a))
+
+
+def _projection_defect(a: np.ndarray, gate: float = 0.0):
+    """projection_defect of a validated matrix or stack, gated at gate as op_norms."""
+    return _larger_norm(a - dagger(a), a @ a - a, gate)
 
 
 def pvm_defect(mats) -> float:
@@ -287,7 +291,7 @@ def _round_partial_isometries(a: np.ndarray, p1: np.ndarray, p2: np.ndarray, eps
     """round_to_partial_isometry over (n, d, d) stacks, eps and defect as in _round_unitaries."""
     errors = [None] * len(eps)
     for name, p in (("p1", p1), ("p2", p2)):
-        resid = projection_defect(_cleared(p, errors))
+        resid = _projection_defect(_cleared(p, errors), tol.algebraic)
         _refuse(errors, resid > tol.algebraic, lambda i: ValueError(
             f"{name} is not a projection within tolerance: residual {resid[i]:.6e}"))
     a, p1, p2 = (_cleared(m, errors) for m in (a, p1, p2))
@@ -315,22 +319,31 @@ def _pymax(a, b):
     return np.where(b > a, b, a)
 
 
-def _sum_defect(stack: np.ndarray) -> np.ndarray:
-    """|sum_i A_i - 1| per (k, d, d) family of a (..., k, d, d) stack."""
-    return op_norms(_ordered_sum(stack, -3) - np.eye(stack.shape[-1]))
+def _sum_defect(stack: np.ndarray, gate: float = 0.0) -> np.ndarray:
+    """|sum_i A_i - 1| per (k, d, d) family of a (..., k, d, d) stack, gated as op_norms."""
+    return op_norms(_ordered_sum(stack, -3) - np.eye(stack.shape[-1]), gate)
 
 
-def _povm_parts(stack: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """(povm_defect, positive parts of the Hermitian parts) of a (..., k, d, d) stack; one eig."""
+def _povm_parts(stack: np.ndarray, tol: Tolerance,
+                gate: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(povm_defect, positive parts of the Hermitian parts) of a (..., k, d, d) stack; one eig.
+
+    With a gate > 0 the defect's norms are gated as op_norms: a defect
+    below gate may read as a bound, but every comparison with gate decides
+    as on the exact defect, and a defect at or above gate is exact.
+    """
     positives = hermitian_eig(herm_part(stack), tol).apply(lambda w: np.maximum(w, 0.0))
-    cone = op_norms(stack - positives).max(axis=-1)
-    return _pymax(cone, _sum_defect(stack)), positives
+    cone = op_norms(stack - positives, gate).max(axis=-1)
+    return _pymax(cone, _sum_defect(stack, gate)), positives
 
 
-def _povm_residual(stack: np.ndarray) -> np.ndarray:
-    """max(|sum A_i - 1|, -min eig A_i) per family of a (..., k, d, d) stack."""
+def _povm_residual(stack: np.ndarray, gate: float = 0.0) -> np.ndarray:
+    """max(|sum A_i - 1|, -min eig A_i) per family of a (..., k, d, d) stack.
+
+    A gate acts as in _povm_parts.
+    """
     min_eig = np.linalg.eigvalsh(herm_part(stack))[..., 0].min(axis=-1)
-    return _pymax(_sum_defect(stack), np.where(-min_eig > 0.0, -min_eig, 0.0))
+    return _pymax(_sum_defect(stack, gate), np.where(-min_eig > 0.0, -min_eig, 0.0))
 
 
 def povm_residual(mats) -> float:
@@ -338,14 +351,19 @@ def povm_residual(mats) -> float:
     return float(_povm_residual(_family(mats)))
 
 
-def _repair_povms(stack: np.ndarray, tol: Tolerance, parts: tuple) -> tuple[np.ndarray, ...]:
+def _repair_povms(stack: np.ndarray, tol: Tolerance, parts: tuple,
+                  gate: float = 0.0) -> tuple[np.ndarray, ...]:
     """Round each (k, d, d) family of a (..., k, d, d) stack to an exact POVM.
 
-    Gates on the stack's _povm_parts pair.  Returns (rounded, refused,
-    defect, low, residual) per family.  Refused families (defect >= 1/2, or
-    low = min eig of the positive-part sum S <= tol.spectral) are masked out
-    before S^(-1/2), raise nothing and hold meaningless rounded slots; an
-    accepted one missing exactness raises.
+    Gates on the stack's _povm_parts pair, whose defect only meets
+    defect >= 1/2, so it may come from _povm_parts gated at 0.5.  Returns
+    (rounded, refused, defect, low, residual) per family.  Refused families
+    (defect >= 1/2, or low = min eig of the positive-part sum S <=
+    tol.spectral) are masked out before S^(-1/2), raise nothing and hold
+    meaningless rounded slots; an accepted one missing exactness raises.
+    gate (tol.algebraic for callers that drop the residual) gates the
+    residual's norms as _povm_residual: the exactness check decides as on
+    the exact residual, but a residual below gate may read as a bound.
     """
     defect, positives = parts
     far = defect >= 0.5
@@ -355,7 +373,7 @@ def _repair_povms(stack: np.ndarray, tol: Tolerance, parts: tuple) -> tuple[np.n
     refused = far | (low <= tol.spectral)
     root = spec.apply(lambda w: np.where(refused[..., None], 1.0, w) ** -0.5)[..., None, :, :]
     rounded = herm_part(root @ positives @ root)
-    residual = np.where(refused, 0.0, _povm_residual(rounded))
+    residual = np.where(refused, 0.0, _povm_residual(rounded, gate))
     _check_exact(float(residual.max(initial=0.0)), tol)
     return rounded, refused, defect, low, residual
 
@@ -416,7 +434,7 @@ def _round_pvms(stack: np.ndarray, tol: Tolerance, defect, members=None) -> _Rou
     out = np.empty(stack.shape, np.complex128)
     for block in range(k - 1):
         c = remaining @ stack[:, block] @ remaining
-        stage_defect = projection_defect(c)
+        stage_defect = _projection_defect(c, PVM_STAGE_GATE)
         active = block >= pads
         _refuse(errors, (stage_defect > PVM_STAGE_GATE) & active,
                 lambda i: HypothesisError(

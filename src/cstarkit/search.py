@@ -10,7 +10,6 @@ exact classical brute force round out the toolbox.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -130,15 +129,17 @@ class SearchVerdict:
                 raise ValueError("accepted verdicts need a witness certified above 1/2")
 
 
+def _answer_ops(answers, k: int) -> np.ndarray:
+    """(..., n, k, 1, 1) ops answering question x with answers[..., x], unvalidated."""
+    return np.eye(k, dtype=np.complex128)[np.asarray(answers)][..., None, None]
+
+
 def deterministic_measurement(answers: Sequence[int], k: int) -> Measurement:
     """Dimension-one measurement answering question x with answers[x]."""
     answers = tuple(int(a) for a in answers)
     if any(not 0 <= a < k for a in answers):
         raise ValueError(f"answers must lie in [0, {k}), got {answers}")
-    ops = np.zeros((len(answers), k, 1, 1), dtype=np.complex128)
-    for x, a in enumerate(answers):
-        ops[x, a, 0, 0] = 1.0
-    return Measurement(ops)
+    return Measurement(_answer_ops(answers, k))
 
 
 def _snap_to_grid(m: np.ndarray, q: int) -> np.ndarray:
@@ -163,12 +164,12 @@ def _positions(game: NonlocalGame, stream: CandidateStream) -> Iterator[np.ndarr
     for alice, bob in stream.planted:
         check_shapes(game, alice, bob)
     k = game.k
-    # each of the k^n answer functions becomes a Measurement once, when first reached
-    det = functools.cache(lambda answers: deterministic_measurement(answers, k).ops)
-    # nested lazy loops: product(..., repeat=2) would first build all k^n answer functions
+    # nested lazy loops: product(..., repeat=2) would first build all k^n answer
+    # functions; each position builds its own pair stack, validated only when
+    # _handed_out makes Measurements of it
     for fa in itertools.product(range(k), repeat=game.n):
         for fb in itertools.product(range(k), repeat=game.n):
-            yield np.array([det(fa), det(fb)])
+            yield _answer_ops((fa, fb), k)
     for alice, bob in stream.planted:
         yield np.array([alice.ops, bob.ops])
     for i in itertools.count():
@@ -202,7 +203,8 @@ def _grid_pairs(rng: np.random.Generator, dims: list[int], game: NonlocalGame, q
 
     def repaired(group: np.ndarray) -> list:
         snapped = _snap_to_grid(_gram_povms(group), q)
-        rounded, refused, *_ = _repair_povms(snapped, tol, _povm_parts(snapped, tol))
+        rounded, refused, *_ = _repair_povms(snapped, tol, _povm_parts(snapped, tol, 0.5),
+                                             tol.algebraic)
         return [None if bad.any() else ops for ops, bad in zip(rounded, refused)]
 
     return _per_dim(draws, repaired)
@@ -330,12 +332,14 @@ def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
 
 def evaluate_stream(game: NonlocalGame, stream: CandidateStream, delta: float,
                     tol: Tolerance = DEFAULT_TOL) -> tuple[Witness | None, int]:
-    """Best certified value over the whole candidate stream, no threshold.
+    """Best scored value over the whole candidate stream, no threshold.
 
     Returns the best Witness found (None when nothing in the stream passes
     the measurement and commutation gates) and the number of candidates
-    examined, which is the full budget.  A stream-limited lower estimate
-    of the delta-almost-commuting value of the game.
+    examined, which is the full budget.  A pair scores its float best value
+    less CERTIFIED_EIG_ERROR, a fixed margin rather than a computed error
+    bound, so the result is a stream-limited estimate, not a proven lower
+    bound, of the delta-almost-commuting value of the game.
     """
     if not 0.0 <= delta <= 1.0:
         raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
@@ -453,7 +457,7 @@ def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
         if scale <= tol.algebraic:
             continue
         moved = herm_part(ops[x] + steps * (grad / scale))
-        trials, refused, *_ = _repair_povms(moved, tol, _povm_parts(moved, tol))
+        trials, refused, *_ = _repair_povms(moved, tol, _povm_parts(moved, tol, 0.5), tol.algebraic)
         # refused slots hold no POVM: value the current row there and never pick it
         rows = np.concatenate([ops[x][None], np.where(refused[:, None, None, None], ops[x], trials)])
         values = _row_values(rows, weights, other.ops, table, rho, tol)

@@ -545,7 +545,7 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
     """Each kind's defect function runs once per shrink round per group, never on a core's input.
 
     The PVM core measures its own output for the exactness residual, and
-    the partial-isometry core checks p1 and p2 with projection_defect;
+    the partial-isometry core checks p1 and p2 with _projection_defect;
     neither call sees the core's input.
     """
     import cstarkit.rounding as rounding
@@ -568,6 +568,13 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
 
         monkeypatch.setattr(sampling, name, sampler_spy)
         monkeypatch.setattr(rounding, name, core_spy)
+
+    def checked(*args, _real=rounding._projection_defect):
+        if now["input"] is not None:
+            in_core.append((now["kind"], "_projection_defect", args[0]))
+        return _real(*args)
+
+    monkeypatch.setattr(rounding, "_projection_defect", checked)
 
     def group(kind, *args, _real=cli._suite_group):
         now["kind"] = kind
@@ -599,7 +606,7 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
     measured = [(kind, arg) for kind, name, arg in in_core if name == measure_of[kind]]
     assert measured and all(kind == "pvm" and any(arg is o for o in outputs)
                             for kind, arg in measured)
-    assert any(kind == "partial_isometry" and name == "projection_defect"
+    assert any(kind == "partial_isometry" and name == "_projection_defect"
                for kind, name, _ in in_core)
 
 

@@ -1,12 +1,17 @@
 """Tests for the dense matrix substrate: norms, spectra, functional calculus."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cstarkit.operators import (DEFAULT_TOL, Tolerance, as_operator, commutator,
+from cstarkit.operators import (DEFAULT_TOL, Tolerance, _ordered_sum, as_operator, commutator,
                                 dagger, herm_part, hermitian_eig, op_norm, op_norms,
                                 polar_unitary, spectral_apply)
-from cstarkit.errors import PreconditionError
+from cstarkit.errors import HypothesisError, PreconditionError
+from cstarkit.games import Measurement
+from cstarkit.rounding import PVM_STAGE_GATE, _round_pvms, projection_defect, povm_residual
 from cstarkit.sampling import random_hermitian, random_unitary, rng_from_seed
 
 
@@ -70,6 +75,66 @@ def test_op_norms_equal_numpy_spectral_norm(kind):
         empty = op_norms(stack[:0, 0])
         assert empty.shape == (0,)
         assert empty.tobytes() == np.linalg.norm(stack[:0, 0], 2, axis=(-2, -1)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       lead=st.sampled_from([(), (0,), (1,), (6,), (2, 3)]),
+       dim=st.integers(1, 6),
+       kind=st.sampled_from(["dense", "sparse", "diagonal", "zero"]),
+       near=st.booleans(),
+       gate=st.floats(1e-12, 1e3))
+def test_gated_op_norms_decide_as_plain_norms(seed, lead, dim, kind, near, gate):
+    """With a gate, every comparison with it decides as on the SVD norms.
+
+    Values at or above gate/2 are the SVD norms bit for bit, a gate <= 0
+    changes no bit at all, and non-finite input is refused as without one.
+    """
+    rng = np.random.default_rng(seed)
+    shape = lead + (dim, dim)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "sparse":
+        stack = np.where(rng.uniform(size=shape) < 0.7, 0.0, stack)
+    elif kind == "diagonal":
+        stack = stack * np.eye(dim)
+    elif kind == "zero":
+        stack = 0.0 * stack
+    norms = op_norms(stack)
+    if near:
+        # each norm within 2x of the gate, where the bound is least sure
+        scale = gate * rng.uniform(0.25, 2.0, size=lead) / np.where(norms > 0, norms, 1.0)
+        stack = stack * np.asarray(scale)[..., None, None]
+    plain = op_norms(stack)
+    gated = op_norms(stack, gate)
+    assert np.shape(gated) == lead
+    assert isinstance(gated, np.ndarray) == isinstance(plain, np.ndarray)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert np.array_equal(compare(gated, gate), compare(plain, gate))
+    kept = np.asarray(gated >= gate / 2)
+    assert np.asarray(gated)[kept].tobytes() == np.asarray(plain)[kept].tobytes()
+    for off in (0.0, -gate):
+        assert np.asarray(op_norms(stack, off)).tobytes() == np.asarray(plain).tobytes()
+    if stack.size:
+        for bad in (np.nan, np.inf):
+            broken = stack.copy()
+            broken.flat[int(rng.integers(stack.size))] = bad
+            with pytest.raises(ValueError, match="finite"):
+                op_norms(broken, gate)
+
+
+@pytest.mark.parametrize("shape, axis", [((4, 3, 5, 5), -3), ((2, 3, 4, 2, 2), -3),
+                                         ((2, 3, 4, 2, 2), 1), ((3, 2, 5), -1),
+                                         ((2, 0, 3, 3), -3)])
+def test_ordered_sum_matches_the_moveaxis_loop(shape, axis):
+    """Indexing along the axis adds the same terms in the same order, bit for bit."""
+    rng = rng_from_seed(17)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expected = 0
+    for term in np.moveaxis(stack, axis, 0):
+        expected = expected + term
+    total = _ordered_sum(stack, axis)
+    assert np.shape(total) == np.shape(expected)
+    assert np.asarray(total).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_op_norm_submultiplicative_and_triangle():
@@ -308,3 +373,97 @@ def test_tolerance_defaults():
     assert DEFAULT_TOL.algebraic == 1e-10
     assert Tolerance(spectral=1e-6, algebraic=1e-8).spectral == 1e-6
     assert Tolerance(algebraic=1e-12).algebraic == 1e-12
+
+
+# --- gated norm checks at their call sites --------------------------------------
+#
+# Each site compares a defect with a fixed gate.  A "loose" defect has a
+# cheap bound sqrt(|X|_1 |X|_inf) twice its norm, so only its SVD decides
+# at 0.6 gate; a "tight" one has the bound equal to its norm, so at 0.6
+# gate the bound lies in [gate/2, gate) and the contract still demands
+# its SVD.
+
+# 4x4 Sylvester Hadamard / 2: symmetric, unitary, |.|_1 = |.|_inf = 2
+_HALF_HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2.0
+# a symmetric permutation: norm and both bounds 1
+_SWAP = np.kron(np.eye(2), [[0, 1], [1, 0]])
+
+
+def _svd_inputs(monkeypatch) -> list:
+    """Every matrix np.linalg.svd is handed from now on."""
+    seen = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.extend(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def _took_svd(seen: list, term: np.ndarray) -> bool:
+    return any(np.array_equal(m, term) for m in seen)
+
+
+@pytest.mark.parametrize("factor", [0.6, 1.5])
+@pytest.mark.parametrize("shape", [_HALF_HADAMARD, _SWAP], ids=["loose", "tight"])
+def test_hermitian_check_near_its_gate(shape, factor, monkeypatch):
+    """A skew defect of 0.6 tol passes, 1.5 tol is refused with its exact norm; both take an SVD."""
+    tol = DEFAULT_TOL.algebraic
+    m = 0.5j * factor * tol * shape  # m - m^H = 2m, of norm factor * tol
+    skew = m - dagger(m)
+    seen = _svd_inputs(monkeypatch)
+    if factor < 1:
+        hermitian_eig(m)
+    else:
+        with pytest.raises(PreconditionError, match=f"defect {op_norm(skew):.6e}$"):
+            hermitian_eig(m)
+    assert _took_svd(seen, skew)
+
+
+@pytest.mark.parametrize("factor", [0.6, 1.5])
+@pytest.mark.parametrize("shape", [_HALF_HADAMARD, _SWAP], ids=["loose", "tight"])
+def test_measurement_sum_check_near_its_gate(shape, factor, monkeypatch):
+    """A POVM row summing 0.6 tol off the identity is a Measurement; 1.5 tol is refused exactly."""
+    tol = DEFAULT_TOL.algebraic
+    half = np.eye(4) / 2
+    ops = np.array([[half + factor * tol * (shape - np.diag(np.diag(shape))), half]],
+                   dtype=np.complex128)
+    off = ops[0, 0] + ops[0, 1] - np.eye(4)
+    seen = _svd_inputs(monkeypatch)
+    if factor < 1:
+        Measurement(ops)
+    else:
+        residual = povm_residual(ops[0])
+        assert residual > tol
+        with pytest.raises(ValueError, match=f"povm_residual {residual:.3e}$"):
+            Measurement(ops)
+    assert _took_svd(seen, off)
+
+
+@pytest.mark.parametrize("factor", [0.6, 1.5])
+@pytest.mark.parametrize("shape", [_HALF_HADAMARD, np.diag([1.0, -1.0, 1.0, -1.0])],
+                         ids=["loose", "tight"])
+def test_pvm_stage_gate_near_its_gate(shape, factor, monkeypatch):
+    """A first block 0.6 of the stage gate off a projection passes; 1.5 is refused exactly.
+
+    The block is q + s with q = (1 + shape) / 2 a projection, so that
+    block^2 - block = s shape + s^2, of norm s + s^2.
+    """
+    target = factor * PVM_STAGE_GATE
+    s = (np.sqrt(1 + 4 * target) - 1) / 2
+    block = (np.eye(4) + shape) / 2 + s * np.eye(4)
+    stack = np.array([[block, np.eye(4) - block]], dtype=np.complex128)
+    term = stack[0, 0] @ stack[0, 0] - stack[0, 0]
+    seen = _svd_inputs(monkeypatch)
+    # a supplied entry defect of 0 lets the family past the entry gate to the stage gate
+    error = _round_pvms(stack, DEFAULT_TOL, np.zeros(1)).errors[0]
+    exact = float(projection_defect(stack[:, 0])[0])
+    assert exact == pytest.approx(target, rel=1e-12)
+    if factor < 1:
+        assert error is None
+    else:
+        assert isinstance(error, HypothesisError) and "drifted" in str(error)
+        assert error.defect == exact and error.stage == "block 0"
+    assert _took_svd(seen, term)

@@ -338,9 +338,9 @@ def test_stack_faults_keep_their_own_errors(unit_at, overflow_at, monkeypatch):
     q = 4 * generator("e") + generator("u1")
     real = presentations.op_norms
 
-    def finite_only(stack):
+    def finite_only(stack, gate=0.0):
         assert np.isfinite(stack).all()
-        return real(stack)
+        return real(stack, gate)
     monkeypatch.setattr(presentations, "op_norms", finite_only)
     expected = [None] * 5
     expected[unit_at], expected[overflow_at] = _NOT_UNIT, _OVERFLOW

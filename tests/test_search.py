@@ -266,8 +266,8 @@ def test_refused_position_is_skipped_and_the_rest_is_unchanged(monkeypatch):
     real = search._repair_povms
     calls, hits = [], []
 
-    def refuse_one(stack, tol, parts):
-        rounded, refused, *rest = real(stack, tol, parts)
+    def refuse_one(stack, tol, parts, gate=0.0):
+        rounded, refused, *rest = real(stack, tol, parts, gate)
         calls.append((stack.shape[0], stack.shape[-1]))
         for i, ops in enumerate(rounded):
             if np.array_equal(ops, target_ops):
@@ -445,6 +445,33 @@ def test_stream_prefix_is_lazy():
     assert peak < 2 ** 20
 
 
+def test_prefix_walk_holds_no_answer_functions():
+    """Walking 2^14 prefix positions of an n = 14 game keeps nothing per answer function."""
+    game = constant_game(0, n=14)
+    positions = search._positions(game, CandidateStream(dims=(2,), budget=1))
+    tracemalloc.start()
+    try:
+        for ops in itertools.islice(positions, 2 ** 14):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ops.shape == (2, 14, 2, 1, 1)
+    assert peak < 2 ** 18
+
+
+def test_prefix_positions_equal_deterministic_measurements():
+    """Each prefix pair stack is the two deterministic measurements' ops, bit for bit."""
+    game = constant_game(0, n=2, k=3)
+    answers = list(itertools.product(range(3), repeat=2))
+    positions = search._positions(game, CandidateStream(dims=(2,), budget=1))
+    for (fa, fb), ops in zip(itertools.product(answers, repeat=2), positions):
+        expected = np.array([deterministic_measurement(fa, 3).ops,
+                             deterministic_measurement(fb, 3).ops])
+        assert ops.shape == expected.shape and ops.dtype == expected.dtype
+        assert ops.tobytes() == expected.tobytes()
+
+
 # --- semidecision ----------------------------------------------------------------
 
 def test_semidecide_all_win_accepts_first_candidate():
@@ -567,8 +594,8 @@ def test_witness_defect_is_the_gate_check():
 
 
 @pytest.mark.parametrize("command, game, code, built", [
-    ("semidecide", "never_win.json", 4, 4),  # the dimension-one answer functions
-    ("game-value", "chsh.json", 0, 6),  # those, then the best pair's Witness
+    ("semidecide", "never_win.json", 4, 0),  # prefix pairs are never validated
+    ("game-value", "chsh.json", 0, 2),  # only the best pair's Witness
 ])
 def test_search_builds_measurements_only_for_handed_out_pairs(monkeypatch, tmp_path, command,
                                                               game, code, built):
