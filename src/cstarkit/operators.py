@@ -86,6 +86,18 @@ def op_norm(m) -> float:
     return float(op_norms(as_operator(m)))
 
 
+def _norm_bounds(a: np.ndarray) -> np.ndarray:
+    """sqrt(|X|_1 |X|_inf) per matrix of a (..., d, d) stack, an upper bound on each norm.
+
+    The roots come before the product so it cannot underflow; a bound
+    that overflows reads inf, and one over a non-finite entry inf or NaN.
+    """
+    with np.errstate(over="ignore"):
+        mags = np.abs(a)
+        return np.asarray(np.sqrt(mags.sum(axis=-2).max(axis=-1))
+                          * np.sqrt(mags.sum(axis=-1).max(axis=-1)))
+
+
 def op_norms(stack, gate: float = 0.0) -> np.ndarray:
     """Operator norms of a (..., d, d) stack, shape (...); one batched SVD.
 
@@ -99,19 +111,15 @@ def op_norms(stack, gate: float = 0.0) -> np.ndarray:
     covers the rounding of both, so its SVD norm lies below gate too.
     Every other matrix gets its SVD norm.  So <, <=, > and >= with gate
     decide as on the plain norms, and each value at or above gate/2 is the
-    plain norm bit for bit.  The roots come before the product so it cannot
-    underflow; a bound that overflows reads inf and gets an SVD.  A bound
-    below gate/2 is finite, so only the matrices left unsure need the
-    finite-entry check.
+    plain norm bit for bit.  A bound that overflows reads inf and gets an
+    SVD.  A bound below gate/2 is finite, so only the matrices left unsure
+    need the finite-entry check.
     """
     half = float(gate) / 2
     if not half > 0:
         return np.linalg.svd(_as_stack(stack), compute_uv=False)[..., 0]
     a = _square_stack(stack)
-    with np.errstate(over="ignore"):
-        mags = np.abs(a)
-        norms = np.asarray(np.sqrt(mags.sum(axis=-2).max(axis=-1))
-                           * np.sqrt(mags.sum(axis=-1).max(axis=-1)))
+    norms = _norm_bounds(a)
     unsure = ~(norms < half)
     if unsure.any():
         norms[unsure] = np.linalg.svd(_as_stack(a[unsure]), compute_uv=False)[..., 0]

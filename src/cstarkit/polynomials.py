@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import dagger
+from .operators import _norm_bounds, dagger
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\*?\Z")
 
@@ -282,10 +282,40 @@ class CompiledPolynomials:
             coeffs = self.coeffs[start:start + _CHUNK][spread]
             part, rows = out[start:start + _CHUNK], len(index)
             for slot in range(width):
-                words.take(index[:, slot], axis=0, out=taken[:rows])
+                # the indices are in range by construction; "clip" keeps
+                # take from buffering out, as the default "raise" does
+                words.take(index[:, slot], axis=0, out=taken[:rows], mode="clip")
                 np.multiply(coeffs[:, slot], taken[:rows], out=term[:rows])
                 part += term[:rows]
         return out
+
+    def in_range(self, images: Mapping[str, np.ndarray], lead: tuple = ()) -> np.ndarray:
+        """Per item of the (*lead, dim, dim) image stacks: whether evaluate surely stays finite.
+
+        Each letter's norm is at most its bound sqrt(|X|_1 |X|_inf).  With M
+        the largest letter bound (at least 1), L the longest word and C the
+        largest sum of one polynomial's coefficient moduli, every product,
+        term and partial sum evaluate forms has entries of modulus at most
+        a few times C M^L, so a value below _IN_RANGE cannot overflow.  False
+        means unsure (a bound that overflows, or a non-finite entry): those
+        items need evaluating and checking.
+        """
+        if not self.names:
+            return np.ones(lead, dtype=bool)
+        top = _norm_bounds(np.stack([images[name] for name in self.names])).max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._scale * np.maximum(top, 1.0) ** self.words[-1].shape[1] < _IN_RANGE
+
+    @cached_property
+    def _scale(self) -> float:
+        """The largest sum of one polynomial's coefficient moduli; inf past float range."""
+        with np.errstate(over="ignore"):
+            return float(np.abs(self.coeffs).sum(axis=1).max(initial=0.0))
+
+
+# a value bound below this keeps evaluate's intermediates, a few times the
+# bound at most, far inside float range
+_IN_RANGE = 2.0 ** 1000
 
 
 def compile_polynomials(polys) -> CompiledPolynomials:

@@ -156,15 +156,12 @@ def _below(values: np.ndarray, gate: Fraction | float) -> np.ndarray:
     return values <= near if near < gate else values < near
 
 
-def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray], count: int):
-    """(excess, relations, errors) over a stack of (count, dim, dim) images per generator.
+def _image_errors(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
+                  count: int) -> list:
+    """Per item of a stack, None or the error relation_defect raises on its images alone.
 
-    excess is each item's largest norm-bound excess, shape (count,), and
-    relations the (relations, count, dim, dim) relation values.  errors
-    holds per item None or the PreconditionError relation_defect raises on
-    it alone: a non-identity unit image, a missing image, or a relation that
-    overflows.  A missing image refuses every item, and excess and relations
-    are then None.
+    That is a non-identity unit image, else a missing image, which refuses
+    every item.
     """
     errors = [None] * count
     unit = images.get(pres.unit_generator)
@@ -175,14 +172,34 @@ def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray]
     if missing:
         _refuse(errors, np.ones(count, bool), lambda i: PreconditionError(
             f"missing image for generator {missing[0]!r}"))
+    return errors
+
+
+def _relation_values(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
+                     errors: list) -> np.ndarray:
+    """The (relations, count, dim, dim) relation values; refuses each item where one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        relations = pres._table.relations.evaluate(images, dim, (len(errors),))
+    _refuse(errors, ~np.isfinite(relations).all(axis=(0, 2, 3)), lambda i: PreconditionError(
+        f"a relation overflows float range at dimension {dim}"))
+    return relations
+
+
+def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray], count: int):
+    """(excess, relations, errors) over a stack of (count, dim, dim) images per generator.
+
+    excess is each item's largest norm-bound excess, shape (count,), and
+    relations the (relations, count, dim, dim) relation values.  errors
+    holds per item None or the PreconditionError relation_defect raises on
+    it alone: a non-identity unit image, a missing image, or a relation that
+    overflows.  When every item is refused, excess and relations are None.
+    """
+    errors = _image_errors(pres, dim, images, count)
+    if None not in errors:
         return None, None, errors
     generators = np.stack([images[name] for name in pres.names], axis=1)
     excess = (op_norms(generators) - pres._table.bounds).max(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        relations = pres._table.relations.evaluate(images, dim, (count,))
-    _refuse(errors, ~np.isfinite(relations).all(axis=(0, 2, 3)), lambda i: PreconditionError(
-        f"a relation overflows float range at dimension {dim}"))
-    return excess, relations, errors
+    return excess, _relation_values(pres, dim, images, errors), errors
 
 
 def _gates(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
@@ -190,12 +207,15 @@ def _gates(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
     """relation_defect < gate per item of a stack, the relation norms gated at gate by op_norms.
 
     Returns (passed, errors), errors as in _defect_parts; a refused item is
-    not passed.  Only the relations of items still passing are normed, so
-    no non-finite relation of a refused item reaches op_norms.
+    not passed.  With an item refused, only the relations of items still
+    passing are normed, so no non-finite relation reaches op_norms.
     """
     excess, relations, errors = _defect_parts(pres, dim, images, count)
     if relations is None:
         return np.zeros(count, dtype=bool), errors
+    if errors.count(None) == count:
+        norms = op_norms(relations, gate).max(axis=0, initial=0.0)
+        return _below(np.maximum(excess, norms), gate), errors
     passed = _below(excess, gate) & np.equal(errors, None)
     passed[passed] = _below(op_norms(relations[:, passed], gate).max(axis=0, initial=0.0), gate)
     return passed, errors
@@ -612,28 +632,52 @@ class _Block(NamedTuple):
     images: dict[str, np.ndarray]
 
 
-def _gated_norms(pres: Presentation, q: CompiledPolynomials, dim: int,
-                 images: Mapping[str, np.ndarray], gate: Fraction,
-                 count: int) -> tuple[np.ndarray, list]:
-    """(norms, errors) over a stack: |q| where relation_defect < gate, NaN elsewhere.
+def _stacks(pres: Presentation, block: _Block,
+            rows: list | None = None) -> Iterator[tuple[list, dict]]:
+    """(catalog positions, images) of block's items at rows, in stacks of at
+    most _STACK_ENTRIES relation-table entries (or one item).
 
-    errors holds per item None or its error: the gate's, or a |q| that
-    overflows.
+    rows None takes every item, and its stacks are views.
     """
-    passed, errors = _gates(pres, dim, images, gate, count)
-    norms = np.full(count, np.nan)
-    if passed.any():
-        rows = np.flatnonzero(passed)
+    step = max(1, _STACK_ENTRIES // (max(1, len(pres.relations)) * block.dim ** 2))
+    for start in range(0, len(block.at) if rows is None else len(rows), step):
+        cut = slice(start, start + step) if rows is None else rows[start:start + step]
+        yield (np.asarray(block.at)[cut].tolist(),
+               {name: img[cut] for name, img in block.images.items()})
+
+
+def _screen(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
+            count: int) -> list:
+    """Per item of a stack, None or the error relation_defect raises on it, with no gate.
+
+    Only the items whose relations in_range cannot clear are evaluated to
+    find an overflow.
+    """
+    errors = _image_errors(pres, dim, images, count)
+    if None not in errors:
+        return errors
+    rows = np.flatnonzero(~pres._table.relations.in_range(images, (count,)))
+    if len(rows):
+        held = [errors[i] for i in rows]
+        _relation_values(pres, dim, {name: img[rows] for name, img in images.items()}, held)
+        for i, error in zip(rows, held):
+            errors[i] = error
+    return errors
+
+
+def _q_norms(q: CompiledPolynomials, dim: int, images: Mapping[str, np.ndarray],
+             rows: np.ndarray) -> np.ndarray:
+    """|q| at the items of a stack that rows flags: inf where q's value overflows, NaN elsewhere."""
+    norms = np.full(len(rows), np.nan)
+    if rows.any():
         with np.errstate(over="ignore", invalid="ignore"):
             image = q.evaluate({name: images[name][rows] for name in q.names},
-                               dim, (len(rows),))[0]
+                               dim, (int(rows.sum()),))[0]
         finite = np.isfinite(image).all(axis=(-2, -1))
-        values = np.full(len(rows), np.inf)
+        values = np.full(len(image), np.inf)
         values[finite] = op_norms(image[finite])
         norms[rows] = values
-        _refuse(errors, np.isinf(norms), lambda i: PreconditionError(
-            f"|q| overflows float range at dimension {dim}"))
-    return norms, errors
+    return norms
 
 
 def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
@@ -650,10 +694,16 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
     |q(rep)| - 2^-j that beats all previous outputs.  The budget counts
     catalog representations examined; exhausting it ends the stream.
 
-    A round is drawn only as far as the budget reaches and gated per
-    dimension, in stacks of at most _STACK_ENTRIES relation-table entries;
-    its norms and errors are then read in catalog order, so emissions and
-    the first error come out as from one representation at a time.
+    A round is drawn only as far as the budget reaches.  Per dimension, in
+    stacks of at most _STACK_ENTRIES relation-table entries, every item gets
+    the checks of _screen and |q|.  A walk in catalog order then gates only
+    record candidates, the items whose value would beat the last emission,
+    since no other item can emit whatever its gate says.  It gates them in
+    windows of 1, 2, 4, ... candidates, one stack per dimension, and the
+    width restarts at one after each emission.  A round that opens with a
+    window as wide as itself gates every stack first instead, and takes
+    |q| only where the gate passes.  Emissions and the first error come
+    out as from one representation at a time.
     """
     family = registered_presentation(pres_id)
     budget = integral(budget, "budget")
@@ -668,32 +718,68 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
     size = len(family.canonical) + catalog.per_round
     best: Fraction | None = None
     examined = 0
+    width = 1
     for j in itertools.count():
         if examined >= budget:
             return
         gate = Fraction(1, 2 ** family.table.of(j + pad + 1))
         grid = 2 ** (j + 4)
         count = min(size, budget - examined)
-        norms = np.full(count, np.nan)
+        blocks = catalog._round(pres_id, j, count)
+        eager = width >= count
+        norms = np.empty(count)
+        dims = np.empty(count, dtype=int)
         errors = [None] * count
-        for block in catalog._round(pres_id, j, count):
-            step = max(1, _STACK_ENTRIES // (max(1, len(pres.relations)) * block.dim ** 2))
-            for start in range(0, len(block.at), step):
-                at = block.at[start:start + step]
-                norms[at], refused = _gated_norms(
-                    pres, q_table, block.dim,
-                    {name: img[start:start + step] for name, img in block.images.items()},
-                    gate, len(at))
+        known = set()
+        for block in blocks:
+            for at, images in _stacks(pres, block):
+                if eager:
+                    rows, refused = _gates(pres, block.dim, images, gate, len(at))
+                    known.update(np.asarray(at)[rows].tolist())
+                else:
+                    refused = _screen(pres, block.dim, images, len(at))
+                    rows = np.equal(refused, None)
+                norms[at], dims[at] = _q_norms(q_table, block.dim, images, rows), block.dim
                 for i, error in zip(at, refused):
                     errors[i] = error
-        for value, error in zip(norms.tolist(), errors):
-            if error is not None:
-                raise error
-            if math.isnan(value):
-                continue
-            # exact product: (value - 2^-j) * grid may overflow as a float
-            d = Fraction(math.floor(Fraction(value - 2.0 ** -j) * grid), grid)
-            if d > 0 and (best is None or d > best):
-                best = d
-                yield d
+        stop = next((i for i, error in enumerate(errors) if error is not None), count)
+        values = norms.tolist()
+        start = 0
+        while True:
+            # d > best exactly when value - 2^-j reaches best + 1/grid
+            bar = Fraction(1 if best is None else best * grid + 1, grid)
+            beat = start + np.flatnonzero(~_below(norms[start:stop] - 2.0 ** -j, bar))
+            if not len(beat):
+                break
+            window = beat[:width].tolist()
+            passed = known if eager else _gated(pres, blocks, set(window), gate)
+            width *= 2
+            for i in window:
+                if i not in passed:
+                    continue
+                if math.isinf(values[i]):
+                    raise PreconditionError(f"|q| overflows float range at dimension {dims[i]}")
+                # exact product: (value - 2^-j) * grid may overflow as a float
+                d = Fraction(math.floor(Fraction(values[i] - 2.0 ** -j) * grid), grid)
+                if d > 0 and (best is None or d > best):
+                    best, width = d, 1
+                    yield d
+            start = window[-1] + 1
+        if stop < count:
+            raise errors[stop]
         examined += count
+
+
+def _gated(pres: Presentation, blocks: list[_Block], window: set, gate: Fraction) -> set:
+    """The catalog positions in window whose relation_defect lies below gate.
+
+    Each block's items in window are gated together, in stacks as _stacks
+    cuts them.
+    """
+    passed = set()
+    for block in blocks:
+        rows = [row for row, i in enumerate(block.at) if i in window]
+        for at, images in _stacks(pres, block, rows):
+            flags, _ = _gates(pres, block.dim, images, gate, len(at))
+            passed.update(np.asarray(at)[flags].tolist())
+    return passed

@@ -278,3 +278,29 @@ def test_str_round_trips_visually():
     text = str(p)
     assert "g" in text and "g*" in text
     assert str(NCPolynomial.zero()) == "0"
+
+
+def test_in_range_clears_only_values_that_stay_finite():
+    """in_range is True only where evaluate stays finite, and clears ordinary images.
+
+    Unitaries scaled by 10^0 .. 10^119 straddle both the 2^1000 bound and
+    the float ceiling of the cubic term; a non-finite entry and a
+    coefficient near the float ceiling leave an item unsure.
+    """
+    u, e = generator("u1"), generator("e")
+    table = compile_polynomials((u.adjoint() * u - e, 3 * u * u * u + e))
+    rng = rng_from_seed(6)
+    scales = 10.0 ** np.arange(120)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    images = {"u1": q * scales[:, None, None],
+              "e": np.broadcast_to(np.eye(3, dtype=np.complex128), (120, 3, 3))}
+    cleared = table.in_range(images, (120,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(table.evaluate(images, 3, (120,))).all(axis=(0, 2, 3))
+    assert not (cleared & ~finite).any()
+    assert cleared[:90].all() and not cleared[110:].any() and not finite[110:].any()
+    images["u1"][0, 1, 1] = np.nan
+    assert not table.in_range(images, (120,))[0]
+    near = compile_polynomials((int(1.5e308) * (u.adjoint() * u - e),))
+    assert not near.in_range(images, (120,))[1:].any()
+    assert compile_polynomials(()).in_range({}, (4,)).all()

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import sys
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,8 @@ from cstarkit.presentations import (Presentation, Representation,
                                     registered_presentation, relation_defect,
                                     stability_witness, toeplitz,
                                     trivial_presentation)
-from cstarkit.presentations import (_Block, _defect_below, _exact_matrix_unit_images, _gated_norms,
-                                    _gates, _subseed)
+from cstarkit.presentations import (_Block, _defect_below, _exact_matrix_unit_images, _gates,
+                                    _q_norms, _screen, _subseed)
 from cstarkit.sampling import (random_projection, random_unitary,
                                rng_from_seed)
 
@@ -325,7 +326,8 @@ def test_stacked_gate_refuses_each_faulting_item():
 def test_stack_faults_keep_their_own_errors(unit_at, overflow_at, monkeypatch):
     """A wrong unit and an overflowing relation in one stack each keep their message.
 
-    The other items are decided and normed, no SVD sees a refused item's
+    The gate decides the other items, the screen finds the same errors,
+    |q| is taken at the items it admits only, no SVD sees a refused item's
     values, and the enumerator raises the earlier catalog position's error.
     """
     pres = free_unitaries(1)
@@ -347,8 +349,9 @@ def test_stack_faults_keep_their_own_errors(unit_at, overflow_at, monkeypatch):
     passed, errors = _gates(pres, 2, images, gate, 5)
     assert _messages(errors) == expected
     assert passed.tolist() == [message is None for message in expected]
-    norms, errors = _gated_norms(pres, compile_polynomials((q,)), 2, images, gate, 5)
+    errors = _screen(pres, 2, images, 5)
     assert _messages(errors) == expected
+    norms = _q_norms(compile_polynomials((q,)), 2, images, np.equal(errors, None))
     for i, rep in enumerate(reps):
         if expected[i] is None:
             assert _defect_below(pres, rep, gate)
@@ -965,21 +968,205 @@ def test_enumeration_matches_rep_by_rep_reference(pres_id, monkeypatch):
         assert stacked[0] and stacked[1] is None
 
 
-def test_round_stacks_hold_at_most_the_entry_cap(monkeypatch):
-    """Every gate pass holds at most _STACK_ENTRIES relation-table entries, or one item."""
-    sizes = []
+def _recorded(monkeypatch, name):
+    """Replace presentations.<name>, a function of (pres, dim, images, ...), by a
+    spy; returns the list of (pres, dim, item count) it records per call."""
+    calls = []
+    original = getattr(presentations, name)
 
-    def recorded(pres, dim, images, gate, count, _original=presentations._gates):
-        assert count == len(images["e"])
-        sizes.append((len(pres.relations) * count * dim ** 2, count))
-        return _original(pres, dim, images, gate, count)
-    monkeypatch.setattr(presentations, "_gates", recorded)
+    def spy(pres, dim, images, *rest):
+        calls.append((pres, dim, len(next(iter(images.values())))))
+        return original(pres, dim, images, *rest)
+    monkeypatch.setattr(presentations, name, spy)
+    return calls
+
+
+_BENCHMARK_Q = generator("e12") + generator("e21")
+
+
+def _benchmark_job(seed):
+    """The norm-matrix-units benchmark's enumeration at a catalog seed."""
     pres = registered_presentation("matrix_units:3").presentation
-    catalog = RepresentationCatalog(seed=1)
-    list(norm_lower_enumerate(pres, generator("e12"), catalog, "matrix_units:3", 66))
-    assert sum(items for _, items in sizes) == 66
-    assert all(entries <= presentations._STACK_ENTRIES or items == 1 for entries, items in sizes)
-    assert max(items for _, items in sizes) > 1
+    return norm_lower_enumerate(pres, _BENCHMARK_Q, RepresentationCatalog(seed=seed),
+                                "matrix_units:3", 66)
+
+
+def test_round_stacks_hold_at_most_the_entry_cap(monkeypatch):
+    """Every screen and gate pass holds at most _STACK_ENTRIES relation-table entries, or one item."""
+    screened = _recorded(monkeypatch, "_screen")
+    gated = _recorded(monkeypatch, "_gates")
+    list(_benchmark_job(1))
+    assert sum(items for _, _, items in screened) == 66
+    assert max(items for _, _, items in screened) > 1
+    assert all(len(pres.relations) * items * dim ** 2 <= presentations._STACK_ENTRIES or items == 1
+               for pres, dim, items in screened + gated)
+
+
+def test_benchmark_job_gates_at_most_two_items(monkeypatch):
+    """A benchmark job gates its record candidates only: one or two of its 66 items."""
+    gated = _recorded(monkeypatch, "_gates")
+    for seed in range(1, 11):
+        gated.clear()
+        assert list(_benchmark_job(seed))
+        assert len(gated) <= 2 and 1 <= sum(items for _, _, items in gated) <= 2
+
+
+def _unsatisfiable():
+    """free_unitaries:1's relations and the unit itself, so every gate below 1 fails."""
+    u, e = generator("u1"), generator("e")
+    return Presentation((("e", 1), ("u1", 1)), (u.adjoint() * u - e, u * u.adjoint() - e, e))
+
+
+def test_record_gating_matches_rep_by_rep_reference():
+    """Gating only record candidates emits as the reference.
+
+    Runs: the benchmark job at seeds 1-10, a presentation whose gate every
+    candidate fails, and two free unitaries at budget 400.
+    """
+    u1, u2 = generator("u1"), generator("u2")
+    runs = [(registered_presentation("matrix_units:3").presentation, _BENCHMARK_Q,
+             "matrix_units:3", 66, seed) for seed in range(1, 11)]
+    runs += [(_unsatisfiable(), u1 + u1.adjoint(), "free_unitaries:1", 400, 0),
+             (registered_presentation("free_unitaries:2").presentation, u1 + u2,
+              "free_unitaries:2", 400, 0)]
+    for pres, q, pres_id, budget, seed in runs:
+        catalog = RepresentationCatalog(seed=seed)
+        stream = _emissions(norm_lower_enumerate(pres, q, catalog, pres_id, budget))
+        assert stream == _emissions(_reference_enumerate(pres, q, catalog, pres_id, budget))
+        assert stream[1] is None and bool(stream[0]) == (pres_id != "free_unitaries:1")
+
+
+@pytest.mark.parametrize("rate", [4, 40])
+def test_record_gating_matches_reference_when_few_items_pass(rate, monkeypatch):
+    """Gates that pass about one item in `rate` still emit as the reference.
+
+    Each item keeps its gate only when a checksum of its u1 image is
+    divisible by rate, so the enumerator and the reference, which both gate
+    through _gates, see the same passes.  Windows hold at most 1, 2, 4, ...
+    candidates, back to one after each emission.  At 1/40 some rounds open
+    with a window as wide as the round, gate each stack whole and still emit.
+    """
+    original = presentations._gates
+    events = []
+    original_gated = presentations._gated
+
+    def windowed(pres, blocks, window, gate):
+        events.append(len(window))
+        return original_gated(pres, blocks, window, gate)
+    monkeypatch.setattr(presentations, "_gated", windowed)
+
+    def logged(stream):
+        for value in stream:
+            events.append("emit")
+            yield value
+
+    def sparse(pres, dim, images, gate, count):
+        passed, errors = original(pres, dim, images, gate, count)
+        keep = [zlib.crc32(images["u1"][k].tobytes()) % rate == 0 for k in range(count)]
+        return passed & np.array(keep, dtype=bool), errors
+    monkeypatch.setattr(presentations, "_gates", sparse)
+    screened = _recorded(monkeypatch, "_screen")
+    rounds = []
+    original_round = RepresentationCatalog._round
+
+    def marked(self, pres_id, j, count):
+        rounds.append(len(screened))
+        return original_round(self, pres_id, j, count)
+    monkeypatch.setattr(RepresentationCatalog, "_round", marked)
+    pres = registered_presentation("free_unitaries:1").presentation
+    u = generator("u1")
+    wide = 0
+    for q in (u + u.adjoint(), 3 * generator("e") + u):
+        for seed in range(3):
+            catalog = RepresentationCatalog(seed=seed)
+            rounds.clear()
+            events.append("start")
+            stream = _emissions(logged(norm_lower_enumerate(pres, q, catalog,
+                                                            "free_unitaries:1", 400)))
+            rounds.append(len(screened))
+            wide += sum(start == end for start, end in zip(rounds, rounds[1:]))
+            assert stream == _emissions(_reference_enumerate(pres, q, catalog, "free_unitaries:1",
+                                                             400))
+            assert stream[0] and stream[1] is None
+    assert (wide > 0) == (rate == 40)
+    width = 1
+    for event in events:
+        if event in ("start", "emit"):
+            width = 1
+        else:
+            assert event <= width
+            width *= 2
+    assert max(event for event in events if event not in ("start", "emit")) >= 4
+
+
+def test_failing_gates_take_logarithmically_many_calls(monkeypatch):
+    """When every candidate fails its gate, the gate windows keep doubling.
+
+    Per round and dimension _gates then runs at most log2(round size) + 1
+    times, and over the run hardly more often than once per dimension stack.
+    """
+    gated = _recorded(monkeypatch, "_gates")
+    rounds = []
+    original = RepresentationCatalog._round
+
+    def marked(self, pres_id, j, count):
+        rounds.append(len(gated))
+        return original(self, pres_id, j, count)
+    monkeypatch.setattr(RepresentationCatalog, "_round", marked)
+    u = generator("u1")
+    catalog = RepresentationCatalog()
+    assert list(norm_lower_enumerate(_unsatisfiable(), u + u.adjoint(), catalog,
+                                     "free_unitaries:1", 400)) == []
+    size = 2 + catalog.per_round
+    stacks = 0
+    for start, end in zip(rounds, rounds[1:] + [len(gated)]):
+        per_dim = {}
+        for _, dim, _ in gated[start:end]:
+            per_dim[dim] = per_dim.get(dim, 0) + 1
+        assert max(per_dim.values()) <= math.log2(size) + 1
+        stacks += len(per_dim)
+    assert len(rounds) == 12 and len(gated) <= stacks + size
+
+
+def test_overflowing_relation_raises_at_a_non_candidate(monkeypatch):
+    """An item that cannot beat the last emission is never gated, yet its
+    overflowing relation still raises at its catalog position."""
+    rng = rng_from_seed(90)
+    images = _stack([Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(4)])
+    images["u1"][2] *= 1e200
+    monkeypatch.setattr(RepresentationCatalog, "_round",
+                        lambda self, pres_id, j, count: [_Block(2, list(range(count)), images)])
+    gated = _recorded(monkeypatch, "_gates")
+    # |q| = 4 everywhere: item 0 emits 3, and no later item can beat it
+    stream = norm_lower_enumerate(free_unitaries(1), 4 * generator("e"),
+                                  RepresentationCatalog(per_round=2), "free_unitaries:1", 10)
+    assert _emissions(stream) == ([Fraction(3)], _OVERFLOW)
+    assert [items for _, _, items in gated] == [1]
+
+
+_NEAR_MAX = int(1.5e308)          # a float, but twice it is not
+
+
+def test_screen_evaluates_only_relations_in_range_cannot_clear(monkeypatch):
+    """The overflow bound clears catalog items without evaluating their relations.
+
+    A benchmark job evaluates relations only for the items it gates; a
+    relation with coefficients near the float ceiling is evaluated at every
+    item, and its finite values refuse none.
+    """
+    evaluated = _recorded(monkeypatch, "_relation_values")
+    gated = _recorded(monkeypatch, "_gates")
+    list(_benchmark_job(1))
+    assert [items for _, _, items in evaluated] == [items for _, _, items in gated]
+    u, e = generator("u1"), generator("e")
+    rng = rng_from_seed(91)
+    images = _stack([Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(5)])
+    evaluated.clear()
+    assert _screen(free_unitaries(1), 2, images, 5) == [None] * 5
+    assert evaluated == []
+    near = Presentation((("e", 1), ("u1", 1)), (_NEAR_MAX * (u.adjoint() * u - e),))
+    assert _screen(near, 2, images, 5) == [None] * 5
+    assert [items for _, _, items in evaluated] == [5]
 
 
 def test_enumeration_errors_follow_earlier_emissions():
