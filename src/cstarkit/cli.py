@@ -228,11 +228,15 @@ def _cmd_seesaw(config: RunConfig, tol: Tolerance):
     return 0, inputs, records, summary, lines
 
 
-def _front_padded(parts) -> np.ndarray:
-    """The parts as one stack, shorter ones zero-padded in front along their first axis."""
-    longest = max(len(part) for part in parts)
-    if all(len(part) == longest for part in parts):
+def _stacked(parts) -> np.ndarray:
+    """One draw part of every item as one stack.
+
+    Family parts, the (k, ...) ones of three or more axes, are zero-padded
+    in front to the longest family.
+    """
+    if np.ndim(parts[0]) < 3 or len({len(part) for part in parts}) == 1:
         return np.array(parts)
+    longest = max(len(part) for part in parts)
     stack = np.zeros((len(parts), longest) + parts[0].shape[1:], parts[0].dtype)
     for item, part in zip(stack, parts):
         item[longest - len(part):] = part
@@ -244,9 +248,9 @@ def _suite_block(kind: str, rngs: list, dims: np.ndarray, first: int, count: int
     """Instances first .. first + count - 1 of every eps cell of `kind`, rounded.
 
     Each cell's stream is drawn in order; then the draws of each dimension
-    are shrunk and rounded as one stack, or as a few when its base stack
-    would hold more than _SUITE_STACK_ENTRIES entries.  Returns the
-    per-cell (residual, distance) maxima, shape (cells, 2), and the
+    are finished, shrunk and rounded as one stack, or as a few when its
+    base stack would hold more than _SUITE_STACK_ENTRIES entries.  Returns
+    the per-cell (residual, distance) maxima, shape (cells, 2), and the
     refusals as ((cell, index), error) pairs.
     """
     groups = {}
@@ -270,7 +274,9 @@ def _suite_block(kind: str, rngs: list, dims: np.ndarray, first: int, count: int
     for dim in list(groups):
         # popped, so each group's draws are freed once it is rounded
         group = groups.pop(dim)
-        size = max(1, _SUITE_STACK_ENTRIES // max(draw[0].size for _, draw in group))
+        # every draw ends in its bumps or perturbation direction, shaped as its
+        # base: d^2 entries, or k d^2 for a family of k members
+        size = max(1, _SUITE_STACK_ENTRIES // max(draw[-1].size for _, draw in group))
         for start in range(0, len(group), size):
             ids, draws = zip(*group[start:start + size])
             cells = [cell for cell, _ in ids]
@@ -283,12 +289,12 @@ def _suite_block(kind: str, rngs: list, dims: np.ndarray, first: int, count: int
 
 
 def _suite_group(kind: str, draws: tuple, eps: list, tol: Tolerance):
-    """Shrink and round one dimension's draws as one stack: (errors, residual, distance).
+    """Finish, shrink and round one dimension's draws as one stack: (errors, residual, distance).
 
     POVM and PVM families are zero-padded in front to the group's largest
     outcome count, which moves no bit of their rounding.
     """
-    stacks = [_front_padded(part) for part in zip(*draws)]
+    stacks = [_stacked(part) for part in zip(*draws)]
     budget = np.array([float(stability_modulus(kind, e)) for e in eps])
     if kind == "unitary":
         a, defect, _ = _unitary_instances(*stacks, budget)
@@ -300,7 +306,7 @@ def _suite_group(kind: str, draws: tuple, eps: list, tol: Tolerance):
         a, defect, _, p1, p2 = _partial_isometry_instances(*stacks, budget)
         rounded = _round_partial_isometries(a, p1, p2, eps, tol, defect)
     else:
-        members = np.array([len(draw[0]) for draw in draws])
+        members = np.array([len(draw[-1]) for draw in draws])
         if kind == "povm":
             family, parts, _ = _povm_instances(*stacks, budget, members)
             rounded = _round_povms(family, tol, parts)

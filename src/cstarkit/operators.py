@@ -50,7 +50,7 @@ def _square_stack(m) -> np.ndarray:
 def _as_stack(m) -> np.ndarray:
     """Validate m as a (..., d, d) stack of square complex matrices with finite entries."""
     a = _square_stack(m)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -65,7 +65,7 @@ def as_operator(m) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def herm_part(a: np.ndarray) -> np.ndarray:
@@ -170,10 +170,11 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> HermitianSpectrum:
     Each matrix must be Hermitian within ``tol.algebraic``: the skew
     defect |m - m^H| goes through op_norms gated at that tolerance, so only
     a matrix its cheap bound leaves unsure takes an SVD (exactly Hermitian
-    input takes none), and a rejection reports the exact defect.  Each
-    matrix is symmetrized before factoring, so the decomposition is
-    exactly that of (m + m^H)/2.  One batched eigh, equal bit for bit to
-    factoring each matrix alone.
+    input takes none), and a rejection reports the exact defect.  The
+    decomposition is that of (m + m^H)/2: a stack with any skew entry is
+    symmetrized before factoring, and an exactly Hermitian one, which
+    equals (m + m^H)/2 entry for entry, is factored as is.  One batched
+    eigh, equal bit for bit to factoring each matrix alone.
     """
     a = _as_stack(m)
     skew = a - dagger(a)
@@ -182,7 +183,8 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL) -> HermitianSpectrum:
         if defect > tol.algebraic:
             raise PreconditionError(
                 f"matrix is not Hermitian within tolerance: defect {defect:.6e}")
-    w, v = np.linalg.eigh(herm_part(a))
+        a = herm_part(a)
+    w, v = np.linalg.eigh(a)
     return HermitianSpectrum(eigenvalues=w, eigenvectors=_fix_phases(v))
 
 

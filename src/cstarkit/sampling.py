@@ -5,11 +5,15 @@ reproduce identical draws.  The ``almost_*_instance`` builders measure their
 own defects and shrink the perturbation until the requested hypothesis holds,
 so callers can rely on admissibility by construction.
 
-Each builder is a draw followed by a stacked shrink: ``_draw_*`` consumes
-the generator and ``_*_instances`` normalizes and shrinks a stack of such
-draws, one item per draw, with one delta per item.  A builder is the two
-steps on a stack of one draw, so drawing n instances in order and shrinking
-them together gives the builder's n results bit for bit.
+Each builder is a draw followed by a stacked finish, as the presentation
+catalog's ``draw``/``finish`` rows are: ``_draw_*`` takes only random numbers
+from the generator (Ginibre matrices, ranks, PVM labels, Gram normals and
+bumps), and ``_*_instances`` builds the exact structures of a stack of such
+draws at once (one QR per stack of Haar unitaries, one Gram ``eigh`` per
+outcome count, rank projections per rank), then normalizes and shrinks the
+perturbations, one item per draw, with one delta per item.  A builder is the
+two steps on a stack of one draw, so drawing n instances in order and
+finishing them together gives the builder's n results bit for bit.
 """
 from __future__ import annotations
 
@@ -57,12 +61,20 @@ def _rank_projections(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
     Each projection is onto the span of its unitary's first `rank` columns.
     """
-    out = np.empty_like(u)
+    return _rank_products(u, u, ranks)
+
+
+def _rank_products(left: np.ndarray, right: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """left[:, :r] right[:, :r]^H per item of two (..., d, d) stacks, r the item's rank.
+
+    One product per rank over all items of that rank.
+    """
+    out = np.empty_like(left)
     # a set, not np.unique: the first np.unique call of a process adds 1.7 MB to
     # its peak RSS (numpy 2.4)
     for rank in set(np.ravel(ranks).tolist()):
-        cols = u[ranks == rank][..., :rank]
-        out[ranks == rank] = cols @ dagger(cols)
+        at = ranks == rank
+        out[at] = left[at][..., :rank] @ dagger(right[at][..., :rank])
     return out
 
 
@@ -92,10 +104,14 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / float(np.trace(rho).real)
 
 
-def random_povm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
-    """Exact POVM from a ridge-regularized Gram construction."""
+def _check_outcomes(k: int) -> None:
     if k < 1:
         raise ValueError(f"need at least one outcome, got {k}")
+
+
+def random_povm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
+    """Exact POVM from a ridge-regularized Gram construction."""
+    _check_outcomes(k)
     return list(_gram_povms(rng.normal(size=(k, 2, dim, dim))))
 
 
@@ -112,17 +128,43 @@ def _gram_povms(normals: np.ndarray) -> np.ndarray:
     return herm_part(root @ raw @ root)
 
 
+def _gram_bases(normals: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """random_povm's bases from an (n, k, 2, d, d) stack of normals: (n, k, d, d) families.
+
+    Family i is made of its last members[i] normals, one _gram_povms call
+    per outcome count; its k - members[i] members in front are padding and
+    come out zero.
+    """
+    k = normals.shape[1]
+    base = np.zeros(normals.shape[:2] + normals.shape[-2:], np.complex128)
+    for count in set(members.tolist()):
+        at = members == count
+        base[at, k - count:] = _gram_povms(normals[at, k - count:])
+    return base
+
+
 def random_pvm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
     """Exact PVM: a random unitary conjugate of a basis partition."""
-    if k < 1:
-        raise ValueError(f"need at least one outcome, got {k}")
+    _check_outcomes(k)
     labels = rng.integers(0, k, size=dim)
     u = random_unitary(rng, dim)
-    blocks = []
-    for block in range(k):
-        diag = np.diag((labels == block).astype(np.complex128))
-        blocks.append(u @ diag @ dagger(u))
-    return blocks
+    return list(_pvm_bases(labels[None], u[None], np.array([k]), k)[0])
+
+
+def _pvm_bases(labels: np.ndarray, u: np.ndarray, members: np.ndarray, k: int) -> np.ndarray:
+    """random_pvm over (n, d) labels and (n, d, d) unitaries: (n, k, d, d) families.
+
+    Family i's block b is u diag(labels == b) u^H, for b < members[i]; its
+    k - members[i] members in front are padding and come out zero.
+    """
+    n, dim = labels.shape
+    # each slot's block index; the padding's are negative and match no label
+    blocks = np.arange(k) - (k - members)[:, None]
+    diags = np.zeros((n, k, dim, dim), np.complex128)
+    diags[..., np.arange(dim), np.arange(dim)] = labels[:, None, :] == blocks[..., None]
+    base = u[:, None] @ diags @ dagger(u)[:, None]
+    base[blocks < 0] = 0
+    return base
 
 
 def _shrink(build, measure, budget: np.ndarray, start: np.ndarray) -> tuple:
@@ -156,7 +198,7 @@ def _shrink(build, measure, budget: np.ndarray, start: np.ndarray) -> tuple:
 
 def _single(draw: tuple) -> list:
     """A single draw as a stack of one item."""
-    return [part[None] for part in draw]
+    return [np.asarray(part)[None] for part in draw]
 
 
 def almost_unitary_instance(rng: np.random.Generator, dim: int, delta: float):
@@ -166,11 +208,12 @@ def almost_unitary_instance(rng: np.random.Generator, dim: int, delta: float):
 
 
 def _draw_unitary(rng: np.random.Generator, dim: int) -> tuple:
-    return random_unitary(rng, dim), _draw_hermitians(rng, dim, 1)[0]
+    return _draw_ginibre(rng, dim), _draw_hermitians(rng, dim, 1)[0]
 
 
-def _unitary_instances(u: np.ndarray, h: np.ndarray, delta: np.ndarray):
+def _unitary_instances(z: np.ndarray, h: np.ndarray, delta: np.ndarray):
     """almost_unitary_instance over (n, d, d) stacks of draws."""
+    u = _haar_unitaries(z)
     h = _scaled(h, 1.0)
     eye = np.eye(u.shape[-1])
 
@@ -187,15 +230,16 @@ def almost_projection_instance(rng: np.random.Generator, dim: int, delta: float)
 
 
 def _draw_projection(rng: np.random.Generator, dim: int) -> tuple:
-    p = random_projection(rng, dim, rank=int(rng.integers(1, dim)) if dim > 1 else 1)
-    h = _draw_hermitians(rng, dim, 1)[0]
-    g = _draw_ginibre(rng, dim)
-    return p, h, (g - dagger(g)) / 2
+    rank = int(rng.integers(1, dim)) if dim > 1 else 1
+    return rank, _draw_ginibre(rng, dim), _draw_hermitians(rng, dim, 1)[0], _draw_ginibre(rng, dim)
 
 
-def _projection_instances(p: np.ndarray, h: np.ndarray, skew: np.ndarray, delta: np.ndarray):
-    """almost_projection_instance over (n, d, d) stacks of draws."""
+def _projection_instances(ranks: np.ndarray, z: np.ndarray, h: np.ndarray, g: np.ndarray,
+                          delta: np.ndarray):
+    """almost_projection_instance over (n,) ranks and (n, d, d) stacks of draws."""
+    p = _rank_projections(_haar_unitaries(z), ranks)
     h = _scaled(h, 1.0)
+    skew = (g - dagger(g)) / 2
     skew = skew / _pymax(op_norms(skew), 1e-300)[:, None, None]
 
     def build(items, scale):
@@ -214,17 +258,19 @@ def almost_partial_isometry_instance(rng: np.random.Generator, dim: int, delta: 
 
 def _draw_partial_isometry(rng: np.random.Generator, dim: int) -> tuple:
     rank = int(rng.integers(1, dim + 1))
-    u1 = random_unitary(rng, dim)
-    u2 = random_unitary(rng, dim)
-    v = u2[:, :rank] @ dagger(u1[:, :rank])
-    p1 = u1[:, :rank] @ dagger(u1[:, :rank])
-    p2 = u2[:, :rank] @ dagger(u2[:, :rank])
-    return v, p1, p2, _draw_ginibre(rng, dim)
+    return rank, _draw_ginibre(rng, dim), _draw_ginibre(rng, dim), _draw_ginibre(rng, dim)
 
 
-def _partial_isometry_instances(v: np.ndarray, p1: np.ndarray, p2: np.ndarray, e: np.ndarray,
-                                delta: np.ndarray):
-    """almost_partial_isometry_instance over (n, d, d) stacks of draws."""
+def _partial_isometry_instances(ranks: np.ndarray, z1: np.ndarray, z2: np.ndarray,
+                                e: np.ndarray, delta: np.ndarray):
+    """almost_partial_isometry_instance over (n,) ranks and (n, d, d) stacks of draws.
+
+    v maps the first rank columns of one Haar unitary onto those of another;
+    p1 and p2 are its support and range projections.
+    """
+    u1, u2 = _haar_unitaries(np.array([z1, z2]))
+    v = _rank_products(u2, u1, ranks)
+    p1, p2 = _rank_projections(u1, ranks), _rank_projections(u2, ranks)
     e = e / op_norms(e)[:, None, None]
 
     def build(items, scale):
@@ -259,17 +305,19 @@ def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: floa
 
 
 def _draw_povm(rng: np.random.Generator, dim: int, k: int) -> tuple:
-    return np.array(random_povm(rng, dim, k)), _draw_hermitians(rng, dim, k)
+    _check_outcomes(k)
+    return rng.normal(size=(k, 2, dim, dim)), _draw_hermitians(rng, dim, k)
 
 
-def _povm_instances(base: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
+def _povm_instances(normals: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
                     members: np.ndarray):
-    """almost_povm_instance over (n, k, d, d) stacks of draws; measured by _povm_parts.
+    """almost_povm_instance over (n, k, ...) stacks of draws; measured by _povm_parts.
 
     Item i has members[i] outcomes, after k - members[i] zero outcomes in
     front.  The member sums start from those zeros, and 0 + x equals the
     x that summing from Python's 0 gives, so the padding moves no bit.
     """
+    base = _gram_bases(normals, members)
     return _family_instances(base, bumps, lambda f: _povm_parts(f, DEFAULT_TOL),
                              delta, delta / (2 * members)) + (base,)
 
@@ -282,10 +330,15 @@ def almost_pvm_instance(rng: np.random.Generator, dim: int, k: int, delta: float
 
 
 def _draw_pvm(rng: np.random.Generator, dim: int, k: int) -> tuple:
-    return np.array(random_pvm(rng, dim, k)), _draw_hermitians(rng, dim, k)
+    _check_outcomes(k)
+    return rng.integers(0, k, size=dim), _draw_ginibre(rng, dim), _draw_hermitians(rng, dim, k)
 
 
-def _pvm_instances(base: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
+def _pvm_instances(labels: np.ndarray, z: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
                    members: np.ndarray):
-    """almost_pvm_instance over (n, k, d, d) stacks of draws, padded as in _povm_instances."""
+    """almost_pvm_instance over (n, d) labels, (n, d, d) Ginibre draws and (n, k, d, d) bumps.
+
+    Padded as in _povm_instances.
+    """
+    base = _pvm_bases(labels, _haar_unitaries(z), members, bumps.shape[1])
     return _family_instances(base, bumps, _pvm_defects, delta, delta / (4 * members)) + (base,)

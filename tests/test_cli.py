@@ -541,6 +541,35 @@ def test_perturb_suite_groups_stay_within_one_block(monkeypatch, tmp_path):
     assert sizes["_round_unitaries"] == [96, 96, 96, 12]
 
 
+def test_perturb_suite_stacks_are_cut_on_base_entries(monkeypatch, tmp_path):
+    """At dim 16 a stack holds at most 2048 // (k 256) families of k base members.
+
+    Budget 10 is one block: 30 draws per kind in the one dimension group,
+    cut into stacks of 2048 // (kmax d^2) items, kmax the group's largest
+    outcome count (1 for the single-matrix kinds).
+    """
+    stacks = {}
+    for name in ("_round_unitaries", "_round_projections", "_round_partial_isometries",
+                 "_round_povms", "_round_pvms"):
+        def counted(stack, *args, _real=getattr(cli, name), _name=name):
+            stacks.setdefault(_name, []).append(stack.shape)
+            return _real(stack, *args)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "report.jsonl"
+    assert run_cli(["perturb-suite", "--dims", "16", "--budget", 10, "--out", out]) == 0
+    for shapes in stacks.values():
+        members = [shape[1] if len(shape) == 4 else 1 for shape in shapes]
+        assert all(shape[0] <= cli._SUITE_STACK_ENTRIES // (k * 16 * 16)
+                   for shape, k in zip(shapes, members))
+        size = cli._SUITE_STACK_ENTRIES // (max(members) * 16 * 16)
+        assert sum(shape[0] for shape in shapes) == 3 * 10
+        assert len(shapes) == -(-3 * 10 // size)
+    assert len(stacks) == 5
+    # the outcome counts 2-4 reach 4, so POVM and PVM stacks hold two families each
+    assert len(stacks["_round_povms"]) == len(stacks["_round_pvms"]) == 15
+
+
 def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch, tmp_path):
     """Each kind's defect function runs once per shrink round per group, never on a core's input.
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstarkit.operators import (DEFAULT_TOL, Tolerance, _ordered_sum, as_operator, commutator,
-                                dagger, herm_part, hermitian_eig, op_norm, op_norms,
+from cstarkit import operators
+from cstarkit.operators import (DEFAULT_TOL, Tolerance, _fix_phases, _ordered_sum, as_operator,
+                                commutator, dagger, herm_part, hermitian_eig, op_norm, op_norms,
                                 polar_unitary, spectral_apply)
 from cstarkit.errors import HypothesisError, PreconditionError
 from cstarkit.games import Measurement
@@ -276,6 +277,57 @@ def test_hermitian_eig_stack_matches_per_matrix_loop():
         assert empty.eigenvalues.shape == (0, dim)
     # the phase must round as the scalar abs does on these columns too
     assert disagreements > 0
+
+
+def _symmetrized_spectrum(stack):
+    """eigh of (m + m^H)/2 per matrix, with the phase fix: what hermitian_eig must give."""
+    w, v = np.linalg.eigh(herm_part(stack))
+    return w, _fix_phases(v)
+
+
+def test_hermitian_eig_factors_exact_input_as_is(monkeypatch):
+    """Exactly Hermitian stacks skip the symmetrizing and still give the symmetrized spectrum.
+
+    Their diagonals carry imaginary parts -0.0, which (m + m^H)/2 turns into
+    +0.0; eigh reads only the real part of a diagonal, so no bit moves.
+    """
+    rng = rng_from_seed(23)
+    symmetrized = []
+    monkeypatch.setattr(operators, "herm_part",
+                        lambda a: symmetrized.append(a) or herm_part(a))
+    for shape in ((1, 1), (4, 1, 1), (2, 2), (3, 5, 5), (2, 3, 16, 16)):
+        stack = herm_part(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        dim = shape[-1]
+        stack.imag[..., np.arange(dim), np.arange(dim)] = -0.0
+        assert np.signbit(stack.imag.diagonal(0, -2, -1)).all()
+        assert not (stack - dagger(stack)).any()
+        spec = hermitian_eig(stack)
+        w, v = _symmetrized_spectrum(stack)
+        assert spec.eigenvalues.tobytes() == w.tobytes()
+        assert spec.eigenvectors.tobytes() == v.tobytes()
+    assert symmetrized == []
+
+
+def test_hermitian_eig_symmetrizes_inexact_input(monkeypatch):
+    """A stack Hermitian only within tolerance is factored as (m + m^H)/2, not as given."""
+    rng = rng_from_seed(24)
+    symmetrized = []
+    monkeypatch.setattr(operators, "herm_part",
+                        lambda a: symmetrized.append(a) or herm_part(a))
+    for shape in ((1, 1), (2, 2), (3, 5, 5), (2, 3, 16, 16)):
+        stack = herm_part(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        stack = stack + 1e-13 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        assert (stack - dagger(stack)).any()
+        spec = hermitian_eig(stack)
+        w, v = _symmetrized_spectrum(stack)
+        assert spec.eigenvalues.tobytes() == w.tobytes()
+        assert spec.eigenvectors.tobytes() == v.tobytes()
+        # factored as given, a lower triangle reads other numbers (a 1x1 has none)
+        assert (np.linalg.eigh(stack)[0].tobytes() != w.tobytes()) == (shape[-1] > 1)
+    assert len(symmetrized) == 4
+    with pytest.raises(PreconditionError,
+                       match=r"^matrix is not Hermitian within tolerance: defect 1\.000000e\+00$"):
+        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_hermitian_eig_stack_validation():

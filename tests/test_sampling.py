@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from cstarkit.operators import DEFAULT_TOL
+from cstarkit.operators import DEFAULT_TOL, dagger
 from cstarkit.rounding import ROUNDING_KINDS, _povm_parts, isometry_defect, stability_modulus
 from cstarkit.sampling import (_draw_ginibre, _draw_partial_isometry, _draw_povm,
-                               _draw_projection, _draw_pvm, _draw_unitary, _haar_unitaries,
-                               _partial_isometry_instances, _rank_projections,
-                               _povm_instances, _projection_instances, _pvm_instances,
-                               _shrink, _unitary_instances, almost_partial_isometry_instance,
-                               almost_povm_instance, almost_projection_instance,
-                               almost_pvm_instance, almost_unitary_instance,
-                               random_hermitian, random_povm, random_projection,
-                               random_unitary, rng_from_seed)
+                               _draw_projection, _draw_pvm, _draw_unitary, _gram_bases,
+                               _haar_unitaries, _partial_isometry_instances, _pvm_bases,
+                               _rank_projections, _povm_instances, _projection_instances,
+                               _pvm_instances, _shrink, _unitary_instances,
+                               almost_partial_isometry_instance, almost_povm_instance,
+                               almost_projection_instance, almost_pvm_instance,
+                               almost_unitary_instance, random_hermitian, random_povm,
+                               random_projection, random_pvm, random_unitary, rng_from_seed)
 
 
 def _stacked(kind, rng, dim, k, deltas):
@@ -146,6 +146,16 @@ def test_stacked_shrink_gives_up_after_sixty_halvings():
                 np.array([0.5, 0.5]), np.array([0.25, 0.25]))
 
 
+def _front_padded(parts, longest):
+    """One draw part of every item as a stack; (k, ...) family parts zero-padded in front."""
+    if np.ndim(parts[0]) < 3:
+        return np.array(parts)
+    stack = np.zeros((len(parts), longest) + parts[0].shape[1:], parts[0].dtype)
+    for item, part in zip(stack, parts):
+        item[longest - len(part):] = part
+    return stack
+
+
 @pytest.mark.parametrize("kind", ["povm", "pvm"])
 def test_padded_family_draws_match_per_item_builders(kind):
     """Families of mixed sizes, zero-padded in front and shrunk together, equal the builders."""
@@ -158,12 +168,7 @@ def test_padded_family_draws_match_per_item_builders(kind):
         ks = [3, 1, 4, 2, 4]
         deltas = [float(stability_modulus(kind, eps)) for eps in (0.5, 0.125, 0.25, 0.5, 0.3)]
         draws = [draw(stacked_rng, dim, k) for k in ks]
-        stacks = []
-        for parts in zip(*draws):
-            stack = np.zeros((len(ks), max(ks), dim, dim), dtype=np.complex128)
-            for item, part in zip(stack, parts):
-                item[max(ks) - len(part):] = part
-            stacks.append(stack)
+        stacks = [_front_padded(parts, max(ks)) for parts in zip(*draws)]
         family, _, base = instances(*stacks, np.array(deltas), np.array(ks))
         for i, (k, delta) in enumerate(zip(ks, deltas)):
             expected_family, expected_base = builder(item_rng, dim, k, delta)
@@ -173,9 +178,13 @@ def test_padded_family_draws_match_per_item_builders(kind):
         assert stacked_rng.bit_generator.state == item_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 16])
 def test_stacked_haar_cores_match_per_item_draws(dim):
-    """Draws finished as one stack equal random_unitary and random_projection call by call."""
+    """Draws finished as one stack equal the random_* samplers call by call.
+
+    Covers unitaries, projections, POVMs and PVMs; the families have 1-4
+    outcomes, zero-padded in front to the longest.
+    """
     stacked_rng, item_rng = rng_from_seed((81, dim)), rng_from_seed((81, dim))
     z = np.array([_draw_ginibre(stacked_rng, dim) for _ in range(6)])
     unitaries = _haar_unitaries(z)
@@ -187,4 +196,29 @@ def test_stacked_haar_cores_match_per_item_draws(dim):
     projections = _rank_projections(_haar_unitaries(np.array(z)), np.array(ranks))
     for i in range(6):
         assert projections[i].tobytes() == random_projection(item_rng, dim).tobytes()
+    for ks in ([1, 4, 2, 3, 4, 1, 3, 2], [3, 3, 3]):
+        longest = max(ks)
+        normals = _front_padded([stacked_rng.normal(size=(k, 2, dim, dim)) for k in ks], longest)
+        povms = _gram_bases(normals, np.array(ks))
+        labels, z = zip(*((stacked_rng.integers(0, k, size=dim), _draw_ginibre(stacked_rng, dim))
+                          for k in ks))
+        pvms = _pvm_bases(np.array(labels), _haar_unitaries(np.array(z)), np.array(ks), longest)
+        for families, sampler in ((povms, random_povm), (pvms, random_pvm)):
+            for family, k in zip(families, ks):
+                assert np.array(sampler(item_rng, dim, k)).tobytes() == family[-k:].tobytes()
+                assert not family[:-k].any()
     assert stacked_rng.bit_generator.state == item_rng.bit_generator.state
+
+
+def test_random_pvm_matches_per_block_construction():
+    """The batched blocks equal the per-block loop u diag(labels == b) u^H byte for byte."""
+    for dim in (1, 2, 3, 7, 16):
+        for k in (1, 2, 3, 4):
+            rng, ref_rng = rng_from_seed((84, dim, k)), rng_from_seed((84, dim, k))
+            labels = ref_rng.integers(0, k, size=dim)
+            u = random_unitary(ref_rng, dim)
+            expected = [u @ np.diag((labels == b).astype(np.complex128)) @ dagger(u)
+                        for b in range(k)]
+            got = random_pvm(rng, dim, k)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
