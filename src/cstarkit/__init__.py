@@ -17,9 +17,9 @@ from .rounding import (ROUNDING_KINDS, RoundingReport, isometry_defect,
                        pvm_defect, round_to_partial_isometry, round_to_povm,
                        round_to_projection, round_to_pvm, round_to_unitary,
                        stability_modulus)
-from .sampling import (random_density, random_hermitian, random_povm,
-                       random_projection, random_pvm, random_unitary,
-                       rng_from_seed)
+from .sampling import (perturbation_suite, random_density, random_hermitian,
+                       random_povm, random_projection, random_pvm,
+                       random_unitary, rng_from_seed)
 from .games import (BestValue, CommutationCheck, Measurement, NonlocalGame,
                     State, Strategy, best_value, check_shapes, chsh,
                     commutator_defects, correlation, game_element,

@@ -32,26 +32,13 @@ from .games import Measurement, NonlocalGame, game_value
 from .operators import DEFAULT_TOL, Tolerance, op_norm  # noqa: F401
 from .presentations import (RepresentationCatalog, norm_lower_enumerate,
                             registered_presentation)
-from .rounding import (ROUNDING_KINDS, _round_partial_isometries, _round_povms,
-                       _round_projections, _round_pvms, _round_unitaries,
-                       stability_modulus)
-from .sampling import (_draw_partial_isometry, _draw_povm, _draw_projection,
-                       _draw_pvm, _draw_unitary, _partial_isometry_instances,
-                       _povm_instances, _projection_instances, _pvm_instances,
-                       _unitary_instances, rng_from_seed)
+from .sampling import perturbation_suite
 from .search import (CandidateStream, Witness, classical_value,
                      constant_family, evaluate_stream, seesaw_optimize,
                      semidecide_membership)
 
 _COMMANDS = ("game-value", "seesaw", "semidecide", "perturb-suite",
              "norm-enumerate", "classical-value")
-_SUITE_EPS = (0.5, 0.25, 0.125)
-# instances per eps cell that perturb-suite draws and rounds together
-_SUITE_BLOCK = 32
-# entries a perturb-suite stack of base matrices (or base families) holds at
-# most: large matrices gain little from stacking, and bounded stacks keep the
-# peak memory of a run near that of rounding one instance at a time
-_SUITE_STACK_ENTRIES = 2048
 # largest matrix dimension a command accepts; desk scale with room to spare,
 # far below sizes whose draws would exhaust memory
 _MAX_DIM = 64
@@ -228,126 +215,17 @@ def _cmd_seesaw(config: RunConfig, tol: Tolerance):
     return 0, inputs, records, summary, lines
 
 
-def _stacked(parts) -> np.ndarray:
-    """One draw part of every item as one stack.
-
-    Family parts, the (k, ...) ones of three or more axes, are zero-padded
-    in front to the longest family.
-    """
-    if np.ndim(parts[0]) < 3 or len({len(part) for part in parts}) == 1:
-        return np.array(parts)
-    longest = max(len(part) for part in parts)
-    stack = np.zeros((len(parts), longest) + parts[0].shape[1:], parts[0].dtype)
-    for item, part in zip(stack, parts):
-        item[longest - len(part):] = part
-    return stack
-
-
-def _suite_block(kind: str, rngs: list, dims: np.ndarray, first: int, count: int,
-                 tol: Tolerance):
-    """Instances first .. first + count - 1 of every eps cell of `kind`, rounded.
-
-    Each cell's stream is drawn in order; then the draws of each dimension
-    are finished, shrunk and rounded as one stack, or as a few when its
-    base stack would hold more than _SUITE_STACK_ENTRIES entries.  Returns
-    the per-cell (residual, distance) maxima, shape (cells, 2), and the
-    refusals as ((cell, index), error) pairs.
-    """
-    groups = {}
-    for cell, rng in enumerate(rngs):
-        for index in range(first, first + count):
-            dim = int(rng.choice(dims))
-            k = int(rng.integers(2, 5))
-            if kind == "unitary":
-                draw = _draw_unitary(rng, dim)
-            elif kind == "projection":
-                draw = _draw_projection(rng, dim)
-            elif kind == "partial_isometry":
-                draw = _draw_partial_isometry(rng, dim)
-            elif kind == "povm":
-                draw = _draw_povm(rng, dim, k)
-            else:
-                draw = _draw_pvm(rng, dim, k)
-            groups.setdefault(dim, []).append(((cell, index), draw))
-    worst = np.zeros((len(rngs), 2))
-    refusals = []
-    for dim in list(groups):
-        # popped, so each group's draws are freed once it is rounded
-        group = groups.pop(dim)
-        # every draw ends in its bumps or perturbation direction, shaped as its
-        # base: d^2 entries, or k d^2 for a family of k members
-        size = max(1, _SUITE_STACK_ENTRIES // max(draw[-1].size for _, draw in group))
-        for start in range(0, len(group), size):
-            ids, draws = zip(*group[start:start + size])
-            cells = [cell for cell, _ in ids]
-            errors, residual, distance = _suite_group(
-                kind, draws, [_SUITE_EPS[c] for c in cells], tol)
-            refusals += [(i, e) for i, e in zip(ids, errors) if e is not None]
-            np.maximum.at(worst, (cells, 0), residual)
-            np.maximum.at(worst, (cells, 1), distance)
-    return worst, refusals
-
-
-def _suite_group(kind: str, draws: tuple, eps: list, tol: Tolerance):
-    """Finish, shrink and round one dimension's draws as one stack: (errors, residual, distance).
-
-    POVM and PVM families are zero-padded in front to the group's largest
-    outcome count, which moves no bit of their rounding.
-    """
-    stacks = [_stacked(part) for part in zip(*draws)]
-    budget = np.array([float(stability_modulus(kind, e)) for e in eps])
-    if kind == "unitary":
-        a, defect, _ = _unitary_instances(*stacks, budget)
-        rounded = _round_unitaries(a, eps, tol, defect)
-    elif kind == "projection":
-        a, defect, _ = _projection_instances(*stacks, budget)
-        rounded = _round_projections(a, eps, tol, defect)
-    elif kind == "partial_isometry":
-        a, defect, _, p1, p2 = _partial_isometry_instances(*stacks, budget)
-        rounded = _round_partial_isometries(a, p1, p2, eps, tol, defect)
-    else:
-        members = np.array([len(draw[-1]) for draw in draws])
-        if kind == "povm":
-            family, parts, _ = _povm_instances(*stacks, budget, members)
-            rounded = _round_povms(family, tol, parts)
-        else:
-            family, defect, _ = _pvm_instances(*stacks, budget, members)
-            rounded = _round_pvms(family, tol, defect, members)
-    return rounded.errors, rounded.residual, rounded.distance
-
-
 def _cmd_perturb_suite(config: RunConfig, tol: Tolerance):
     records = []
-    all_ok = True
     lines = []
-    dims = np.array([d for d in config.dims if d >= 2])
-    if not len(dims):
-        raise PreconditionError("perturb-suite needs at least one dim >= 2")
-    for kind_code, kind in enumerate(ROUNDING_KINDS):
-        rngs = [rng_from_seed((config.seed, kind_code, eps_code))
-                for eps_code in range(len(_SUITE_EPS))]
-        worst = np.zeros((len(_SUITE_EPS), 2))
-        refusals = []
-        for first in range(0, config.budget, _SUITE_BLOCK):
-            block_worst, block_refusals = _suite_block(
-                kind, rngs, dims, first, min(_SUITE_BLOCK, config.budget - first), tol)
-            worst = np.maximum(worst, block_worst)
-            refusals += block_refusals
-        if refusals:
-            # the error the instance-by-instance order meets first
-            raise min(refusals, key=lambda refusal: refusal[0])[1]
-        for eps, (worst_residual, worst_distance) in zip(_SUITE_EPS, worst.tolist()):
-            ok = worst_residual <= 1e-10 and worst_distance < eps
-            all_ok = all_ok and ok
-            records.append({"type": "trial", "kind": kind, "eps": eps,
-                            "instances": config.budget,
-                            "worst_residual": worst_residual,
-                            "worst_distance": worst_distance, "ok": ok})
-            lines.append(f"{kind:17s} eps={eps:<6g} {config.budget} instances: "
-                         f"residual {worst_residual:.2e}, distance {worst_distance:.4f} "
-                         f"{'ok' if ok else 'FAILED'}")
-    summary = {"type": "summary", "status": "ok" if all_ok else "failed"}
-    return (0 if all_ok else 3), [], records, summary, lines
+    for kind, eps, worst_residual, worst_distance in perturbation_suite(
+            config.dims, config.budget, config.seed, tol):
+        records.append({"type": "trial", "kind": kind, "eps": eps,
+                        "instances": config.budget, "worst_residual": worst_residual,
+                        "worst_distance": worst_distance, "ok": True})
+        lines.append(f"{kind:17s} eps={eps:<6g} {config.budget} instances: "
+                     f"residual {worst_residual:.2e}, distance {worst_distance:.4f} ok")
+    return 0, [], records, {"type": "summary", "status": "ok"}, lines
 
 
 def _cmd_norm_enumerate(config: RunConfig, tol: Tolerance):

@@ -746,9 +746,9 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
         values = norms.tolist()
         start = 0
         while True:
-            # d > best exactly when value - 2^-j reaches best + 1/grid
+            # d > best exactly when value reaches best + 1/grid + 2^-j
             bar = Fraction(1 if best is None else best * grid + 1, grid)
-            beat = start + np.flatnonzero(~_below(norms[start:stop] - 2.0 ** -j, bar))
+            beat = start + np.flatnonzero(~_below(norms[start:stop], bar + Fraction(1, 2 ** j)))
             if not len(beat):
                 break
             window = beat[:width].tolist()
@@ -759,8 +759,8 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
                     continue
                 if math.isinf(values[i]):
                     raise PreconditionError(f"|q| overflows float range at dimension {dims[i]}")
-                # exact product: (value - 2^-j) * grid may overflow as a float
-                d = Fraction(math.floor(Fraction(values[i] - 2.0 ** -j) * grid), grid)
+                # exact: a float value - 2^-j drops 2^-j below an ulp, and * grid may overflow
+                d = Fraction(math.floor((Fraction(values[i]) - Fraction(1, 2 ** j)) * grid), grid)
                 if d > 0 and (best is None or d > best):
                     best, width = d, 1
                     yield d

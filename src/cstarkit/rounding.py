@@ -18,9 +18,9 @@ Each ``round_to_*`` is a thin wrapper over a private stacked core that
 takes an ``(n, d, d)`` stack (``(n, k, d, d)`` for families) with one eps
 per item, and gates on a given defect per item (for POVMs, ``_povm_parts``'
 pair): the wrapper measures its one input, a stack of one, and
-perturb-suite passes its sampler's last measurement.  Given none, the
-projection and partial-isometry cores measure after refusing and
-clearing the items that could overflow the measurement.  A core
+``perturbation_suite`` passes its sampler's last measurement.  Given
+none, the projection and partial-isometry cores measure after refusing
+and clearing the items that could overflow the measurement.  A core
 raises nothing for a refused item: ``_refuse`` records the exception the
 per-item rounding raises, and the wrapper raises it.
 """
@@ -390,8 +390,11 @@ def round_to_povm(mats, tol: Tolerance = DEFAULT_TOL):
     return list(rounded), report
 
 
-def _round_povms(stack: np.ndarray, tol: Tolerance, parts: tuple) -> _Rounded:
-    """round_to_povm over an (n, k, d, d) stack; _repair_povms gates and checks exactness."""
+def _round_povms(stack: np.ndarray, tol: Tolerance, parts: tuple, eps=None) -> _Rounded:
+    """round_to_povm over an (n, k, d, d) stack; _repair_povms gates and checks exactness.
+
+    eps, one per family, is optional: _finish refuses a family that moved eps or more.
+    """
     rounded, refused, defect, low, residual = _repair_povms(stack, tol, parts)
     errors = [None] * len(stack)
     _refuse(errors, defect >= 0.5, lambda i: HypothesisError(
@@ -399,7 +402,7 @@ def _round_povms(stack: np.ndarray, tol: Tolerance, parts: tuple) -> _Rounded:
     _refuse(errors, refused, lambda i: HypothesisError(
         f"positive-part sum is singular within tolerance: smallest eigenvalue {low[i]:.6e}"))
     distance = op_norms(stack - rounded).max(axis=-1)
-    return _Rounded(rounded, errors, defect, distance, residual)
+    return _finish(rounded, errors, defect, distance, residual, eps, tol)
 
 
 def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
@@ -415,14 +418,14 @@ def round_to_pvm(mats, tol: Tolerance = DEFAULT_TOL):
     return list(blocks), report
 
 
-def _round_pvms(stack: np.ndarray, tol: Tolerance, defect, members=None) -> _Rounded:
+def _round_pvms(stack: np.ndarray, tol: Tolerance, defect, members=None, eps=None) -> _Rounded:
     """round_to_pvm over an (n, k, d, d) stack: one stage per member, all families at once.
 
     defect holds _pvm_defects per family.  members, when given, holds per
     family how many of its k slots are members; the slots before them are
     zero padding, which a family passes through as an identity stage, so no
     bit of its rounding moves (sums start from zeros as in
-    sampling._povm_instances).
+    sampling._povm_instances).  eps acts as in _round_povms.
     """
     n, k, _, dim = stack.shape
     errors = [None] * n
@@ -455,7 +458,7 @@ def _round_pvms(stack: np.ndarray, tol: Tolerance, defect, members=None) -> _Rou
     products = op_norms(out[:, i] @ out[:, j]).max(axis=-1, initial=0.0)
     residual = _pymax(_pvm_defects(out), products)
     distance = op_norms(stack - out).max(axis=-1)
-    return _finish(out, errors, defect, distance, residual, None, tol)
+    return _finish(out, errors, defect, distance, residual, eps, tol)
 
 
 def _check_exact(residual: float, tol: Tolerance) -> None:

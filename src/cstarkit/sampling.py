@@ -19,12 +19,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError
 # op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
 # checks that tracing rebinds cstarkit.sampling.op_norm
-from .operators import (DEFAULT_TOL, _ordered_sum, dagger, herm_part,  # noqa: F401
-                        op_norm, op_norms)
-from .rounding import (_povm_parts, _pvm_defects, _pymax, isometry_defect,
-                       projection_defect)
+from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, dagger,  # noqa: F401
+                        herm_part, op_norm, op_norms)
+from .rounding import (ROUNDING_KINDS, _povm_parts, _pvm_defects, _pymax,
+                       _round_partial_isometries, _round_povms, _round_projections,
+                       _round_pvms, _round_unitaries, isometry_defect,
+                       projection_defect, stability_modulus)
+
+_SUITE_EPS = (0.5, 0.25, 0.125)
+# instances per eps cell that perturbation_suite draws and rounds together
+_SUITE_BLOCK = 32
+# entries a perturbation_suite stack of base matrices (or base families) holds
+# at most: large matrices gain little from stacking, and bounded stacks keep the
+# peak memory of a run near that of rounding one instance at a time
+_SUITE_STACK_ENTRIES = 2048
 
 
 def rng_from_seed(seed) -> np.random.Generator:
@@ -342,3 +353,119 @@ def _pvm_instances(labels: np.ndarray, z: np.ndarray, bumps: np.ndarray, delta: 
     """
     base = _pvm_bases(labels, _haar_unitaries(z), members, bumps.shape[1])
     return _family_instances(base, bumps, _pvm_defects, delta, delta / (4 * members)) + (base,)
+
+
+def perturbation_suite(dims, budget: int, seed: int, tol: Tolerance = DEFAULT_TOL) -> list:
+    """(kind, eps, worst_residual, worst_distance) per cell, in ROUNDING_KINDS then eps order.
+
+    Each cell rounds budget seeded almost-instances at the dims >= 2; the first
+    refusal in (kind, eps, index) order is raised, so every row returned has passed.
+    """
+    dims = np.array([d for d in dims if d >= 2])
+    if not len(dims):
+        raise PreconditionError("perturb-suite needs at least one dim >= 2")
+    rows = []
+    for kind_code, kind in enumerate(ROUNDING_KINDS):
+        rngs = [rng_from_seed((seed, kind_code, eps_code))
+                for eps_code in range(len(_SUITE_EPS))]
+        worst = np.zeros((len(_SUITE_EPS), 2))
+        refusals = []
+        for first in range(0, budget, _SUITE_BLOCK):
+            block_worst, block_refusals = _suite_block(
+                kind, rngs, dims, first, min(_SUITE_BLOCK, budget - first), tol)
+            worst = np.maximum(worst, block_worst)
+            refusals += block_refusals
+        if refusals:
+            # the error the instance-by-instance order meets first
+            raise min(refusals, key=lambda refusal: refusal[0])[1]
+        rows += [(kind, eps, residual, distance)
+                 for eps, (residual, distance) in zip(_SUITE_EPS, worst.tolist())]
+    return rows
+
+
+def _stacked(parts) -> np.ndarray:
+    """One draw part of every item as one stack.
+
+    Family parts, the (k, ...) ones of three or more axes, are zero-padded
+    in front to the longest family.
+    """
+    if np.ndim(parts[0]) < 3 or len({len(part) for part in parts}) == 1:
+        return np.array(parts)
+    longest = max(len(part) for part in parts)
+    stack = np.zeros((len(parts), longest) + parts[0].shape[1:], parts[0].dtype)
+    for item, part in zip(stack, parts):
+        item[longest - len(part):] = part
+    return stack
+
+
+def _suite_block(kind: str, rngs: list, dims: np.ndarray, first: int, count: int,
+                 tol: Tolerance):
+    """Instances first .. first + count - 1 of every eps cell of `kind`, rounded.
+
+    Each cell's stream is drawn in order; then the draws of each dimension
+    are finished, shrunk and rounded as one stack, or as a few when its
+    base stack would hold more than _SUITE_STACK_ENTRIES entries.  Returns
+    the per-cell (residual, distance) maxima, shape (cells, 2), and the
+    refusals as ((cell, index), error) pairs.
+    """
+    groups = {}
+    for cell, rng in enumerate(rngs):
+        for index in range(first, first + count):
+            dim = int(dims[rng.integers(len(dims))])
+            k = int(rng.integers(2, 5))
+            if kind == "unitary":
+                draw = _draw_unitary(rng, dim)
+            elif kind == "projection":
+                draw = _draw_projection(rng, dim)
+            elif kind == "partial_isometry":
+                draw = _draw_partial_isometry(rng, dim)
+            elif kind == "povm":
+                draw = _draw_povm(rng, dim, k)
+            else:
+                draw = _draw_pvm(rng, dim, k)
+            groups.setdefault(dim, []).append(((cell, index), draw))
+    worst = np.zeros((len(rngs), 2))
+    refusals = []
+    for dim in list(groups):
+        # popped, so each group's draws are freed once it is rounded
+        group = groups.pop(dim)
+        # every draw ends in its bumps or perturbation direction, shaped as its
+        # base: d^2 entries, or k d^2 for a family of k members
+        size = max(1, _SUITE_STACK_ENTRIES // max(draw[-1].size for _, draw in group))
+        for start in range(0, len(group), size):
+            ids, draws = zip(*group[start:start + size])
+            cells = [cell for cell, _ in ids]
+            errors, residual, distance = _suite_group(
+                kind, draws, [_SUITE_EPS[c] for c in cells], tol)
+            refusals += [(i, e) for i, e in zip(ids, errors) if e is not None]
+            np.maximum.at(worst, (cells, 0), residual)
+            np.maximum.at(worst, (cells, 1), distance)
+    return worst, refusals
+
+
+def _suite_group(kind: str, draws: tuple, eps: list, tol: Tolerance):
+    """Finish, shrink and round one dimension's draws as one stack: (errors, residual, distance).
+
+    POVM and PVM families are zero-padded in front to the group's largest
+    outcome count, which moves no bit of their rounding.
+    """
+    stacks = [_stacked(part) for part in zip(*draws)]
+    budget = np.array([float(stability_modulus(kind, e)) for e in eps])
+    if kind == "unitary":
+        a, defect, _ = _unitary_instances(*stacks, budget)
+        rounded = _round_unitaries(a, eps, tol, defect)
+    elif kind == "projection":
+        a, defect, _ = _projection_instances(*stacks, budget)
+        rounded = _round_projections(a, eps, tol, defect)
+    elif kind == "partial_isometry":
+        a, defect, _, p1, p2 = _partial_isometry_instances(*stacks, budget)
+        rounded = _round_partial_isometries(a, p1, p2, eps, tol, defect)
+    else:
+        members = np.array([len(draw[-1]) for draw in draws])
+        if kind == "povm":
+            family, parts, _ = _povm_instances(*stacks, budget, members)
+            rounded = _round_povms(family, tol, parts, eps)
+        else:
+            family, defect, _ = _pvm_instances(*stacks, budget, members)
+            rounded = _round_pvms(family, tol, defect, members, eps)
+    return rounded.errors, rounded.residual, rounded.distance

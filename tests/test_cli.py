@@ -1,5 +1,6 @@
 """End-to-end tests for the batch runner: exit codes, reports, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cstarkit
 import cstarkit.cli as cli
+import cstarkit.sampling as sampling
 from cstarkit.cli import RunConfig, _parse_dims, console_main
 from cstarkit.errors import HypothesisError, PreconditionError
 from cstarkit.formats import parse_polynomial, sha256_file
@@ -90,6 +92,7 @@ def test_unregistered_presentation_exit_three(capsys):
      "--seed", -1],
     ["perturb-suite", "--budget", 40, "--dims", "2..16", "--seed", 3,
      "--tol-algebraic", 1e-15],
+    ["perturb-suite", "--budget", 1, "--dims", "1"],
 ])
 def test_invalid_parameters_exit_three(tmp_path, capsys, argv):
     code = run_cli(argv + ["--out", tmp_path / "report.jsonl"])
@@ -484,6 +487,8 @@ def test_perturb_suite_small_run(tmp_path):
     assert all(t["ok"] for t in trials)
     assert all(t["worst_residual"] <= 1e-10 for t in trials)
     assert records[-1]["status"] == "ok"
+    assert cstarkit.perturbation_suite((2, 3), 2, 0) == [
+        (t["kind"], t["eps"], t["worst_residual"], t["worst_distance"]) for t in trials]
 
 
 def test_perturb_suite_raises_the_first_refusal_in_instance_order(monkeypatch, capsys):
@@ -502,7 +507,7 @@ def test_perturb_suite_raises_the_first_refusal_in_instance_order(monkeypatch, c
         a, _ = almost_unitary_instance(rng, dim, float(stability_modulus("unitary", 0.25)))
         if index in (3, 7):
             planted[index] = a
-    real = cli._round_unitaries
+    real = sampling._round_unitaries
     met = []
 
     def refusing(a, eps, tol, defect):
@@ -514,7 +519,7 @@ def test_perturb_suite_raises_the_first_refusal_in_instance_order(monkeypatch, c
                     met.append(index)
         return rounded
 
-    monkeypatch.setattr(cli, "_round_unitaries", refusing)
+    monkeypatch.setattr(sampling, "_round_unitaries", refusing)
     code = run_cli(["perturb-suite", "--budget", 10, "--dims", "2,3,4", "--seed", seed])
     assert code == 3
     assert capsys.readouterr().err == "precondition error: planted refusal of instance 3\n"
@@ -526,11 +531,11 @@ def test_perturb_suite_groups_stay_within_one_block(monkeypatch, tmp_path):
     sizes = {}
     for name in ("_round_unitaries", "_round_projections", "_round_partial_isometries",
                  "_round_povms", "_round_pvms"):
-        def counted(stack, *args, _real=getattr(cli, name), _name=name):
+        def counted(stack, *args, _real=getattr(sampling, name), _name=name):
             sizes.setdefault(_name, []).append(len(stack))
             return _real(stack, *args)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(sampling, name, counted)
     out = tmp_path / "report.jsonl"
     assert run_cli(["perturb-suite", "--budget", 100, "--dims", "2", "--out", out]) == 0
     assert len(sizes) == 5
@@ -551,18 +556,18 @@ def test_perturb_suite_stacks_are_cut_on_base_entries(monkeypatch, tmp_path):
     stacks = {}
     for name in ("_round_unitaries", "_round_projections", "_round_partial_isometries",
                  "_round_povms", "_round_pvms"):
-        def counted(stack, *args, _real=getattr(cli, name), _name=name):
+        def counted(stack, *args, _real=getattr(sampling, name), _name=name):
             stacks.setdefault(_name, []).append(stack.shape)
             return _real(stack, *args)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(sampling, name, counted)
     out = tmp_path / "report.jsonl"
     assert run_cli(["perturb-suite", "--dims", "16", "--budget", 10, "--out", out]) == 0
     for shapes in stacks.values():
         members = [shape[1] if len(shape) == 4 else 1 for shape in shapes]
-        assert all(shape[0] <= cli._SUITE_STACK_ENTRIES // (k * 16 * 16)
+        assert all(shape[0] <= sampling._SUITE_STACK_ENTRIES // (k * 16 * 16)
                    for shape, k in zip(shapes, members))
-        size = cli._SUITE_STACK_ENTRIES // (max(members) * 16 * 16)
+        size = sampling._SUITE_STACK_ENTRIES // (max(members) * 16 * 16)
         assert sum(shape[0] for shape in shapes) == 3 * 10
         assert len(shapes) == -(-3 * 10 // size)
     assert len(stacks) == 5
@@ -578,7 +583,6 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
     neither call sees the core's input.
     """
     import cstarkit.rounding as rounding
-    import cstarkit.sampling as sampling
     measure_of = {"unitary": "isometry_defect", "projection": "projection_defect",
                   "partial_isometry": "isometry_defect", "povm": "_povm_parts",
                   "pvm": "_pvm_defects"}
@@ -605,7 +609,7 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
 
     monkeypatch.setattr(rounding, "_projection_defect", checked)
 
-    def group(kind, *args, _real=cli._suite_group):
+    def group(kind, *args, _real=sampling._suite_group):
         now["kind"] = kind
         return _real(kind, *args)
 
@@ -615,11 +619,11 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
             return build(items, scale)
         return _real(counted, *args)
 
-    monkeypatch.setattr(cli, "_suite_group", group)
+    monkeypatch.setattr(sampling, "_suite_group", group)
     monkeypatch.setattr(sampling, "_shrink", shrink)
     for name in ("_round_unitaries", "_round_projections", "_round_partial_isometries",
                  "_round_povms", "_round_pvms"):
-        def core(stack, *args, _real=getattr(cli, name)):
+        def core(stack, *args, _real=getattr(sampling, name)):
             now["input"] = stack
             try:
                 rounded = _real(stack, *args)
@@ -628,7 +632,7 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
             outputs.append(rounded.out)
             return rounded
 
-        monkeypatch.setattr(cli, name, core)
+        monkeypatch.setattr(sampling, name, core)
     out = tmp_path / "report.jsonl"
     assert run_cli(["perturb-suite", "--dims", "2,3", "--budget", 10, "--out", out]) == 0
     assert sampled == {(kind, name): rounds[kind] for kind, name in measure_of.items()}
@@ -637,6 +641,20 @@ def test_perturb_suite_measures_each_instance_once_per_shrink_round(monkeypatch,
                             for kind, arg in measured)
     assert any(kind == "partial_isometry" and name == "_projection_defect"
                for kind, name, _ in in_core)
+
+
+def test_cli_imports_no_private_library_names():
+    """The runner builds on the library's public names, not on its internals.
+
+    Dunder names such as __version__ are public.
+    """
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "cstarkit")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_norm_enumerate_report(tmp_path):

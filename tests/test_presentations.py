@@ -838,6 +838,17 @@ def test_enumeration_self_adjoint_sum_hits_two():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def test_enumeration_slack_is_exact_below_an_ulp():
+    """Past j = 52, 2^-j is below an ulp of |q| = 2; the emissions still subtract it.
+
+    Float slack emitted 2 itself at j = 53.
+    """
+    q = generator("u1") + generator("u1").adjoint()
+    values = _enumerate("free_unitaries:1", q, budget=2000, seed=1)
+    assert len(values) > 54
+    assert values == [2 - Fraction(1, 2 ** j) for j in range(len(values))]
+
+
 def test_enumeration_zero_polynomial_silent():
     from cstarkit.polynomials import NCPolynomial
     values = _enumerate("free_unitaries:1", NCPolynomial.zero(), budget=200)

@@ -631,6 +631,28 @@ def test_stacked_pvm_core_matches_per_item_rounding(k):
     assert len(messages) < 16 * 5
 
 
+@pytest.mark.parametrize("kind", ["povm", "pvm"])
+def test_family_cores_refuse_an_item_that_moved_eps(kind):
+    """Given eps at an item's distance, the POVM or PVM core refuses it and moves no bit."""
+    rng = rng_from_seed(88)
+    builder = almost_povm_instance if kind == "povm" else almost_pvm_instance
+    delta = float(stability_modulus(kind, 0.5))
+    stack = np.array([builder(rng, 3, 3, delta)[0] for _ in range(3)])
+    if kind == "povm":
+        core = lambda eps=None: _round_povms(stack, DEFAULT_TOL,
+                                             _povm_parts(stack, DEFAULT_TOL), eps)
+    else:
+        core = lambda eps=None: _round_pvms(stack, DEFAULT_TOL, _pvm_defects(stack), eps=eps)
+    free = core()
+    assert free.errors == [None] * 3 and free.distance[1] > 0
+    rounded = core([0.5, float(free.distance[1]), 0.5])
+    assert rounded.errors[0] is None and rounded.errors[2] is None
+    assert type(rounded.errors[1]) is ArithmeticError
+    assert str(rounded.errors[1]).startswith("rounding moved too far")
+    assert np.array_equal(rounded.out, free.out)
+    assert np.array_equal(rounded.distance, free.distance)
+
+
 def _front_padded_families(families):
     """Families of mixed sizes as one stack, each zero-padded in front to the largest."""
     k = max(len(f) for f in families)
