@@ -41,7 +41,7 @@ from .games import (
 from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, dagger,  # noqa: F401
                         herm_part, hermitian_eig, op_norm, op_norms)
 from .rounding import _povm_parts, _repair_povms, povm_residual, round_to_povm  # noqa: F401
-from .sampling import _gram_povms, random_povm, rng_from_seed
+from .sampling import _gram_povms, rng_from_seed
 
 # Fixed margin taken off each float value estimate; acceptance demands
 # value - margin > 1/2.  It is a constant, not a computed error bound, so an
@@ -385,24 +385,17 @@ def _penalty(alice_ops: np.ndarray, bob_ops: np.ndarray, delta: float) -> np.nda
     return _ordered_sum(table.reshape(table.shape[:-2] + (-1,)), -1)
 
 
-def _row_weights(game: NonlocalGame, x: int, side: str) -> np.ndarray:
-    """weights[a, y, b]: coefficient of tr(rho (mine[a] • other[y, b]))."""
-    predicate = game.predicate.astype(float)
-    if side == "alice":
-        return np.einsum("y,yab->ayb", game.pi[x, :], predicate[x])
-    return np.einsum("x,xab->bxa", game.pi[:, x], predicate[:, x])
-
-
 def _row_values(rows: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
                 table: np.ndarray, rho: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Weighted bullet value of each row of a (T, k, d, d) stack against a fixed state.
+    """Weighted bullet value of each row of a (..., x, k, d, d) stack against a fixed state.
 
-    table[y, b] must hold sqrt(F) rho sqrt(F); the trace of rho (E • F)
-    then splits into two plain traces.
+    weights[x, a, y, b] is the coefficient of tr(rho (E^x_a • F^y_b));
+    table[y, b] must hold sqrt(F) rho sqrt(F), and the trace then splits
+    into two plain traces.
     """
     roots = _psd_sqrt(rows, tol)
-    return 0.5 * (np.einsum("ayb,tajk,ybkj->t", weights, roots @ rho @ roots, other_ops)
-                  + np.einsum("ayb,ybjk,takj->t", weights, table, rows)).real
+    return 0.5 * (np.einsum("xayb,...xajk,ybkj->...x", weights, roots @ rho @ roots, other_ops)
+                  + np.einsum("xayb,ybjk,...xakj->...x", weights, table, rows)).real
 
 
 # Divided-difference floor for ascent proposals.  Repaired POVM elements
@@ -411,9 +404,9 @@ def _row_values(rows: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
 _PROPOSAL_FLOOR = 0.25
 
 
-def _row_value_gradient(row: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
+def _row_value_gradient(rows: np.ndarray, weights: np.ndarray, other_ops: np.ndarray,
                         table: np.ndarray, rho: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Ascent direction for one row, from the derivative of its value.
+    """Ascent direction for each row of an (x, k, d, d) stack, from the derivative of its value.
 
     The value depends on a row element E through tr(rho (E • F)) summed
     with predicate weights; the derivative splits into a direct term
@@ -422,56 +415,54 @@ def _row_value_gradient(row: np.ndarray, weights: np.ndarray, other_ops: np.ndar
     square root.  The divided differences are floored at _PROPOSAL_FLOOR
     where E is nearly singular.  Elements with zero weight get zero.
     """
-    spec = hermitian_eig(row, tol)
+    spec = hermitian_eig(rows, tol)
     s = np.sqrt(np.maximum(spec.eigenvalues, 0.0))
     my_root = spec.apply(lambda _: s)
-    other = np.einsum("ayb,ybij->aij", weights, other_ops)
+    other = np.einsum("xayb,ybij->xaij", weights, other_ops)
     chain = other @ my_root @ rho + rho @ my_root @ other
     vecs = spec.eigenvectors
-    divided = 1.0 / np.maximum(s[:, :, None] + s[:, None, :], _PROPOSAL_FLOOR)
+    divided = 1.0 / np.maximum(s[..., :, None] + s[..., None, :], _PROPOSAL_FLOOR)
     lifted = vecs @ (divided * (dagger(vecs) @ chain @ vecs)) @ dagger(vecs)
-    return herm_part(0.5 * (lifted + np.einsum("ayb,ybij->aij", weights, table)))
+    return herm_part(0.5 * (lifted + np.einsum("xayb,ybij->xaij", weights, table)))
 
 
-def _improve_rows(game: NonlocalGame, alice: Measurement, bob: Measurement,
+def _improve_rows(weights: np.ndarray, mine: Measurement, other: Measurement,
                   rho: np.ndarray, delta: float, mu: float, obj: float,
-                  side: str, tol: Tolerance) -> tuple[Measurement, Measurement, float]:
-    """One projected-gradient pass over the chosen side's POVM rows.
+                  tol: Tolerance) -> tuple[Measurement, float]:
+    """One projected-gradient pass over all of mine's POVM rows as one stack.
 
-    The state and the other side stay fixed, so the objective splits
-    into row-local pieces.  Each row repairs all _STEP_GRID trials as one
-    stack, values them beside the current row, and takes the first
-    trial that gains; each accepted step adds its exact gain.
+    The state and the other player stay fixed, so the objective splits
+    into row-local pieces: weights[x, a, y, b] weighs mine[x, a] against
+    other[y, b].  Every row with a nonzero step repairs its _STEP_GRID
+    trials, and all are valued beside the current rows in one stack; each
+    row takes its first trial that gains, and the accepted gains are
+    added in row order.
     """
-    mine = alice if side == "alice" else bob
-    other = bob if side == "alice" else alice
     roots = _psd_sqrt(other.ops, tol)
     table = roots @ rho @ roots
-    steps = np.array(_STEP_GRID)[:, None, None, None]
+    grad = _row_value_gradient(mine.ops, weights, other.ops, table, rho, tol)
+    grad = grad - grad.mean(axis=1, keepdims=True)
+    scale = op_norms(grad).max(axis=-1)
+    live = np.flatnonzero(scale > tol.algebraic)
+    if not live.size:
+        return mine, obj
     ops = np.array(mine.ops)
-    for x in range(game.n):
-        weights = _row_weights(game, x, side)
-        grad = _row_value_gradient(ops[x], weights, other.ops, table, rho, tol)
-        grad = grad - grad.mean(axis=0)
-        scale = float(op_norms(grad).max())
-        if scale <= tol.algebraic:
-            continue
-        moved = herm_part(ops[x] + steps * (grad / scale))
-        trials, refused, *_ = _repair_povms(moved, tol, _povm_parts(moved, tol, 0.5), tol.algebraic)
-        # refused slots hold no POVM: value the current row there and never pick it
-        rows = np.concatenate([ops[x][None], np.where(refused[:, None, None, None], ops[x], trials)])
-        values = _row_values(rows, weights, other.ops, table, rho, tol)
-        pens = _penalty(rows[:, None], other.ops, delta)
-        gains = (values[1:] - values[0]) - mu * (pens[1:] - pens[0])
-        better = ~refused & (gains > 1e-12)
-        if better.any():
-            t = int(np.argmax(better))
-            ops[x] = trials[t]
-            obj += float(gains[t])
-    mine = Measurement(ops)
-    if side == "alice":
-        return mine, other, obj
-    return other, mine, obj
+    current = ops[live]
+    steps = np.array(_STEP_GRID)[:, None, None, None, None]
+    moved = herm_part(current + steps * (grad[live] / scale[live, None, None, None]))
+    trials, refused, *_ = _repair_povms(moved, tol, _povm_parts(moved, tol, 0.5), tol.algebraic)
+    # refused slots hold no POVM: value the current row there and never pick it
+    rows = np.concatenate([current[None],
+                           np.where(refused[..., None, None, None], current, trials)])
+    values = _row_values(rows, weights[live], other.ops, table, rho, tol)
+    pens = _penalty(rows[:, :, None], other.ops, delta)
+    gains = (values[1:] - values[0]) - mu * (pens[1:] - pens[0])
+    better = ~refused & (gains > 1e-12)
+    picks = np.argmax(better, axis=0)
+    for i in np.flatnonzero(better.any(axis=0)):
+        ops[live[i]] = trials[picks[i], i]
+        obj += float(gains[picks[i], i])
+    return Measurement(ops), obj
 
 
 def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float = 10.0,
@@ -485,6 +476,7 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
     improve the objective are rolled back, so the recorded trace never
     decreases.  Returns the final strategy and the objective trace.
     """
+    dim, iters, seed = integral(dim, "dim"), integral(iters, "iters"), integral(seed, "seed")
     if dim < 1:
         raise PreconditionError(f"dim must be at least 1, got {dim!r}")
     if not 0.0 <= delta <= 1.0:
@@ -498,6 +490,8 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
             f"mu = {mu!r} times the largest possible penalty {largest} overflows float range")
     if iters < 1:
         raise PreconditionError(f"iters must be at least 1, got {iters!r}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed!r}")
     if init is not None:
         alice, bob = init
         check_shapes(game, alice, bob)
@@ -505,8 +499,12 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
             raise PreconditionError(f"init dimension {alice.dim} does not match dim={dim}")
     else:
         rng = rng_from_seed(seed)
-        alice = Measurement(np.array([random_povm(rng, dim, game.k) for _ in range(game.n)]))
-        bob = Measurement(np.array([random_povm(rng, dim, game.k) for _ in range(game.n)]))
+        alice, bob = (Measurement(_gram_povms(rng.normal(size=(game.n, game.k, 2, dim, dim))))
+                      for _ in range(2))
+    # weights[x, a, y, b]: pi V at a player's question x and answer a, the other's y and b
+    predicate = game.predicate.astype(float)
+    for_alice = np.einsum("xy,xyab->xayb", game.pi, predicate)
+    for_bob = np.einsum("xy,xyab->ybxa", game.pi, predicate)
     rho = np.eye(dim, dtype=np.complex128) / dim
     obj = (game_value(game, Strategy(alice, bob, State(rho)), tol)
            - mu * float(_penalty(alice.ops, bob.ops, delta)))
@@ -518,9 +516,9 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
             rho = top.state.rho
             obj = cand
         trace.append(obj)
-        alice, bob, obj = _improve_rows(game, alice, bob, rho, delta, mu, obj, "alice", tol)
+        alice, obj = _improve_rows(for_alice, alice, bob, rho, delta, mu, obj, tol)
         trace.append(obj)
-        alice, bob, obj = _improve_rows(game, alice, bob, rho, delta, mu, obj, "bob", tol)
+        bob, obj = _improve_rows(for_bob, bob, alice, rho, delta, mu, obj, tol)
         trace.append(obj)
     return SeesawRun(strategy=Strategy(alice, bob, State(rho)), trace=trace)
 

@@ -739,6 +739,23 @@ def test_norm_enumerate_reports_pinned(tmp_path, pres_id, poly, prefix):
         [f"{v.numerator}/{v.denominator}" for v in values]
 
 
+# sha256 prefixes of the criterion-7 `seesaw` reports on CHSH; the game path is
+# given relative to the repository root, as the report records it verbatim
+_SEESAW_REPORT_PINS = [
+    (["--dim", 2, "--iters", 2, "--seed", 4], "545bf2ad1076cb44"),
+    (["--dim", 3, "--iters", 20, "--seed", 1, "--delta", 0.05], "29e3c6ee17a5c36e"),
+]
+
+
+@pytest.mark.parametrize("args, prefix", _SEESAW_REPORT_PINS)
+def test_seesaw_reports_pinned(tmp_path, monkeypatch, args, prefix):
+    """Every trace entry and the final strategy's value keep their bits."""
+    monkeypatch.chdir(DATA.parent)
+    out = tmp_path / "report.jsonl"
+    assert run_cli(["seesaw", "--game", "data/chsh.json", *args, "--out", out]) == 0
+    assert sha256_file(str(out))[:16] == prefix
+
+
 def test_perturb_suite_report_pinned(tmp_path):
     """Dimensions up to 64 with several instances per dimension keep their digest."""
     out = tmp_path / "report.jsonl"

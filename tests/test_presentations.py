@@ -838,15 +838,31 @@ def test_enumeration_self_adjoint_sum_hits_two():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_enumeration_slack_is_exact_below_an_ulp():
+def test_enumeration_slack_is_exact_below_an_ulp(monkeypatch):
     """Past j = 52, 2^-j is below an ulp of |q| = 2; the emissions still subtract it.
 
-    Float slack emitted 2 itself at j = 53.
+    Float slack emitted 2 itself at j = 53.  The record-candidate pick is
+    exact too: from round 53 on each round gates one item, where the float
+    pick norms - 2^-j >= bar let a second one through.
     """
+    rounds, gated = [], {}
+    original_round, original_gates = RepresentationCatalog._round, presentations._gates
+
+    def round_spy(self, pres_id, round_index, count):
+        rounds.append(round_index)
+        return original_round(self, pres_id, round_index, count)
+
+    def gates_spy(pres, dim, images, gate, count):
+        gated[rounds[-1]] = gated.get(rounds[-1], 0) + count
+        return original_gates(pres, dim, images, gate, count)
+    monkeypatch.setattr(RepresentationCatalog, "_round", round_spy)
+    monkeypatch.setattr(presentations, "_gates", gates_spy)
     q = generator("u1") + generator("u1").adjoint()
     values = _enumerate("free_unitaries:1", q, budget=2000, seed=1)
     assert len(values) > 54
     assert values == [2 - Fraction(1, 2 ** j) for j in range(len(values))]
+    late = [gated.get(j, 0) for j in rounds if j >= 53]
+    assert late and late == [1] * len(late), late
 
 
 def test_enumeration_zero_polynomial_silent():

@@ -1,6 +1,7 @@
 """Tests for the semidecision harness, see-saw, and classical brute force."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -21,7 +22,7 @@ from cstarkit.operators import DEFAULT_TOL, op_norm
 from cstarkit.rounding import povm_residual, round_to_povm
 from cstarkit.sampling import random_density, random_povm, rng_from_seed
 from cstarkit.search import (CERTIFIED_EIG_ERROR, CandidateStream, GameFamily,
-                             _penalty, _row_values, _row_weights, _witness,
+                             _penalty, _row_values, _witness,
                              _witnesses, classical_optimum,
                              classical_value, constant_family,
                              deterministic_measurement, enumerate_candidates,
@@ -669,6 +670,9 @@ def test_seesaw_parameter_validation():
         seesaw_optimize(game, dim=2, mu=-1.0)
     with pytest.raises(PreconditionError):
         seesaw_optimize(game, dim=2, iters=0)
+    for bad in ({"dim": 2.5}, {"iters": 2.5}, {"iters": True}, {"seed": -1}, {"seed": 1.0}):
+        with pytest.raises(PreconditionError):
+            seesaw_optimize(game, **{"dim": 2, "iters": 1, **bad})
     wrong_dim = deterministic_measurement((0, 0), 2)
     with pytest.raises(PreconditionError):
         seesaw_optimize(game, dim=2, init=(wrong_dim, wrong_dim))
@@ -689,6 +693,17 @@ def _random_game(rng, n, k):
     return NonlocalGame(pi / pi.sum(), rng.integers(0, 2, size=(n, n, k, k)).astype(np.int8))
 
 
+@pytest.mark.parametrize("delta, prefix", [(0.2, "6cdb6bc4cffc145f"), (1.0, "dddc4bd64d3208b5")])
+def test_seesaw_on_a_three_question_game_is_pinned(delta, prefix):
+    """Trace, both players' ops and the state keep their bits on a 3-question, 3-answer game."""
+    game = _random_game(rng_from_seed(5), 3, 3)
+    run = seesaw_optimize(game, dim=3, delta=delta, iters=10, seed=5)
+    digest = hashlib.sha256(np.array(run.trace).tobytes())
+    for array in (run.strategy.alice.ops, run.strategy.bob.ops, run.strategy.state.rho):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest()[:16] == prefix
+
+
 def test_row_values_split_the_game_value():
     """Summed over one side's rows, the row values are the game value."""
     rng = rng_from_seed(31)
@@ -701,13 +716,14 @@ def test_row_values_split_the_game_value():
                                             for _ in range(game.n)])) for _ in range(2))
         rho = random_density(rng, dim)
         value = game_value(game, Strategy(alice, bob, State(rho)))
-        for side, mine, other in (("alice", alice, bob), ("bob", bob, alice)):
+        predicate = game.predicate.astype(float)
+        for spec, mine, other in (("xy,xyab->xayb", alice, bob), ("xy,xyab->ybxa", bob, alice)):
             roots = _psd_sqrt(other.ops, DEFAULT_TOL)
             table = roots @ rho @ roots
-            total = sum(float(_row_values(mine.ops[x][None], _row_weights(game, x, side),
-                                          other.ops, table, rho, DEFAULT_TOL)[0])
-                        for x in range(game.n))
-            assert abs(total - value) <= 1e-12, (side, game.n, game.k, dim, total, value)
+            weights = np.einsum(spec, game.pi, predicate)
+            values = _row_values(mine.ops, weights, other.ops, table, rho, DEFAULT_TOL)
+            total = sum(float(v) for v in values)
+            assert abs(total - value) <= 1e-12, (spec, game.n, game.k, dim, total, value)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
