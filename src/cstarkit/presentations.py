@@ -26,8 +26,7 @@ import numpy as np
 
 from .dyadic import ceil_log2, is_dyadic
 from .errors import HypothesisError, PreconditionError, UnsupportedPresentationError, integral
-# op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
-# checks that tracing rebinds cstarkit.presentations.op_norm
+# op_norm is unused; perfbench's test_rebinding_is_undone checks it stays bound
 from .operators import (DEFAULT_TOL, Tolerance, as_operator, dagger, op_norm,  # noqa: F401
                         op_norms)
 from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials, generator,
@@ -136,8 +135,8 @@ def eval_poly(p: NCPolynomial, rep: Representation) -> np.ndarray:
     return p.evaluate(rep.images, rep.dim)
 
 
-# relation-table entries (relations x items x dim^2) one stacked gate pass
-# holds at most; bounds the temporaries of a norm-enumeration round
+# table entries (polynomials x items x dim^2) a stacked pass holds at most:
+# the relation table's in a gate, q's in the cheap pass
 _STACK_ENTRIES = 2 ** 14
 
 
@@ -188,11 +187,11 @@ def _relation_values(pres: Presentation, dim: int, images: Mapping[str, np.ndarr
 def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray], count: int):
     """(excess, relations, errors) over a stack of (count, dim, dim) images per generator.
 
-    excess is each item's largest norm-bound excess, shape (count,), and
-    relations the (relations, count, dim, dim) relation values.  errors
-    holds per item None or the PreconditionError relation_defect raises on
-    it alone: a non-identity unit image, a missing image, or a relation that
-    overflows.  When every item is refused, excess and relations are None.
+    excess is each item's largest norm-bound excess and relations is as
+    _relation_values gives it.  errors holds per item None or the
+    PreconditionError relation_defect raises on it alone: a non-identity
+    unit image, a missing image, or a relation that overflows.  When every
+    item is refused, excess and relations are None.
     """
     errors = _image_errors(pres, dim, images, count)
     if None not in errors:
@@ -632,14 +631,14 @@ class _Block(NamedTuple):
     images: dict[str, np.ndarray]
 
 
-def _stacks(pres: Presentation, block: _Block,
+def _stacks(block: _Block, polys: int,
             rows: list | None = None) -> Iterator[tuple[list, dict]]:
     """(catalog positions, images) of block's items at rows, in stacks of at
-    most _STACK_ENTRIES relation-table entries (or one item).
+    most _STACK_ENTRIES entries (polys x items x dim^2), or one item.
 
     rows None takes every item, and its stacks are views.
     """
-    step = max(1, _STACK_ENTRIES // (max(1, len(pres.relations)) * block.dim ** 2))
+    step = max(1, _STACK_ENTRIES // (max(1, polys) * block.dim ** 2))
     for start in range(0, len(block.at) if rows is None else len(rows), step):
         cut = slice(start, start + step) if rows is None else rows[start:start + step]
         yield (np.asarray(block.at)[cut].tolist(),
@@ -651,16 +650,16 @@ def _screen(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
     """Per item of a stack, None or the error relation_defect raises on it, with no gate.
 
     Only the items whose relations in_range cannot clear are evaluated to
-    find an overflow.
+    find an overflow, in relation-table stacks.
     """
     errors = _image_errors(pres, dim, images, count)
     if None not in errors:
         return errors
     rows = np.flatnonzero(~pres._table.relations.in_range(images, (count,)))
-    if len(rows):
-        held = [errors[i] for i in rows]
-        _relation_values(pres, dim, {name: img[rows] for name, img in images.items()}, held)
-        for i, error in zip(rows, held):
+    for at, stack in _stacks(_Block(dim, list(range(count)), images), len(pres.relations), rows):
+        held = [errors[i] for i in at]
+        _relation_values(pres, dim, stack, held)
+        for i, error in zip(at, held):
             errors[i] = error
     return errors
 
@@ -695,15 +694,15 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
     catalog representations examined; exhausting it ends the stream.
 
     A round is drawn only as far as the budget reaches.  Per dimension, in
-    stacks of at most _STACK_ENTRIES relation-table entries, every item gets
-    the checks of _screen and |q|.  A walk in catalog order then gates only
+    stacks of at most _STACK_ENTRIES q-table entries, every item gets the
+    checks of _screen and |q|.  A walk in catalog order then gates only
     record candidates, the items whose value would beat the last emission,
     since no other item can emit whatever its gate says.  It gates them in
-    windows of 1, 2, 4, ... candidates, one stack per dimension, and the
-    width restarts at one after each emission.  A round that opens with a
-    window as wide as itself gates every stack first instead, and takes
-    |q| only where the gate passes.  Emissions and the first error come
-    out as from one representation at a time.
+    windows of 1, 2, 4, ... candidates, and the width restarts at one after
+    each emission.  A round that opens with a window as wide as itself
+    gates every item first instead, and takes |q| only where the gate
+    passes.  Gates run per dimension in relation-table stacks.  Emissions
+    and the first error come out as from one representation at a time.
     """
     family = registered_presentation(pres_id)
     budget = integral(budget, "budget")
@@ -732,7 +731,7 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
         errors = [None] * count
         known = set()
         for block in blocks:
-            for at, images in _stacks(pres, block):
+            for at, images in _stacks(block, len(pres.relations) if eager else 1):
                 if eager:
                     rows, refused = _gates(pres, block.dim, images, gate, len(at))
                     known.update(np.asarray(at)[rows].tolist())
@@ -773,13 +772,12 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
 def _gated(pres: Presentation, blocks: list[_Block], window: set, gate: Fraction) -> set:
     """The catalog positions in window whose relation_defect lies below gate.
 
-    Each block's items in window are gated together, in stacks as _stacks
-    cuts them.
+    Each block's items in window are gated together, in relation-table stacks.
     """
     passed = set()
     for block in blocks:
         rows = [row for row, i in enumerate(block.at) if i in window]
-        for at, images in _stacks(pres, block, rows):
+        for at, images in _stacks(block, len(pres.relations), rows):
             flags, _ = _gates(pres, block.dim, images, gate, len(at))
             passed.update(np.asarray(at)[flags].tolist())
     return passed

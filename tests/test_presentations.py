@@ -981,12 +981,14 @@ _REFERENCE_CASES = {
 def test_enumeration_matches_rep_by_rep_reference(pres_id, monkeypatch):
     """The stacked rounds emit the reference's values, with budgets cutting a round mid-way.
 
-    Seed 0 also runs with stacks of one item and with one stack per dimension.
+    Seed 0 also runs with stacks of one item, with a cap of 200 entries (which
+    cuts the q table and the relation table differently) and with one stack
+    per dimension.
     """
     pres, q = registered_presentation(pres_id).presentation, _REFERENCE_CASES[pres_id]
     runs = [(seed, budget, presentations._STACK_ENTRIES)
             for seed in range(4) for budget in (40, 70, 99)]
-    runs += [(0, 99, 1), (0, 99, 2 ** 30)]
+    runs += [(0, 99, 1), (0, 99, 200), (0, 99, 2 ** 30)]
     for seed, budget, entries in runs:
         monkeypatch.setattr(presentations, "_STACK_ENTRIES", entries)
         catalog = RepresentationCatalog(seed=seed)
@@ -1019,14 +1021,28 @@ def _benchmark_job(seed):
 
 
 def test_round_stacks_hold_at_most_the_entry_cap(monkeypatch):
-    """Every screen and gate pass holds at most _STACK_ENTRIES relation-table entries, or one item."""
+    """The cheap pass runs once per catalog block, within _STACK_ENTRIES q-table
+    entries; every gate pass holds at most _STACK_ENTRIES relation-table entries, or one item."""
+    blocks = []
+    original = RepresentationCatalog._round
+
+    def round_spy(self, pres_id, j, count):
+        drawn = original(self, pres_id, j, count)
+        blocks.extend(drawn)
+        return drawn
+    monkeypatch.setattr(RepresentationCatalog, "_round", round_spy)
     screened = _recorded(monkeypatch, "_screen")
+    normed = _recorded(monkeypatch, "_q_norms")
     gated = _recorded(monkeypatch, "_gates")
     list(_benchmark_job(1))
-    assert sum(items for _, _, items in screened) == 66
-    assert max(items for _, _, items in screened) > 1
+    shapes = [(block.dim, len(block.at)) for block in blocks]
+    assert len(shapes) == 10 and sum(items for _, items in shapes) == 66
+    assert [(dim, items) for _, dim, items in screened] == shapes
+    assert [(dim, items) for _, dim, items in normed] == shapes
+    assert all(len(q.index) * items * dim ** 2 <= presentations._STACK_ENTRIES
+               for q, dim, items in normed)
     assert all(len(pres.relations) * items * dim ** 2 <= presentations._STACK_ENTRIES or items == 1
-               for pres, dim, items in screened + gated)
+               for pres, dim, items in gated)
 
 
 def test_benchmark_job_gates_at_most_two_items(monkeypatch):
@@ -1194,6 +1210,44 @@ def test_screen_evaluates_only_relations_in_range_cannot_clear(monkeypatch):
     near = Presentation((("e", 1), ("u1", 1)), (_NEAR_MAX * (u.adjoint() * u - e),))
     assert _screen(near, 2, images, 5) == [None] * 5
     assert [items for _, _, items in evaluated] == [5]
+
+
+@pytest.mark.parametrize("entries", [presentations._STACK_ENTRIES, 200])
+def test_screen_cuts_uncleared_relations_at_the_entry_cap(entries, monkeypatch):
+    """Relations in_range cannot clear are evaluated in relation-table stacks.
+
+    A coefficient of 2^1001 or more keeps in_range from clearing any item, so
+    the cheap pass evaluates every item's relations.  Each _relation_values
+    call holds at most _STACK_ENTRIES relation-table entries, or one item,
+    though screened stacks hold more; emissions and errors are the reference's.
+    """
+    monkeypatch.setattr(presentations, "_STACK_ENTRIES", entries)
+    e, p = generator("e"), generator("p1")
+    units = registered_presentation("matrix_units:3").presentation
+    projections = registered_presentation("projections:1").presentation
+    # e images the identity exactly, so the added relation is 0 and the gates are as before
+    zero = 2 ** 1001 * (e - e.adjoint())
+    # projections:1 starts with p1 = 0, which emits, then p1 = 1, where this overflows
+    overflow = _NEAR_MAX * (p + p.adjoint())
+    runs = [(Presentation(units.generators, units.relations + (zero,)), _BENCHMARK_Q,
+             "matrix_units:3", 66, ([Fraction(1, 2)], None)),
+            (Presentation(projections.generators, projections.relations + (overflow,)), 4 * e,
+             "projections:1", 50,
+             ([Fraction(3)], "a relation overflows float range at dimension 1"))]
+    screened = _recorded(monkeypatch, "_screen")
+    evaluated = _recorded(monkeypatch, "_relation_values")
+    for pres, q, pres_id, budget, expected in runs:
+        catalog = RepresentationCatalog(seed=1)
+        mark = len(screened), len(evaluated)
+        assert _emissions(norm_lower_enumerate(pres, q, catalog, pres_id, budget)) == expected
+        # in_range clears no item, so every screened item's relations are evaluated
+        assert (sum(items for _, _, items in evaluated[mark[1]:])
+                >= sum(items for _, _, items in screened[mark[0]:]))
+        assert _emissions(_reference_enumerate(pres, q, catalog, pres_id, budget)) == expected
+    assert all(len(pres.relations) * items * dim ** 2 <= entries or items == 1
+               for pres, dim, items in evaluated)
+    assert any(len(pres.relations) * items * dim ** 2 > entries and items > 1
+               for pres, dim, items in screened)
 
 
 def test_enumeration_errors_follow_earlier_emissions():
