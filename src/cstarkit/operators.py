@@ -1,9 +1,11 @@
 """Dense complex-matrix substrate: norms, Hermitian spectra, functional calculus.
 
 All matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
-functions here are the only place the package touches LAPACK, so spectral
-conventions (ascending eigenvalues, deterministic eigenvector phases) are
-fixed once and inherited by everything built on top.
+spectral conventions (ascending eigenvalues, deterministic eigenvector
+phases) live here, fixed once and inherited by everything built on top.
+Four functions call LAPACK directly where neither convention matters: the
+QR of ``sampling._haar_unitaries``, the ``eigh`` of ``sampling._gram_povms``
+and the ``eigvalsh`` of ``rounding._povm_residual`` and ``games.State``.
 """
 from __future__ import annotations
 

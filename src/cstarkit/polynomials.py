@@ -289,6 +289,11 @@ class CompiledPolynomials:
                 part += term[:rows]
         return out
 
+    @cached_property
+    def footprint(self) -> int:
+        """Matrices per item evaluate allocates: letters, word images, the zero matrix, values."""
+        return 2 * len(self.names) + sum(map(len, self.words)) + 1 + len(self.index)
+
     def in_range(self, images: Mapping[str, np.ndarray], lead: tuple = ()) -> np.ndarray:
         """Per item of the (*lead, dim, dim) image stacks: whether evaluate surely stays finite.
 

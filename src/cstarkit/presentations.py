@@ -135,8 +135,8 @@ def eval_poly(p: NCPolynomial, rep: Representation) -> np.ndarray:
     return p.evaluate(rep.images, rep.dim)
 
 
-# table entries (polynomials x items x dim^2) a stacked pass holds at most:
-# the relation table's in a gate, q's in the cheap pass
+# entries (footprint x items x dim^2) a stacked evaluation holds at most, the
+# footprint being the matrices per item its table's evaluate allocates
 _STACK_ENTRIES = 2 ** 14
 
 
@@ -631,14 +631,14 @@ class _Block(NamedTuple):
     images: dict[str, np.ndarray]
 
 
-def _stacks(block: _Block, polys: int,
+def _stacks(block: _Block, table: CompiledPolynomials,
             rows: list | None = None) -> Iterator[tuple[list, dict]]:
-    """(catalog positions, images) of block's items at rows, in stacks of at
-    most _STACK_ENTRIES entries (polys x items x dim^2), or one item.
+    """(catalog positions, images) of block's items at rows, in stacks whose
+    evaluation of table holds at most _STACK_ENTRIES entries, or one item.
 
     rows None takes every item, and its stacks are views.
     """
-    step = max(1, _STACK_ENTRIES // (max(1, polys) * block.dim ** 2))
+    step = max(1, _STACK_ENTRIES // (table.footprint * block.dim ** 2))
     for start in range(0, len(block.at) if rows is None else len(rows), step):
         cut = slice(start, start + step) if rows is None else rows[start:start + step]
         yield (np.asarray(block.at)[cut].tolist(),
@@ -650,13 +650,13 @@ def _screen(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
     """Per item of a stack, None or the error relation_defect raises on it, with no gate.
 
     Only the items whose relations in_range cannot clear are evaluated to
-    find an overflow, in relation-table stacks.
+    find an overflow, in _stacks of the relation table.
     """
     errors = _image_errors(pres, dim, images, count)
     if None not in errors:
         return errors
     rows = np.flatnonzero(~pres._table.relations.in_range(images, (count,)))
-    for at, stack in _stacks(_Block(dim, list(range(count)), images), len(pres.relations), rows):
+    for at, stack in _stacks(_Block(dim, list(range(count)), images), pres._table.relations, rows):
         held = [errors[i] for i in at]
         _relation_values(pres, dim, stack, held)
         for i, error in zip(at, held):
@@ -694,15 +694,13 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
     catalog representations examined; exhausting it ends the stream.
 
     A round is drawn only as far as the budget reaches.  Per dimension, in
-    stacks of at most _STACK_ENTRIES q-table entries, every item gets the
-    checks of _screen and |q|.  A walk in catalog order then gates only
-    record candidates, the items whose value would beat the last emission,
-    since no other item can emit whatever its gate says.  It gates them in
-    windows of 1, 2, 4, ... candidates, and the width restarts at one after
-    each emission.  A round that opens with a window as wide as itself
-    gates every item first instead, and takes |q| only where the gate
-    passes.  Gates run per dimension in relation-table stacks.  Emissions
-    and the first error come out as from one representation at a time.
+    _stacks of q's table, every item gets the checks of _screen and |q|.
+    A walk in catalog order then gates only record candidates, the items
+    whose value would beat the last emission, since no other item can emit
+    whatever its gate says.  It gates them in windows of 1, 2, 4, ...
+    candidates, and the width restarts at one after each emission.
+    Emissions and the first error come out as from one representation at
+    a time.
     """
     family = registered_presentation(pres_id)
     budget = integral(budget, "budget")
@@ -725,20 +723,12 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
         grid = 2 ** (j + 4)
         count = min(size, budget - examined)
         blocks = catalog._round(pres_id, j, count)
-        eager = width >= count
         norms = np.empty(count)
-        dims = np.empty(count, dtype=int)
         errors = [None] * count
-        known = set()
         for block in blocks:
-            for at, images in _stacks(block, len(pres.relations) if eager else 1):
-                if eager:
-                    rows, refused = _gates(pres, block.dim, images, gate, len(at))
-                    known.update(np.asarray(at)[rows].tolist())
-                else:
-                    refused = _screen(pres, block.dim, images, len(at))
-                    rows = np.equal(refused, None)
-                norms[at], dims[at] = _q_norms(q_table, block.dim, images, rows), block.dim
+            for at, images in _stacks(block, q_table):
+                refused = _screen(pres, block.dim, images, len(at))
+                norms[at] = _q_norms(q_table, block.dim, images, np.equal(refused, None))
                 for i, error in zip(at, refused):
                     errors[i] = error
         stop = next((i for i, error in enumerate(errors) if error is not None), count)
@@ -751,13 +741,14 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
             if not len(beat):
                 break
             window = beat[:width].tolist()
-            passed = known if eager else _gated(pres, blocks, set(window), gate)
+            passed = _gated(pres, blocks, set(window), gate)
             width *= 2
             for i in window:
                 if i not in passed:
                     continue
                 if math.isinf(values[i]):
-                    raise PreconditionError(f"|q| overflows float range at dimension {dims[i]}")
+                    dim = next(block.dim for block in blocks if i in block.at)
+                    raise PreconditionError(f"|q| overflows float range at dimension {dim}")
                 # exact: a float value - 2^-j drops 2^-j below an ulp, and * grid may overflow
                 d = Fraction(math.floor((Fraction(values[i]) - Fraction(1, 2 ** j)) * grid), grid)
                 if d > 0 and (best is None or d > best):
@@ -772,12 +763,12 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
 def _gated(pres: Presentation, blocks: list[_Block], window: set, gate: Fraction) -> set:
     """The catalog positions in window whose relation_defect lies below gate.
 
-    Each block's items in window are gated together, in relation-table stacks.
+    Each block's items in window are gated together, in _stacks of the relation table.
     """
     passed = set()
     for block in blocks:
         rows = [row for row, i in enumerate(block.at) if i in window]
-        for at, images in _stacks(block, len(pres.relations), rows):
+        for at, images in _stacks(block, pres._table.relations, rows):
             flags, _ = _gates(pres, block.dim, images, gate, len(at))
             passed.update(np.asarray(at)[flags].tolist())
     return passed

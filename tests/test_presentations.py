@@ -15,7 +15,8 @@ from cstarkit.dyadic import ceil_log2
 from cstarkit.errors import (HypothesisError, PreconditionError,
                              UnsupportedPresentationError)
 from cstarkit.operators import dagger, op_norm
-from cstarkit.polynomials import NCPolynomial, compile_polynomials, generator, lipschitz_bound
+from cstarkit.polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials,
+                                  generator, lipschitz_bound)
 from cstarkit.presentations import (Presentation, Representation,
                                     RepresentationCatalog,
                                     StabilityModulusTable, combine_moduli,
@@ -1086,15 +1087,16 @@ def test_record_gating_matches_reference_when_few_items_pass(rate, monkeypatch):
     Each item keeps its gate only when a checksum of its u1 image is
     divisible by rate, so the enumerator and the reference, which both gate
     through _gates, see the same passes.  Windows hold at most 1, 2, 4, ...
-    candidates, back to one after each emission.  At 1/40 some rounds open
-    with a window as wide as the round, gate each stack whole and still emit.
+    candidates, back to one after each emission.  At 1/40 some window grows
+    as wide as its whole round, and the walk still emits as the reference.
     """
     original = presentations._gates
-    events = []
+    events, sizes = [], []
     original_gated = presentations._gated
 
     def windowed(pres, blocks, window, gate):
         events.append(len(window))
+        sizes.append(sum(len(block.at) for block in blocks))
         return original_gated(pres, blocks, window, gate)
     monkeypatch.setattr(presentations, "_gated", windowed)
 
@@ -1108,37 +1110,26 @@ def test_record_gating_matches_reference_when_few_items_pass(rate, monkeypatch):
         keep = [zlib.crc32(images["u1"][k].tobytes()) % rate == 0 for k in range(count)]
         return passed & np.array(keep, dtype=bool), errors
     monkeypatch.setattr(presentations, "_gates", sparse)
-    screened = _recorded(monkeypatch, "_screen")
-    rounds = []
-    original_round = RepresentationCatalog._round
-
-    def marked(self, pres_id, j, count):
-        rounds.append(len(screened))
-        return original_round(self, pres_id, j, count)
-    monkeypatch.setattr(RepresentationCatalog, "_round", marked)
     pres = registered_presentation("free_unitaries:1").presentation
     u = generator("u1")
-    wide = 0
     for q in (u + u.adjoint(), 3 * generator("e") + u):
         for seed in range(3):
             catalog = RepresentationCatalog(seed=seed)
-            rounds.clear()
             events.append("start")
             stream = _emissions(logged(norm_lower_enumerate(pres, q, catalog,
                                                             "free_unitaries:1", 400)))
-            rounds.append(len(screened))
-            wide += sum(start == end for start, end in zip(rounds, rounds[1:]))
             assert stream == _emissions(_reference_enumerate(pres, q, catalog, "free_unitaries:1",
                                                              400))
             assert stream[0] and stream[1] is None
-    assert (wide > 0) == (rate == 40)
-    width = 1
+    width, wide, rounds = 1, False, iter(sizes)
     for event in events:
         if event in ("start", "emit"):
             width = 1
         else:
             assert event <= width
+            wide |= width >= next(rounds)
             width *= 2
+    assert wide == (rate == 40)
     assert max(event for event in events if event not in ("start", "emit")) >= 4
 
 
@@ -1248,6 +1239,38 @@ def test_screen_cuts_uncleared_relations_at_the_entry_cap(entries, monkeypatch):
                for pres, dim, items in evaluated)
     assert any(len(pres.relations) * items * dim ** 2 > entries and items > 1
                for pres, dim, items in screened)
+
+
+def _footprint(table):
+    """The matrices per item table.evaluate allocates: letters, word images, zero, values."""
+    return 2 * len(table.names) + sum(len(words) for words in table.words) + 1 + len(table.index)
+
+
+def test_many_word_q_evaluates_within_the_entry_cap(monkeypatch):
+    """Every evaluation of a norm run holds at most _STACK_ENTRIES entries, or one item.
+
+    An entry is a matrix entry evaluate allocates, so q, one polynomial of 64
+    words, weighs 70 matrices per item; cut as one polynomial, a block of 32
+    items at dimension 4 was evaluated as one stack of 35840 entries.
+    """
+    letters = [generator("u1"), generator("u2"), generator("u1").adjoint(),
+               generator("u2").adjoint()]
+    q = sum((a * b * c for a, b, c in itertools.product(letters, repeat=3)), NCPolynomial.zero())
+    pres = registered_presentation("free_unitaries:2").presentation
+    catalog = RepresentationCatalog(dims=(4,), seed=1)
+    expected = _emissions(_reference_enumerate(pres, q, catalog, "free_unitaries:2", 34))
+    calls = []
+    original = CompiledPolynomials.evaluate
+
+    def spy(self, images, dim, lead=()):
+        calls.append((_footprint(self), dim, math.prod(lead)))
+        return original(self, images, dim, lead)
+    monkeypatch.setattr(CompiledPolynomials, "evaluate", spy)
+    stream = _emissions(norm_lower_enumerate(pres, q, catalog, "free_unitaries:2", 34))
+    assert stream == expected and stream[0] and stream[1] is None
+    assert all(footprint * items * dim ** 2 <= presentations._STACK_ENTRIES or items == 1
+               for footprint, dim, items in calls)
+    assert any(footprint == 70 and dim == 4 and items > 1 for footprint, dim, items in calls)
 
 
 def test_enumeration_errors_follow_earlier_emissions():
