@@ -140,11 +140,6 @@ def eval_poly(p: NCPolynomial, rep: Representation) -> np.ndarray:
 _STACK_ENTRIES = 2 ** 14
 
 
-def _stack_of_one(rep: Representation) -> dict[str, np.ndarray]:
-    """rep's images as (1, dim, dim) stacks."""
-    return {name: img[None] for name, img in rep.images.items()}
-
-
 def _below(values: np.ndarray, gate: Fraction | float) -> np.ndarray:
     """values < gate, exactly as Python compares each float with the gate.
 
@@ -157,7 +152,7 @@ def _below(values: np.ndarray, gate: Fraction | float) -> np.ndarray:
 
 def _image_errors(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
                   count: int) -> list:
-    """Per item of a stack, None or the error relation_defect raises on its images alone.
+    """Per item of a stack, None or _screen's refusal on its images alone.
 
     That is a non-identity unit image, else a missing image, which refuses
     every item.
@@ -175,68 +170,44 @@ def _image_errors(pres: Presentation, dim: int, images: Mapping[str, np.ndarray]
 
 
 def _relation_values(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
-                     errors: list) -> np.ndarray:
-    """The (relations, count, dim, dim) relation values; refuses each item where one overflows."""
+                     errors: list) -> None:
+    """Refuses each item of a stack where a relation's value overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         relations = pres._table.relations.evaluate(images, dim, (len(errors),))
     _refuse(errors, ~np.isfinite(relations).all(axis=(0, 2, 3)), lambda i: PreconditionError(
         f"a relation overflows float range at dimension {dim}"))
-    return relations
 
 
-def _defect_parts(pres: Presentation, dim: int, images: Mapping[str, np.ndarray], count: int):
-    """(excess, relations, errors) over a stack of (count, dim, dim) images per generator.
+def _defects(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
+             gate: Fraction | float = 0.0) -> np.ndarray:
+    """Per item of a stack _screen admitted, its largest norm-bound excess or relation norm.
 
-    excess is each item's largest norm-bound excess and relations is as
-    _relation_values gives it.  errors holds per item None or the
-    PreconditionError relation_defect raises on it alone: a non-identity
-    unit image, a missing image, or a relation that overflows.  When every
-    item is refused, excess and relations are None.
+    The relation norms come from op_norms gated at gate, so <, <=, > and >=
+    with gate decide as on the exact defect, and each value at or above
+    gate/2 is exact; gate 0 gives every value exactly.
     """
-    errors = _image_errors(pres, dim, images, count)
-    if None not in errors:
-        return None, None, errors
     generators = np.stack([images[name] for name in pres.names], axis=1)
     excess = (op_norms(generators) - pres._table.bounds).max(axis=1)
-    return excess, _relation_values(pres, dim, images, errors), errors
+    relations = pres._table.relations.evaluate(images, dim, generators.shape[:1])
+    return np.maximum(excess, op_norms(relations, gate).max(axis=0, initial=0.0))
 
 
-def _gates(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
-           gate: Fraction | float, count: int) -> tuple[np.ndarray, list]:
-    """relation_defect < gate per item of a stack, the relation norms gated at gate by op_norms.
-
-    Returns (passed, errors), errors as in _defect_parts; a refused item is
-    not passed.  With an item refused, only the relations of items still
-    passing are normed, so no non-finite relation reaches op_norms.
-    """
-    excess, relations, errors = _defect_parts(pres, dim, images, count)
-    if relations is None:
-        return np.zeros(count, dtype=bool), errors
-    if errors.count(None) == count:
-        norms = op_norms(relations, gate).max(axis=0, initial=0.0)
-        return _below(np.maximum(excess, norms), gate), errors
-    passed = _below(excess, gate) & np.equal(errors, None)
-    passed[passed] = _below(op_norms(relations[:, passed], gate).max(axis=0, initial=0.0), gate)
-    return passed, errors
+def _screened_defect(pres: Presentation, rep: Representation, gate: Fraction | float) -> float:
+    """rep's relation defect as _defects gives it at gate, after _screen raises its refusal."""
+    images = {name: img[None] for name, img in rep.images.items()}
+    error, = _screen(pres, rep.dim, images, 1)
+    if error is not None:
+        raise error
+    return max(0.0, float(_defects(pres, rep.dim, images, gate)[0]))
 
 
 def relation_defect(pres: Presentation, rep: Representation) -> float:
     """max over relation norms and norm-bound excesses at rep.
 
     Zero exactly on representations; the unit must be imaged by the identity.
+    _screen makes every refusal, and one _defects pass at no gate measures.
     """
-    excess, relations, errors = _defect_parts(pres, rep.dim, _stack_of_one(rep), 1)
-    if errors[0] is not None:
-        raise errors[0]
-    return max(0.0, float(excess[0]), float(op_norms(relations[:, 0]).max(initial=0.0)))
-
-
-def _defect_below(pres: Presentation, rep: Representation, gate: Fraction | float) -> bool:
-    """relation_defect(pres, rep) < gate: the stacked gate on a stack of one."""
-    passed, errors = _gates(pres, rep.dim, _stack_of_one(rep), gate, 1)
-    if errors[0] is not None:
-        raise errors[0]
-    return bool(passed[0])
+    return _screened_defect(pres, rep, 0.0)
 
 
 @dataclass(frozen=True)
@@ -493,9 +464,10 @@ def stability_witness(pres_id: str, rep: Representation, eps: float,
 
     The relation defect must not exceed 2^-m for m = table(n), where 2^-n is
     the largest dyadic target at or below eps; the output is an exact
-    representation (defect at float scale) within eps of the input.  Both
-    gates are decided by _defect_below; the exact relation_defect is computed
-    only where that cannot confirm a gate, to decide it and word a failure.
+    representation (defect at float scale) within eps of the input.  _screen
+    makes every refusal, and one _defects pass decides each gate: at 2^-m for
+    the input, whose HypothesisError carries that pass's value (exact above
+    the gate), and at tol.algebraic for the output.
     """
     family = registered_presentation(pres_id)
     if not 0 < eps < math.inf:
@@ -504,15 +476,13 @@ def stability_witness(pres_id: str, rep: Representation, eps: float,
     m = family.table.of(n)
     gate = Fraction(1, 2 ** m)
     pres = family.presentation
-    if not _defect_below(pres, rep, gate):
-        defect = relation_defect(pres, rep)
-        if defect > gate:
-            raise HypothesisError(
-                f"relation defect too large for target 2^-{n} under {pres_id}",
-                defect=defect, bound=float(gate))
+    defect = _screened_defect(pres, rep, gate)
+    if defect > gate:
+        raise HypothesisError(
+            f"relation defect too large for target 2^-{n} under {pres_id}",
+            defect=defect, bound=float(gate))
     out = family.witness(pres, rep, 2.0 ** -n, tol)
-    if not _defect_below(pres, out, tol.algebraic):
-        _check_exact(relation_defect(pres, out), tol)
+    _check_exact(_screened_defect(pres, out, tol.algebraic), tol)
     moves = np.array([out.images[name] - rep.images[name]
                       for name in pres.names if name in rep.images],
                      dtype=np.complex128).reshape(-1, rep.dim, rep.dim)
@@ -647,10 +617,11 @@ def _stacks(block: _Block, table: CompiledPolynomials,
 
 def _screen(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
             count: int) -> list:
-    """Per item of a stack, None or the error relation_defect raises on it, with no gate.
+    """Per item of a stack, None or the error relation_defect raises on it.
 
-    Only the items whose relations in_range cannot clear are evaluated to
-    find an overflow, in _stacks of the relation table.
+    Every refusal is made here: _image_errors, then, at the items whose
+    relations in_range cannot clear only, _relation_values in _stacks of
+    the relation table.
     """
     errors = _image_errors(pres, dim, images, count)
     if None not in errors:
@@ -769,6 +740,6 @@ def _gated(pres: Presentation, blocks: list[_Block], window: set, gate: Fraction
     for block in blocks:
         rows = [row for row, i in enumerate(block.at) if i in window]
         for at, images in _stacks(block, pres._table.relations, rows):
-            flags, _ = _gates(pres, block.dim, images, gate, len(at))
+            flags = _below(_defects(pres, block.dim, images, gate), gate)
             passed.update(np.asarray(at)[flags].tolist())
     return passed

@@ -17,9 +17,11 @@ finishing them together gives the builder's n results bit for bit.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, integral
 # op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
 # checks that tracing rebinds cstarkit.sampling.op_norm
 from .operators import (DEFAULT_TOL, Tolerance, _ordered_sum, dagger,  # noqa: F401
@@ -42,9 +44,17 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _checked_dim(dim) -> int:
+    """A public builder's dim as a Python int; PreconditionError unless it is at least 1."""
+    dim = integral(dim, "dim")
+    if dim < 1:
+        raise PreconditionError(f"dim must be a positive integer, got {dim}")
+    return dim
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase correction."""
-    return _haar_unitaries(_draw_ginibre(rng, dim))
+    return _haar_unitaries(_draw_ginibre(rng, _checked_dim(dim)))
 
 
 def _draw_ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -60,10 +70,10 @@ def _haar_unitaries(z: np.ndarray) -> np.ndarray:
 
 
 def random_projection(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    if rank is None:
-        rank = int(rng.integers(0, dim + 1))
+    dim = _checked_dim(dim)
+    rank = int(rng.integers(0, dim + 1)) if rank is None else integral(rank, "rank")
     if not 0 <= rank <= dim:
-        raise ValueError(f"rank must lie in [0, {dim}], got {rank}")
+        raise PreconditionError(f"rank must lie in [0, {dim}], got {rank}")
     return _rank_projections(random_unitary(rng, dim)[None], np.array([rank]))[0]
 
 
@@ -90,7 +100,7 @@ def _rank_products(left: np.ndarray, right: np.ndarray, ranks: np.ndarray) -> np
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, norm: float = 1.0) -> np.ndarray:
-    return _scaled(_draw_hermitians(rng, dim, 1)[0], norm)
+    return _scaled(_draw_hermitians(rng, _checked_dim(dim), 1)[0], norm)
 
 
 def _draw_hermitians(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -110,18 +120,32 @@ def _scaled(h: np.ndarray, norm: float) -> np.ndarray:
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = _draw_ginibre(rng, dim)
+    g = _draw_ginibre(rng, _checked_dim(dim))
     rho = g @ dagger(g)
     return rho / float(np.trace(rho).real)
 
 
 def _check_outcomes(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"need at least one outcome, got {k}")
+    if integral(k, "k") < 1:
+        raise PreconditionError(f"need at least one outcome, got {k}")
+
+
+def _instance_dim(dim, delta, k: int = 1) -> int:
+    """An almost_*_instance's dim as a Python int, once dim, k and delta are checked.
+
+    PreconditionError unless dim and k are integers of at least 1 and delta
+    is positive and finite, before any random number is drawn.
+    """
+    dim = _checked_dim(dim)
+    _check_outcomes(k)
+    if not 0 < delta < math.inf:
+        raise PreconditionError(f"delta must be positive and finite, got {delta!r}")
+    return dim
 
 
 def random_povm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
     """Exact POVM from a ridge-regularized Gram construction."""
+    dim = _checked_dim(dim)
     _check_outcomes(k)
     return list(_gram_povms(rng.normal(size=(k, 2, dim, dim))))
 
@@ -156,6 +180,7 @@ def _gram_bases(normals: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 def random_pvm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
     """Exact PVM: a random unitary conjugate of a basis partition."""
+    dim = _checked_dim(dim)
     _check_outcomes(k)
     labels = rng.integers(0, k, size=dim)
     u = random_unitary(rng, dim)
@@ -214,6 +239,7 @@ def _single(draw: tuple) -> list:
 
 def almost_unitary_instance(rng: np.random.Generator, dim: int, delta: float):
     """(a, u0): a within the unitary hypothesis at delta, u0 the seed unitary."""
+    dim = _instance_dim(dim, delta)
     a, _, u = _unitary_instances(*_single(_draw_unitary(rng, dim)), np.array([delta]))
     return a[0], u[0]
 
@@ -236,6 +262,7 @@ def _unitary_instances(z: np.ndarray, h: np.ndarray, delta: np.ndarray):
 
 def almost_projection_instance(rng: np.random.Generator, dim: int, delta: float):
     """(a, p0): a within the projection hypothesis at delta (and |a| <= 2)."""
+    dim = _instance_dim(dim, delta)
     a, _, p = _projection_instances(*_single(_draw_projection(rng, dim)), np.array([delta]))
     return a[0], p[0]
 
@@ -262,6 +289,7 @@ def _projection_instances(ranks: np.ndarray, z: np.ndarray, h: np.ndarray, g: np
 
 def almost_partial_isometry_instance(rng: np.random.Generator, dim: int, delta: float):
     """(a, v0, p1, p2): a within the partial-isometry hypothesis at delta."""
+    dim = _instance_dim(dim, delta)
     a, _, v, p1, p2 = _partial_isometry_instances(*_single(_draw_partial_isometry(rng, dim)),
                                                   np.array([delta]))
     return a[0], v[0], p1[0], p2[0]
@@ -310,6 +338,7 @@ def _family_instances(base: np.ndarray, bumps: np.ndarray, measure, delta: np.nd
 
 def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
     """(family, base): family within povm_defect <= delta of the exact base."""
+    dim = _instance_dim(dim, delta, k)
     family, _, base = _povm_instances(*_single(_draw_povm(rng, dim, k)), np.array([delta]),
                                       np.array([k]))
     return list(family[0]), list(base[0])
@@ -335,6 +364,7 @@ def _povm_instances(normals: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
 
 def almost_pvm_instance(rng: np.random.Generator, dim: int, k: int, delta: float):
     """(family, base): family within the PVM entry hypothesis at delta."""
+    dim = _instance_dim(dim, delta, k)
     family, _, base = _pvm_instances(*_single(_draw_pvm(rng, dim, k)), np.array([delta]),
                                      np.array([k]))
     return list(family[0]), list(base[0])

@@ -26,7 +26,7 @@ from cstarkit.presentations import (Presentation, Representation,
                                     registered_presentation, relation_defect,
                                     stability_witness, toeplitz,
                                     trivial_presentation)
-from cstarkit.presentations import (_Block, _defect_below, _exact_matrix_unit_images, _gates,
+from cstarkit.presentations import (_below, _Block, _defects, _exact_matrix_unit_images,
                                     _q_norms, _screen, _subseed)
 from cstarkit.sampling import (random_projection, random_unitary,
                                rng_from_seed)
@@ -215,8 +215,20 @@ def test_relation_defect_matches_per_relation_loop():
         relation_defect(matrix_units(2), Representation(2, huge))
 
 
+def _defect_below(pres, rep, gate):
+    """relation_defect(pres, rep) < gate, decided by _screen and one gated _defects pass.
+
+    Goes through the module's _defects, so a spy on it sees every pass.
+    """
+    images = {name: img[None] for name, img in rep.images.items()}
+    error, = _screen(pres, rep.dim, images, 1)
+    if error is not None:
+        raise error
+    return bool(_below(presentations._defects(pres, rep.dim, images, gate), gate)[0])
+
+
 def test_screened_gate_decides_as_relation_defect():
-    """_defect_below(pres, rep, gate) is relation_defect(pres, rep) < gate, screen or SVD."""
+    """_below(_defects(..., gate), gate) is relation_defect(pres, rep) < gate, bound or SVD."""
     rng = rng_from_seed(84)
     gates = [Fraction(1, 2 ** m) for m in (1, 4, 8, 10, 11, 13, 30)]
     cleared = unsure = 0
@@ -249,7 +261,7 @@ def _stack(reps):
     ("projections:3", "projections", 3, 2),
 ])
 def test_stacked_gate_decides_as_relation_defect_per_item(pres_id, kind, size, dim):
-    """_gates on a stack is relation_defect(pres, rep) < gate item by item.
+    """_below(_defects(...), gate) on a stack is relation_defect(pres, rep) < gate item by item.
 
     The items straddle the gate 2^-m, so many relations are left unsure by
     the cheap bound and take the SVD; gates equal to an item's defect, and
@@ -268,8 +280,9 @@ def test_stacked_gate_decides_as_relation_defect_per_item(pres_id, kind, size, d
         gates += [Fraction(defect) for defect in defects[1:4]]
         gates += [float(np.nextafter(defect, np.inf)) for defect in defects[1:4]]
         for gate in gates:
-            passed, errors = _gates(pres, dim, _stack(reps), gate, len(reps))
-            assert errors == [None] * len(reps)
+            images = _stack(reps)
+            assert _screen(pres, dim, images, len(reps)) == [None] * len(reps)
+            passed = _below(_defects(pres, dim, images, gate), gate)
             assert passed.tolist() == [defect < gate for defect in defects], (pres_id, gate)
             assert passed.tolist() == [_defect_below(pres, rep, gate) for rep in reps]
             for rep in reps:
@@ -288,37 +301,55 @@ def _messages(errors):
     return [None if error is None else str(error) for error in errors]
 
 
+def _passed(pres, dim, images, gate, errors):
+    """Per item, whether _screen admitted it (errors is its verdict) and one gated
+    _defects pass over the admitted items puts its defect below gate."""
+    admitted = np.equal(errors, None)
+    passed = np.zeros(len(errors), dtype=bool)
+    if admitted.any():
+        stack = {name: img[admitted] for name, img in images.items()}
+        passed[admitted] = _below(_defects(pres, dim, stack, gate), gate)
+    return passed
+
+
 def test_stacked_gate_refuses_each_faulting_item():
-    """Every item is decided or refused with the error relation_defect raises on it alone."""
+    """_screen refuses every faulting item with the error relation_defect raises on it
+    alone, and one gated _defects pass decides the items it admits."""
     pres = free_unitaries(1)
     rng = rng_from_seed(88)
     reps = [Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(5)]
     images = _stack(reps)
     gate = Fraction(1, 2 ** 10)
-    passed, errors = _gates(pres, 2, images, gate, 5)
+    errors = _screen(pres, 2, images, 5)
+    passed = _passed(pres, 2, images, gate, errors)
     assert passed.tolist() == [True] * 5 and errors == [None] * 5
     images["e"] = images["e"].copy()
     images["e"][3, 0, 1] = 1e-300
-    passed, errors = _gates(pres, 2, images, gate, 5)
+    errors = _screen(pres, 2, images, 5)
+    passed = _passed(pres, 2, images, gate, errors)
     assert passed.tolist() == [True, True, True, False, True]
     assert _messages(errors) == [None, None, None, _NOT_UNIT, None]
     images["u1"][2] *= 1e200
-    passed, errors = _gates(pres, 2, images, gate, 5)
+    errors = _screen(pres, 2, images, 5)
+    passed = _passed(pres, 2, images, gate, errors)
     assert passed.tolist() == [True, True, False, False, True]
     assert _messages(errors) == [None, None, _OVERFLOW, _NOT_UNIT, None]
     with pytest.raises(PreconditionError, match="a relation overflows"):
         relation_defect(pres, Representation(2, {"u1": images["u1"][2]}))
     # an item that is wrong twice keeps the unit's error
     images["u1"][3] *= 1e200
-    passed, errors = _gates(pres, 2, images, gate, 5)
+    errors = _screen(pres, 2, images, 5)
+    passed = _passed(pres, 2, images, gate, errors)
     assert passed.tolist() == [True, True, False, False, True]
     assert _messages(errors) == [None, None, _OVERFLOW, _NOT_UNIT, None]
     missing = {"e": images["e"]}
-    passed, errors = _gates(pres, 2, missing, gate, 5)
+    errors = _screen(pres, 2, missing, 5)
+    passed = _passed(pres, 2, missing, gate, errors)
     assert passed.tolist() == [False] * 5
     assert _messages(errors) == ["missing image for generator 'u1'"] * 3 + [_NOT_UNIT] + [
         "missing image for generator 'u1'"]
-    passed, errors = _gates(pres, 2, {"u1": images["u1"]}, gate, 5)
+    errors = _screen(pres, 2, {"u1": images["u1"]}, 5)
+    passed = _passed(pres, 2, {"u1": images["u1"]}, gate, errors)
     assert passed.tolist() == [False] * 5
     assert _messages(errors) == ["missing image for generator 'e'"] * 5
 
@@ -327,8 +358,8 @@ def test_stacked_gate_refuses_each_faulting_item():
 def test_stack_faults_keep_their_own_errors(unit_at, overflow_at, monkeypatch):
     """A wrong unit and an overflowing relation in one stack each keep their message.
 
-    The gate decides the other items, the screen finds the same errors,
-    |q| is taken at the items it admits only, no SVD sees a refused item's
+    The screen finds both errors, the gate decides the other items, |q| is
+    taken at the items the screen admits only, no SVD sees a refused item's
     values, and the enumerator raises the earlier catalog position's error.
     """
     pres = free_unitaries(1)
@@ -347,11 +378,9 @@ def test_stack_faults_keep_their_own_errors(unit_at, overflow_at, monkeypatch):
     monkeypatch.setattr(presentations, "op_norms", finite_only)
     expected = [None] * 5
     expected[unit_at], expected[overflow_at] = _NOT_UNIT, _OVERFLOW
-    passed, errors = _gates(pres, 2, images, gate, 5)
-    assert _messages(errors) == expected
-    assert passed.tolist() == [message is None for message in expected]
     errors = _screen(pres, 2, images, 5)
     assert _messages(errors) == expected
+    assert _passed(pres, 2, images, gate, errors).tolist() == [m is None for m in expected]
     norms = _q_norms(compile_polynomials((q,)), 2, images, np.equal(errors, None))
     for i, rep in enumerate(reps):
         if expected[i] is None:
@@ -545,7 +574,11 @@ def test_witness_rejects_non_finite_eps(eps):
 
 
 def test_witness_decides_gates_without_exact_defect(monkeypatch):
-    """Admissible input: no relation_defect call; inadmissible: the measured defect."""
+    """One _defects pass per representation checked, and no relation_defect call.
+
+    An admissible input takes two passes (input and output), an inadmissible
+    one a single pass, whose value the HypothesisError carries bit for bit.
+    """
     import cstarkit.presentations as presentations
     fam = registered_presentation("matrix_units:3")
     rng = rng_from_seed(86)
@@ -561,12 +594,14 @@ def test_witness_decides_gates_without_exact_defect(monkeypatch):
         calls.append(representation)
         return _original(pres, representation)
     monkeypatch.setattr(presentations, "relation_defect", counted)
+    passes = _recorded(monkeypatch, "_defects")
     out = stability_witness("matrix_units:3", rep, 2.0 ** -4)
-    assert calls == []
+    assert calls == [] and len(passes) == 2
     assert relation_defect(fam.presentation, out) <= 1e-10
+    passes.clear()
     with pytest.raises(HypothesisError) as info:
         stability_witness("matrix_units:3", far, 2.0 ** -4)
-    assert calls == [far]
+    assert calls == [] and len(passes) == 1
     assert info.value.defect == defect
 
 
@@ -847,17 +882,18 @@ def test_enumeration_slack_is_exact_below_an_ulp(monkeypatch):
     pick norms - 2^-j >= bar let a second one through.
     """
     rounds, gated = [], {}
-    original_round, original_gates = RepresentationCatalog._round, presentations._gates
+    original_round, original_defects = RepresentationCatalog._round, presentations._defects
 
     def round_spy(self, pres_id, round_index, count):
         rounds.append(round_index)
         return original_round(self, pres_id, round_index, count)
 
-    def gates_spy(pres, dim, images, gate, count):
+    def defects_spy(pres, dim, images, gate):
+        count = len(images[pres.unit_generator])
         gated[rounds[-1]] = gated.get(rounds[-1], 0) + count
-        return original_gates(pres, dim, images, gate, count)
+        return original_defects(pres, dim, images, gate)
     monkeypatch.setattr(RepresentationCatalog, "_round", round_spy)
-    monkeypatch.setattr(presentations, "_gates", gates_spy)
+    monkeypatch.setattr(presentations, "_defects", defects_spy)
     q = generator("u1") + generator("u1").adjoint()
     values = _enumerate("free_unitaries:1", q, budget=2000, seed=1)
     assert len(values) > 54
@@ -932,7 +968,11 @@ def test_enumeration_accepts_numpy_integer_budget():
 
 
 def _reference_enumerate(pres, q, catalog, pres_id, budget):
-    """norm_lower_enumerate one representation at a time: _defect_below, eval_poly, op_norm."""
+    """norm_lower_enumerate one representation at a time: _defect_below, eval_poly, op_norm.
+
+    _defect_below is relation_defect(pres, rep) < gate, as
+    test_screened_gate_decides_as_relation_defect checks.
+    """
     table = registered_presentation(pres_id).table
     lip = lipschitz_bound(q, pres.bounds)
     pad = max(0, ceil_log2(lip)) if lip > 0 else 0
@@ -1034,7 +1074,7 @@ def test_round_stacks_hold_at_most_the_entry_cap(monkeypatch):
     monkeypatch.setattr(RepresentationCatalog, "_round", round_spy)
     screened = _recorded(monkeypatch, "_screen")
     normed = _recorded(monkeypatch, "_q_norms")
-    gated = _recorded(monkeypatch, "_gates")
+    gated = _recorded(monkeypatch, "_defects")
     list(_benchmark_job(1))
     shapes = [(block.dim, len(block.at)) for block in blocks]
     assert len(shapes) == 10 and sum(items for _, items in shapes) == 66
@@ -1048,7 +1088,7 @@ def test_round_stacks_hold_at_most_the_entry_cap(monkeypatch):
 
 def test_benchmark_job_gates_at_most_two_items(monkeypatch):
     """A benchmark job gates its record candidates only: one or two of its 66 items."""
-    gated = _recorded(monkeypatch, "_gates")
+    gated = _recorded(monkeypatch, "_defects")
     for seed in range(1, 11):
         gated.clear()
         assert list(_benchmark_job(seed))
@@ -1085,12 +1125,13 @@ def test_record_gating_matches_reference_when_few_items_pass(rate, monkeypatch):
     """Gates that pass about one item in `rate` still emit as the reference.
 
     Each item keeps its gate only when a checksum of its u1 image is
-    divisible by rate, so the enumerator and the reference, which both gate
-    through _gates, see the same passes.  Windows hold at most 1, 2, 4, ...
-    candidates, back to one after each emission.  At 1/40 some window grows
+    divisible by rate (a dropped item reads an infinite defect), so the
+    enumerator and the reference, which both gate through _defects, see the
+    same passes.  Windows hold at most 1, 2, 4, ... candidates, back to one
+    after each emission.  At 1/40 some window grows
     as wide as its whole round, and the walk still emits as the reference.
     """
-    original = presentations._gates
+    original = presentations._defects
     events, sizes = [], []
     original_gated = presentations._gated
 
@@ -1105,11 +1146,11 @@ def test_record_gating_matches_reference_when_few_items_pass(rate, monkeypatch):
             events.append("emit")
             yield value
 
-    def sparse(pres, dim, images, gate, count):
-        passed, errors = original(pres, dim, images, gate, count)
-        keep = [zlib.crc32(images["u1"][k].tobytes()) % rate == 0 for k in range(count)]
-        return passed & np.array(keep, dtype=bool), errors
-    monkeypatch.setattr(presentations, "_gates", sparse)
+    def sparse(pres, dim, images, gate):
+        defects = original(pres, dim, images, gate)
+        keep = [zlib.crc32(images["u1"][k].tobytes()) % rate == 0 for k in range(len(defects))]
+        return np.where(keep, defects, np.inf)
+    monkeypatch.setattr(presentations, "_defects", sparse)
     pres = registered_presentation("free_unitaries:1").presentation
     u = generator("u1")
     for q in (u + u.adjoint(), 3 * generator("e") + u):
@@ -1136,10 +1177,10 @@ def test_record_gating_matches_reference_when_few_items_pass(rate, monkeypatch):
 def test_failing_gates_take_logarithmically_many_calls(monkeypatch):
     """When every candidate fails its gate, the gate windows keep doubling.
 
-    Per round and dimension _gates then runs at most log2(round size) + 1
+    Per round and dimension _defects then runs at most log2(round size) + 1
     times, and over the run hardly more often than once per dimension stack.
     """
-    gated = _recorded(monkeypatch, "_gates")
+    gated = _recorded(monkeypatch, "_defects")
     rounds = []
     original = RepresentationCatalog._round
 
@@ -1170,7 +1211,7 @@ def test_overflowing_relation_raises_at_a_non_candidate(monkeypatch):
     images["u1"][2] *= 1e200
     monkeypatch.setattr(RepresentationCatalog, "_round",
                         lambda self, pres_id, j, count: [_Block(2, list(range(count)), images)])
-    gated = _recorded(monkeypatch, "_gates")
+    gated = _recorded(monkeypatch, "_defects")
     # |q| = 4 everywhere: item 0 emits 3, and no later item can beat it
     stream = norm_lower_enumerate(free_unitaries(1), 4 * generator("e"),
                                   RepresentationCatalog(per_round=2), "free_unitaries:1", 10)
@@ -1184,14 +1225,13 @@ _NEAR_MAX = int(1.5e308)          # a float, but twice it is not
 def test_screen_evaluates_only_relations_in_range_cannot_clear(monkeypatch):
     """The overflow bound clears catalog items without evaluating their relations.
 
-    A benchmark job evaluates relations only for the items it gates; a
-    relation with coefficients near the float ceiling is evaluated at every
-    item, and its finite values refuse none.
+    A benchmark job's screen evaluates no relation; a relation with
+    coefficients near the float ceiling is evaluated at every item, and its
+    finite values refuse none.
     """
     evaluated = _recorded(monkeypatch, "_relation_values")
-    gated = _recorded(monkeypatch, "_gates")
-    list(_benchmark_job(1))
-    assert [items for _, _, items in evaluated] == [items for _, _, items in gated]
+    assert list(_benchmark_job(1))
+    assert evaluated == []
     u, e = generator("u1"), generator("e")
     rng = rng_from_seed(91)
     images = _stack([Representation(2, {"u1": random_unitary(rng, 2)}) for _ in range(5)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cstarkit.errors import PreconditionError
 from cstarkit.operators import DEFAULT_TOL, dagger
 from cstarkit.rounding import ROUNDING_KINDS, _povm_parts, isometry_defect, stability_modulus
 from cstarkit.sampling import (_draw_ginibre, _draw_partial_isometry, _draw_povm,
@@ -222,3 +223,45 @@ def test_random_pvm_matches_per_block_construction():
             got = random_pvm(rng, dim, k)
             assert np.array(got).tobytes() == np.array(expected).tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _instance(kind):
+    """almost_<kind>_instance as build(rng, dim, delta, k=2)."""
+    return lambda rng, dim, delta, k=2: _per_item(kind, rng, dim, k, delta)
+
+
+_REFUSED = [(_instance(kind), (dim, delta), message) for kind in ROUNDING_KINDS
+            for dim, delta, message in (
+                (3, 0.0, "delta must be positive"), (3, -0.25, "delta must be positive"),
+                (3, float("nan"), "delta must be positive"),
+                (3, float("inf"), "delta must be positive and finite"),
+                (0, 0.25, "dim must be a positive integer"), (2.0, 0.25, "dim must be an integer"))]
+_REFUSED += [
+    (_instance("povm"), (3, 0.25, 2.0), "k must be an integer"),
+    (_instance("pvm"), (3, 0.25, 0), "need at least one outcome"),
+    (random_unitary, (2.0,), "dim must be an integer"),
+    (random_unitary, (0,), "dim must be a positive integer"),
+    (random_unitary, (True,), "dim must be an integer"),
+    (random_projection, (3, 1.5), "rank must be an integer"),
+    (random_projection, (3, 4), r"rank must lie in \[0, 3\]"),
+    (random_projection, (-1,), "dim must be a positive integer"),
+    (random_hermitian, (0,), "dim must be a positive integer"),
+    (random_povm, (2, 1.0), "k must be an integer"),
+    (random_pvm, (2.5, 2), "dim must be an integer"),
+]
+
+
+@pytest.mark.parametrize("build, args, message", _REFUSED)
+def test_public_builders_refuse_bad_sizes_and_deltas_before_drawing(build, args, message):
+    """dim, k and rank go through errors.integral, dim is at least 1 and delta is
+    positive and finite; a refused call raises PreconditionError and draws nothing.
+
+    A delta of 0 or below used to run 60 shrink rounds and fail to shrink, a
+    non-finite one to fail on non-finite entries, and a float dim or rank to
+    raise TypeError.
+    """
+    rng = rng_from_seed(83)
+    state = rng.bit_generator.state
+    with pytest.raises(PreconditionError, match=message):
+        build(rng, *args)
+    assert rng.bit_generator.state == state
