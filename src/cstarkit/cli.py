@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -24,8 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import ParseError, PreconditionError, integral
 from .formats import (FORMAT_VERSION, parse_game, parse_polynomial,
-                      parse_presentation, report_lines, sha256_file,
-                      write_report)
+                      parse_presentation, report_lines, write_report)
 from .games import Measurement, NonlocalGame, game_value
 # op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
 # checks that tracing rebinds cstarkit.cli.op_norm
@@ -70,12 +71,9 @@ class RunConfig:
         if self.command not in _COMMANDS:
             raise PreconditionError(f"unknown command {self.command!r}")
         for name in ("seed", "budget", "iters", "dim", "grid_denominator"):
-            object.__setattr__(self, name, integral(getattr(self, name), name))
+            low = 0 if name in ("seed", "budget") else None
+            object.__setattr__(self, name, integral(getattr(self, name), name, low))
         object.__setattr__(self, "dims", tuple(integral(d, "dims entries") for d in self.dims))
-        if self.budget < 0:
-            raise PreconditionError(f"budget must be nonnegative, got {self.budget}")
-        if self.seed < 0:
-            raise PreconditionError(f"seed must be nonnegative, got {self.seed}")
         for d in (*self.dims, self.dim):
             if d > _MAX_DIM:
                 raise PreconditionError(
@@ -100,12 +98,23 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_input(path: str) -> tuple[str, str]:
+    """An input file's text and the sha256 of its bytes, both from one read.
+
+    The text is decoded as open(path, encoding="utf-8") decodes it, newlines
+    made universal, so parse errors keep their line and column.  A file
+    that cannot be read or decoded is a ParseError (exit 2).
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except (OSError, UnicodeDecodeError) as ex:
+        raise ParseError(f"cannot read input file: {ex}") from None
+    return text, hashlib.sha256(data).hexdigest()
 
 
-def _header(config: RunConfig, inputs: list[tuple[str, str]]) -> dict:
+def _header(config: RunConfig, inputs: list[tuple[str, str, str]]) -> dict:
     return {
         "type": "header",
         "format_version": FORMAT_VERSION,
@@ -113,8 +122,8 @@ def _header(config: RunConfig, inputs: list[tuple[str, str]]) -> dict:
         "library_version": __version__,
         "command": config.command,
         "config": _config_echo(config),
-        "inputs": [{"role": role, "path": path, "sha256": sha256_file(path)}
-                   for role, path in inputs],
+        "inputs": [{"role": role, "path": path, "sha256": digest}
+                   for role, path, digest in inputs],
         "seed": config.seed,
     }
 
@@ -148,9 +157,10 @@ def _require(config: RunConfig, name: str) -> str:
     return value
 
 
-def _load_game(config: RunConfig) -> tuple[NonlocalGame, list[tuple[str, str]]]:
+def _load_game(config: RunConfig) -> tuple[NonlocalGame, list[tuple[str, str, str]]]:
     path = _require(config, "game")
-    return parse_game(_read_text(path)), [("game", path)]
+    text, digest = _read_input(path)
+    return parse_game(text), [("game", path, digest)]
 
 
 def _stream(config: RunConfig) -> CandidateStream:
@@ -233,8 +243,9 @@ def _cmd_norm_enumerate(config: RunConfig, tol: Tolerance):
     family = registered_presentation(pres_id)
     inputs = []
     if config.presentation is not None:
-        pres = parse_presentation(_read_text(config.presentation))
-        inputs.append(("presentation", config.presentation))
+        text, digest = _read_input(config.presentation)
+        pres = parse_presentation(text)
+        inputs.append(("presentation", config.presentation, digest))
     else:
         pres = family.presentation
     poly = parse_polynomial(_require(config, "poly"), declared=set(pres.names))
@@ -269,12 +280,22 @@ def run(config: RunConfig) -> int:
 
     Raises ParseError / PreconditionError for the caller to map to exit
     codes (console_main does this); budget exhaustion is not an exception.
+    An --out that is a directory, or whose directory is missing, is a
+    ParseError before any work, and so is a failed write after it.
     """
+    if config.out is not None:
+        if os.path.isdir(config.out):
+            raise ParseError(f"cannot write report: {config.out!r} is a directory")
+        if not os.path.isdir(os.path.dirname(config.out) or "."):
+            raise ParseError(f"cannot write report: the directory of {config.out!r} is missing")
     code, inputs, records, summary, lines = _RUNNERS[config.command](
         config, config.tolerance())
     report = [_header(config, inputs)] + records + [summary]
     if config.out is not None:
-        write_report(config.out, report)
+        try:
+            write_report(config.out, report)
+        except OSError as ex:
+            raise ParseError(f"cannot write report: {ex}") from None
         for line in lines:
             print(line)
         print(f"report: {config.out}")
@@ -383,9 +404,6 @@ def console_main(argv=None) -> int:
         return run(config_from_args(args))
     except ParseError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as ex:
-        print(f"parse error: cannot read input file: {ex}", file=sys.stderr)
         return 2
     except PreconditionError as ex:
         print(f"precondition error: {ex}", file=sys.stderr)

@@ -14,16 +14,26 @@ class PreconditionError(ValueError):
     """A mathematical precondition of an operation does not hold."""
 
 
-def integral(value, name: str) -> int:
-    """value as a Python int (numpy integers too); PreconditionError for anything else.
+def integral(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """value as a Python int (numpy integers too) in [low, high]; PreconditionError otherwise.
 
     Uses operator.index, so 2.7 or 10.0 is refused rather than truncated;
-    a bool is refused too, although Python counts it as an int.
+    a bool is refused too, although Python counts it as an int.  Either
+    bound may be left out (high only together with low); a value outside
+    them is refused as, say, "dim must be a positive integer, got 0".
     """
+    n = None
     if not isinstance(value, bool):
         with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise PreconditionError(f"{name} must be an integer, got {value!r}")
+            n = operator.index(value)
+    if n is None:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and n < low) or (high is not None and n > high):
+        wanted = (f"an integer between {low} and {high}" if high is not None
+                  else {0: "a nonnegative integer", 1: "a positive integer"}.get(
+                      low, f"an integer of at least {low}"))
+        raise PreconditionError(f"{name} must be {wanted}, got {n}")
+    return n
 
 
 class HypothesisError(PreconditionError):

@@ -106,10 +106,7 @@ class Representation:
     unit: str = "e"
 
     def __post_init__(self) -> None:
-        dim = integral(self.dim, "dim")
-        if dim < 1:
-            raise PreconditionError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", integral(self.dim, "dim", 1))
         eye = np.eye(self.dim, dtype=np.complex128)
         fixed: dict[str, np.ndarray] = {}
         for name, img in dict(self.images).items():
@@ -218,9 +215,7 @@ class StabilityModulusTable:
     modulus: Callable[[int], int]
 
     def of(self, n: int) -> int:
-        n = integral(n, "modulus argument")
-        if n < 0:
-            raise PreconditionError(f"modulus argument must be a natural number, got {n}")
+        n = integral(n, "modulus argument", 0)
         m = self.modulus(n)
         if not isinstance(m, int) or m < 0:
             raise ArithmeticError(f"modulus table returned a non-natural value {m!r} at {n}")
@@ -241,9 +236,7 @@ def trivial_presentation() -> Presentation:
 
 def free_unitaries(n: int) -> Presentation:
     """n universal unitaries u1..un: uk* uk = uk uk* = 1, bounds 1."""
-    if integral(n, "unitary count") < 1:
-        raise PreconditionError(f"need at least one unitary generator, got {n}")
-    names = [f"u{k}" for k in range(1, n + 1)]
+    names = [f"u{k}" for k in range(1, integral(n, "unitary count", 1) + 1)]
     e = generator("e")
     return _unital(names, [rel for u in map(generator, names)
                            for rel in (u.adjoint() * u - e, u * u.adjoint() - e)])
@@ -251,9 +244,7 @@ def free_unitaries(n: int) -> Presentation:
 
 def projections_presentation(n: int) -> Presentation:
     """n universal projections p1..pn: pk = pk* = pk^2, bounds 1."""
-    if integral(n, "projection count") < 1:
-        raise PreconditionError(f"need at least one projection generator, got {n}")
-    names = [f"p{k}" for k in range(1, n + 1)]
+    names = [f"p{k}" for k in range(1, integral(n, "projection count", 1) + 1)]
     return _unital(names, [rel for p in map(generator, names)
                            for rel in (p * p - p, p.adjoint() - p)])
 
@@ -265,8 +256,7 @@ def matrix_units(k: int) -> Presentation:
     and sum of diagonal units equal to the unit.  Single-digit indices keep
     names unambiguous, so k is capped at 9 (far beyond desk scale already).
     """
-    if not 1 <= integral(k, "matrix-unit size") <= 9:
-        raise PreconditionError(f"matrix-unit size must be between 1 and 9, got {k}")
+    k = integral(k, "matrix-unit size", 1, 9)
     index = range(1, k + 1)
     units = {(i, j): generator(f"e{i}{j}") for i in index for j in index}
     rels = [sum((units[i, i] for i in range(2, k + 1)), units[1, 1]) - generator("e")]
@@ -286,9 +276,7 @@ def cuntz(n: int) -> Presentation:
     Constructible for defect evaluation only; deliberately not registered
     for stability witnesses (no finite-dimensional representations exist).
     """
-    if integral(n, "isometry count") < 2:
-        raise PreconditionError(f"Cuntz relations need at least two isometries, got {n}")
-    names = [f"s{k}" for k in range(1, n + 1)]
+    names = [f"s{k}" for k in range(1, integral(n, "isometry count", 2) + 1)]
     s = [generator(name) for name in names]
     e = generator("e")
     ranges = sum((t * t.adjoint() for t in s[1:]), s[0] * s[0].adjoint())
@@ -497,9 +485,7 @@ def combine_moduli(kind: str, base: StabilityModulusTable, size: int) -> Stabili
     shifted index and the block bookkeeping (unit projections of summands,
     matrix units of the amplification) adds its own rounding budget.
     """
-    size = integral(size, "size")
-    if size < 1:
-        raise PreconditionError(f"size must be a positive integer, got {size!r}")
+    size = integral(size, "size", 1)
     pad = (size - 1).bit_length()
     label = f"{kind}({base.presentation_id},{size})"
     if kind == "direct_sum":
@@ -535,18 +521,12 @@ class RepresentationCatalog:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        dims = tuple(integral(d, "dims entries") for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise PreconditionError(f"dims must be positive integers, got {self.dims}")
+        dims = tuple(integral(d, "dims entries", 1) for d in self.dims)
+        if not dims:
+            raise PreconditionError("dims must be nonempty")
         object.__setattr__(self, "dims", dims)
-        per_round = integral(self.per_round, "per_round")
-        if per_round < 0:
-            raise PreconditionError(f"per_round must be nonnegative, got {self.per_round}")
-        object.__setattr__(self, "per_round", per_round)
-        seed = integral(self.seed, "seed")
-        if seed < 0:
-            raise PreconditionError(f"seed must be nonnegative, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "per_round", integral(self.per_round, "per_round", 0))
+        object.__setattr__(self, "seed", integral(self.seed, "seed", 0))
 
     def batch(self, pres_id: str, round_index: int) -> list[Representation]:
         """Deterministic list of candidate representations for one round."""
@@ -674,9 +654,7 @@ def norm_lower_enumerate(pres: Presentation, q: NCPolynomial,
     a time.
     """
     family = registered_presentation(pres_id)
-    budget = integral(budget, "budget")
-    if budget < 0:
-        raise PreconditionError(f"budget must be nonnegative, got {budget}")
+    budget = integral(budget, "budget", 0)
     stray = q.symbols() - set(pres.names)
     if stray:
         raise PreconditionError(f"q mentions undeclared generators: {sorted(stray)}")

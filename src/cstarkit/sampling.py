@@ -44,17 +44,9 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _checked_dim(dim) -> int:
-    """A public builder's dim as a Python int; PreconditionError unless it is at least 1."""
-    dim = integral(dim, "dim")
-    if dim < 1:
-        raise PreconditionError(f"dim must be a positive integer, got {dim}")
-    return dim
-
-
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase correction."""
-    return _haar_unitaries(_draw_ginibre(rng, _checked_dim(dim)))
+    return _haar_unitaries(_draw_ginibre(rng, integral(dim, "dim", 1)))
 
 
 def _draw_ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -70,10 +62,8 @@ def _haar_unitaries(z: np.ndarray) -> np.ndarray:
 
 
 def random_projection(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    dim = _checked_dim(dim)
-    rank = int(rng.integers(0, dim + 1)) if rank is None else integral(rank, "rank")
-    if not 0 <= rank <= dim:
-        raise PreconditionError(f"rank must lie in [0, {dim}], got {rank}")
+    dim = integral(dim, "dim", 1)
+    rank = int(rng.integers(0, dim + 1)) if rank is None else integral(rank, "rank", 0, dim)
     return _rank_projections(random_unitary(rng, dim)[None], np.array([rank]))[0]
 
 
@@ -100,7 +90,10 @@ def _rank_products(left: np.ndarray, right: np.ndarray, ranks: np.ndarray) -> np
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, norm: float = 1.0) -> np.ndarray:
-    return _scaled(_draw_hermitians(rng, _checked_dim(dim), 1)[0], norm)
+    dim = integral(dim, "dim", 1)
+    if not 0 <= norm < math.inf:
+        raise PreconditionError(f"norm must be nonnegative and finite, got {norm!r}")
+    return _scaled(_draw_hermitians(rng, dim, 1)[0], norm)
 
 
 def _draw_hermitians(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -120,14 +113,9 @@ def _scaled(h: np.ndarray, norm: float) -> np.ndarray:
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = _draw_ginibre(rng, _checked_dim(dim))
+    g = _draw_ginibre(rng, integral(dim, "dim", 1))
     rho = g @ dagger(g)
     return rho / float(np.trace(rho).real)
-
-
-def _check_outcomes(k: int) -> None:
-    if integral(k, "k") < 1:
-        raise PreconditionError(f"need at least one outcome, got {k}")
 
 
 def _instance_dim(dim, delta, k: int = 1) -> int:
@@ -136,8 +124,8 @@ def _instance_dim(dim, delta, k: int = 1) -> int:
     PreconditionError unless dim and k are integers of at least 1 and delta
     is positive and finite, before any random number is drawn.
     """
-    dim = _checked_dim(dim)
-    _check_outcomes(k)
+    dim = integral(dim, "dim", 1)
+    integral(k, "k", 1)
     if not 0 < delta < math.inf:
         raise PreconditionError(f"delta must be positive and finite, got {delta!r}")
     return dim
@@ -145,8 +133,7 @@ def _instance_dim(dim, delta, k: int = 1) -> int:
 
 def random_povm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
     """Exact POVM from a ridge-regularized Gram construction."""
-    dim = _checked_dim(dim)
-    _check_outcomes(k)
+    dim, k = integral(dim, "dim", 1), integral(k, "k", 1)
     return list(_gram_povms(rng.normal(size=(k, 2, dim, dim))))
 
 
@@ -180,8 +167,7 @@ def _gram_bases(normals: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 def random_pvm(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
     """Exact PVM: a random unitary conjugate of a basis partition."""
-    dim = _checked_dim(dim)
-    _check_outcomes(k)
+    dim, k = integral(dim, "dim", 1), integral(k, "k", 1)
     labels = rng.integers(0, k, size=dim)
     u = random_unitary(rng, dim)
     return list(_pvm_bases(labels[None], u[None], np.array([k]), k)[0])
@@ -345,7 +331,6 @@ def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: floa
 
 
 def _draw_povm(rng: np.random.Generator, dim: int, k: int) -> tuple:
-    _check_outcomes(k)
     return rng.normal(size=(k, 2, dim, dim)), _draw_hermitians(rng, dim, k)
 
 
@@ -371,7 +356,6 @@ def almost_pvm_instance(rng: np.random.Generator, dim: int, k: int, delta: float
 
 
 def _draw_pvm(rng: np.random.Generator, dim: int, k: int) -> tuple:
-    _check_outcomes(k)
     return rng.integers(0, k, size=dim), _draw_ginibre(rng, dim), _draw_hermitians(rng, dim, k)
 
 
@@ -390,8 +374,10 @@ def perturbation_suite(dims, budget: int, seed: int, tol: Tolerance = DEFAULT_TO
 
     Each cell rounds budget seeded almost-instances at the dims >= 2; the first
     refusal in (kind, eps, index) order is raised, so every row returned has passed.
+    budget and every dims entry are at least 1, and seed at least 0.
     """
-    dims = np.array([d for d in dims if d >= 2])
+    budget, seed = integral(budget, "budget", 1), integral(seed, "seed", 0)
+    dims = np.array([d for d in dims if integral(d, "dims entries", 1) >= 2])
     if not len(dims):
         raise PreconditionError("perturb-suite needs at least one dim >= 2")
     rows = []

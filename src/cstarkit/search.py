@@ -83,23 +83,17 @@ class CandidateStream:
     planted: tuple = ()
 
     def __post_init__(self) -> None:
-        dims = tuple(integral(d, "dims entries") for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise PreconditionError("dims must be a nonempty sequence of positive integers")
+        dims = tuple(integral(d, "dims entries", 1) for d in self.dims)
+        if not dims:
+            raise PreconditionError("dims must be nonempty")
         object.__setattr__(self, "dims", dims)
         q = integral(self.grid_denominator, "grid_denominator")
         if q < 2 or q & (q - 1):
             raise PreconditionError("grid_denominator must be a power of two, at least 2, "
                                     f"got {self.grid_denominator!r}")
         object.__setattr__(self, "grid_denominator", q)
-        budget = integral(self.budget, "budget")
-        if budget < 1:
-            raise PreconditionError(f"budget must be at least 1, got {self.budget!r}")
-        object.__setattr__(self, "budget", budget)
-        seed = integral(self.seed, "seed")
-        if seed < 0:
-            raise PreconditionError(f"seed must be nonnegative, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "budget", integral(self.budget, "budget", 1))
+        object.__setattr__(self, "seed", integral(self.seed, "seed", 0))
         object.__setattr__(self, "planted", tuple(self.planted))
 
 
@@ -305,6 +299,13 @@ def _witness(game: NonlocalGame, stream: CandidateStream, examined: int, ops: np
                    certified_value=certified_value, defect=check.worst_defect)
 
 
+def _unit_delta(delta: float, name: str = "delta") -> float:
+    """delta, once it is checked to lie in [0, 1]; PreconditionError otherwise (NaN too)."""
+    if not 0.0 <= delta <= 1.0:
+        raise PreconditionError(f"{name} = {delta!r} must lie in [0, 1]")
+    return delta
+
+
 def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
                           tol: Tolerance = DEFAULT_TOL) -> SearchVerdict:
     """Half-decide membership of z by sweeping the candidate stream.
@@ -316,9 +317,7 @@ def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
     if not isinstance(z, str) or set(z) - {"0", "1"}:
         raise PreconditionError(f"z must be a string of 0s and 1s, got {z!r}")
     game = family.encode(z)
-    delta = float(family.delta(len(z)))
-    if not 0.0 <= delta <= 1.0:
-        raise PreconditionError(f"delta({len(z)}) = {delta!r} must lie in [0, 1]")
+    delta = _unit_delta(float(family.delta(len(z))), f"delta({len(z)})")
     start = time.perf_counter()
     for scored in _witnesses(game, stream, delta, tol):
         if scored[3] > 0.5:
@@ -341,8 +340,7 @@ def evaluate_stream(game: NonlocalGame, stream: CandidateStream, delta: float,
     bound, so the result is a stream-limited estimate, not a proven lower
     bound, of the delta-almost-commuting value of the game.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
+    _unit_delta(delta)
     best = None
     for scored in _witnesses(game, stream, delta, tol):
         if best is None or scored[3] > best[3]:
@@ -476,11 +474,9 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
     improve the objective are rolled back, so the recorded trace never
     decreases.  Returns the final strategy and the objective trace.
     """
-    dim, iters, seed = integral(dim, "dim"), integral(iters, "iters"), integral(seed, "seed")
-    if dim < 1:
-        raise PreconditionError(f"dim must be at least 1, got {dim!r}")
-    if not 0.0 <= delta <= 1.0:
-        raise PreconditionError(f"delta = {delta!r} must lie in [0, 1]")
+    dim, iters = integral(dim, "dim", 1), integral(iters, "iters", 1)
+    seed = integral(seed, "seed", 0)
+    _unit_delta(delta)
     if not (math.isfinite(mu) and mu >= 0):
         raise PreconditionError(f"mu must be finite and nonnegative, got {mu!r}")
     # the penalty sums n^2 k^2 commutator norms, each at most 2
@@ -488,10 +484,6 @@ def seesaw_optimize(game: NonlocalGame, dim: int, delta: float = 0.0, mu: float 
     if not math.isfinite(mu * largest):
         raise PreconditionError(
             f"mu = {mu!r} times the largest possible penalty {largest} overflows float range")
-    if iters < 1:
-        raise PreconditionError(f"iters must be at least 1, got {iters!r}")
-    if seed < 0:
-        raise PreconditionError(f"seed must be nonnegative, got {seed!r}")
     if init is not None:
         alice, bob = init
         check_shapes(game, alice, bob)

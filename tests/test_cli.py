@@ -52,6 +52,80 @@ def test_missing_file_exit_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+# Each command with desk-scale flags; "{input}" marks the input file it reads.
+_CONTRACT_COMMANDS = {
+    "classical-value": ["--game", "{input}"],
+    "game-value": ["--game", "{input}", "--budget", 5, "--dims", "2"],
+    "semidecide": ["--game", "{input}", "--budget", 5, "--dims", "2"],
+    "seesaw": ["--game", "{input}", "--iters", 1],
+    "perturb-suite": ["--budget", 1, "--dims", "2"],
+    "norm-enumerate": ["--pres-id", "free_unitaries:1", "--poly", "u1", "--budget", 2,
+                       "--presentation", "{input}"],
+}
+# (input file, --out, stderr fragment) per case, made inside a fresh directory;
+# None keeps the working input and the report path tmp/report.jsonl
+_CONTRACT_CASES = {
+    "input is a directory": (lambda tmp: tmp, None, "cannot read input file"),
+    "input is missing": (lambda tmp: tmp / "absent.json", None, "cannot read input file"),
+    "input is empty": (lambda tmp: _written(tmp / "empty.json", b""), None, "parse error"),
+    "input is not UTF-8": (lambda tmp: _written(tmp / "latin1.json", b'{"n": "\xe9"}'), None,
+                           "cannot read input file"),
+    "out is a directory": (None, lambda tmp: _made(tmp / "reports"), "cannot write report"),
+    "out is in a missing directory": (None, lambda tmp: tmp / "absent" / "report.jsonl",
+                                      "cannot write report"),
+}
+
+# every --out case for every command, the input cases for the commands that read a file
+_CONTRACT = [(command, case) for command in sorted(_CONTRACT_COMMANDS)
+             for case in sorted(_CONTRACT_CASES)
+             if "{input}" in _CONTRACT_COMMANDS[command] or _CONTRACT_CASES[case][0] is None]
+
+
+def _written(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def _made(path):
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("command, case", _CONTRACT)
+def test_file_system_inputs_keep_the_exit_code_contract(tmp_path, capsys, command, case):
+    """A bad input file or --out path exits 2 or 3 with one stderr line and writes no report.
+
+    A directory or a non-UTF-8 file as an input used to end in a traceback
+    (exit 1), a directory as --out in one after the whole run, and an --out
+    in a missing directory in a message about an input file.
+    """
+    make_input, make_out, fragment = _CONTRACT_CASES[case]
+    argv = _CONTRACT_COMMANDS[command]
+    pres = _presentation_file(tmp_path) if command == "norm-enumerate" else DATA / "chsh.json"
+    source = pres if make_input is None else make_input(tmp_path)
+    out = tmp_path / "report.jsonl" if make_out is None else make_out(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code = run_cli([command] + [source if a == "{input}" else a for a in argv] + ["--out", out])
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert fragment in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_report_write_exit_two(tmp_path, monkeypatch, capsys):
+    def refuse(path, records):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_report", refuse)
+    out = tmp_path / "report.jsonl"
+    assert run_cli(["classical-value", "--game", DATA / "chsh.json", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: cannot write report: [Errno 13]")
+    assert captured.out == ""
+
+
 def test_malformed_game_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2, "k": 2, "pi": [[0.5, 0.5], [0.5, 0.5]], "win": []}')
@@ -430,6 +504,17 @@ def test_header_fields_and_digest(tmp_path):
     (entry,) = header["inputs"]
     assert entry["role"] == "game"
     assert entry["sha256"] == sha256_file(str(game))
+
+
+def test_input_text_and_digest_come_from_one_read(tmp_path, capsys):
+    """The text is what a UTF-8 text-mode open reads, newlines made universal, so
+    a parse error keeps its line; the digest is sha256_file's, of the raw bytes."""
+    path = tmp_path / "game.json"
+    path.write_bytes('{\r\n"n": 2,\r"k": 2,\n"pi": [}'.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert cli._read_input(str(path)) == (fh.read(), sha256_file(str(path)))
+    assert run_cli(["classical-value", "--game", path]) == 2
+    assert "line 4" in capsys.readouterr().err
 
 
 def test_report_goes_to_stdout_without_out(capsys):

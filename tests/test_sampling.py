@@ -13,8 +13,9 @@ from cstarkit.sampling import (_draw_ginibre, _draw_partial_isometry, _draw_povm
                                _pvm_instances, _shrink, _unitary_instances,
                                almost_partial_isometry_instance, almost_povm_instance,
                                almost_projection_instance, almost_pvm_instance,
-                               almost_unitary_instance, random_hermitian, random_povm,
-                               random_projection, random_pvm, random_unitary, rng_from_seed)
+                               almost_unitary_instance, perturbation_suite, random_hermitian,
+                               random_povm, random_projection, random_pvm, random_unitary,
+                               rng_from_seed)
 
 
 def _stacked(kind, rng, dim, k, deltas):
@@ -238,30 +239,54 @@ _REFUSED = [(_instance(kind), (dim, delta), message) for kind in ROUNDING_KINDS
                 (0, 0.25, "dim must be a positive integer"), (2.0, 0.25, "dim must be an integer"))]
 _REFUSED += [
     (_instance("povm"), (3, 0.25, 2.0), "k must be an integer"),
-    (_instance("pvm"), (3, 0.25, 0), "need at least one outcome"),
+    (_instance("pvm"), (3, 0.25, 0), "k must be a positive integer"),
     (random_unitary, (2.0,), "dim must be an integer"),
     (random_unitary, (0,), "dim must be a positive integer"),
     (random_unitary, (True,), "dim must be an integer"),
     (random_projection, (3, 1.5), "rank must be an integer"),
-    (random_projection, (3, 4), r"rank must lie in \[0, 3\]"),
+    (random_projection, (3, 4), "rank must be an integer between 0 and 3"),
     (random_projection, (-1,), "dim must be a positive integer"),
     (random_hermitian, (0,), "dim must be a positive integer"),
     (random_povm, (2, 1.0), "k must be an integer"),
     (random_pvm, (2.5, 2), "dim must be an integer"),
+    (random_hermitian, (2, float("nan")), "norm must be nonnegative and finite"),
+    (random_hermitian, (2, float("inf")), "norm must be nonnegative and finite"),
+    (random_hermitian, (2, -1.0), "norm must be nonnegative and finite"),
 ]
 
 
 @pytest.mark.parametrize("build, args, message", _REFUSED)
 def test_public_builders_refuse_bad_sizes_and_deltas_before_drawing(build, args, message):
-    """dim, k and rank go through errors.integral, dim is at least 1 and delta is
-    positive and finite; a refused call raises PreconditionError and draws nothing.
+    """dim, k and rank go through errors.integral, dim is at least 1, delta is
+    positive and finite and a norm nonnegative and finite; a refused call
+    raises PreconditionError and draws nothing.
 
     A delta of 0 or below used to run 60 shrink rounds and fail to shrink, a
     non-finite one to fail on non-finite entries, and a float dim or rank to
-    raise TypeError.
+    raise TypeError.  A NaN norm used to fail in LAPACK, an infinite one to
+    give NaN entries and a negative one a matrix of norm 1.
     """
     rng = rng_from_seed(83)
     state = rng.bit_generator.state
     with pytest.raises(PreconditionError, match=message):
         build(rng, *args)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("dims, budget, seed, message", [
+    ((2, 3), -1, 0, "budget must be a positive integer, got -1"),
+    ((2, 3), 0, 0, "budget must be a positive integer, got 0"),
+    ((2, 3), 2.5, 0, "budget must be an integer, got 2.5"),
+    ((2, 3), 2, -1, "seed must be a nonnegative integer, got -1"),
+    ((2.5, 3), 2, 0, "dims entries must be an integer, got 2.5"),
+    ((0, 3), 2, 0, "dims entries must be a positive integer, got 0"),
+])
+def test_perturbation_suite_refuses_bad_inputs(dims, budget, seed, message):
+    """budget, seed and dims go through errors.integral before anything is drawn.
+
+    A budget of 0 or below used to return 15 rows reading ok after rounding
+    nothing, a float budget to raise TypeError, a negative seed numpy's
+    ValueError, and a float dims entry to be truncated.
+    """
+    with pytest.raises(PreconditionError, match=message):
+        perturbation_suite(dims, budget, seed)
