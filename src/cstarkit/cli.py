@@ -19,7 +19,7 @@ import functools
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .formats import (FORMAT_VERSION, parse_game, parse_polynomial,
 from .games import Measurement, NonlocalGame, game_value
 # op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
 # checks that tracing rebinds cstarkit.cli.op_norm
-from .operators import DEFAULT_TOL, Tolerance, op_norm  # noqa: F401
+from .operators import Tolerance, op_norm  # noqa: F401
 from .presentations import (RepresentationCatalog, norm_lower_enumerate,
                             registered_presentation)
 from .sampling import perturbation_suite
@@ -38,11 +38,11 @@ from .search import (CandidateStream, Witness, classical_value,
                      constant_family, evaluate_stream, seesaw_optimize,
                      semidecide_membership)
 
-_COMMANDS = ("game-value", "seesaw", "semidecide", "perturb-suite",
-             "norm-enumerate", "classical-value")
 # largest matrix dimension a command accepts; desk scale with room to spare,
 # far below sizes whose draws would exhaust memory
 _MAX_DIM = 64
+# largest --budget or --iters: 100 times any example's (still days of work at dimension 64)
+_MAX_COUNT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,12 @@ class RunConfig:
     tol_spectral: float | None = None
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _RUNNERS:
             raise PreconditionError(f"unknown command {self.command!r}")
-        for name in ("seed", "budget", "iters", "dim", "grid_denominator"):
-            low = 0 if name in ("seed", "budget") else None
-            object.__setattr__(self, name, integral(getattr(self, name), name, low))
+        for name, low, high in (("seed", 0, None), ("budget", 0, _MAX_COUNT),
+                                ("iters", 1, _MAX_COUNT), ("dim", None, None),
+                                ("grid_denominator", None, None)):
+            object.__setattr__(self, name, integral(getattr(self, name), name, low, high))
         object.__setattr__(self, "dims", tuple(integral(d, "dims entries") for d in self.dims))
         for d in (*self.dims, self.dim):
             if d > _MAX_DIM:
@@ -80,22 +81,8 @@ class RunConfig:
                     f"dimension {d} is above the supported {_MAX_DIM}")
 
     def tolerance(self) -> Tolerance:
-        kwargs = {}
-        if self.tol_algebraic is not None:
-            kwargs["algebraic"] = self.tol_algebraic
-        if self.tol_spectral is not None:
-            kwargs["spectral"] = self.tol_spectral
-        return Tolerance(**kwargs) if kwargs else DEFAULT_TOL
-
-
-def _config_echo(config: RunConfig) -> dict:
-    echo = {}
-    for f in fields(config):
-        if f.name == "out":
-            continue
-        value = getattr(config, f.name)
-        echo[f.name] = list(value) if isinstance(value, tuple) else value
-    return echo
+        given = {"algebraic": self.tol_algebraic, "spectral": self.tol_spectral}
+        return Tolerance(**{k: v for k, v in given.items() if v is not None})
 
 
 def _read_input(path: str) -> tuple[str, str]:
@@ -121,7 +108,7 @@ def _header(config: RunConfig, inputs: list[tuple[str, str, str]]) -> dict:
         "library": "cstarkit",
         "library_version": __version__,
         "command": config.command,
-        "config": _config_echo(config),
+        "config": {k: v for k, v in vars(config).items() if k != "out"},
         "inputs": [{"role": role, "path": path, "sha256": digest}
                    for role, path, digest in inputs],
         "seed": config.seed,
@@ -280,11 +267,11 @@ def run(config: RunConfig) -> int:
 
     Raises ParseError / PreconditionError for the caller to map to exit
     codes (console_main does this); budget exhaustion is not an exception.
-    An --out that is a directory, or whose directory is missing, is a
-    ParseError before any work, and so is a failed write after it.
+    An --out that is empty or a directory, or whose directory is missing,
+    is a ParseError before any work, and so is a failed write after it.
     """
     if config.out is not None:
-        if os.path.isdir(config.out):
+        if os.path.isdir(config.out or "."):  # '' names the working directory
             raise ParseError(f"cannot write report: {config.out!r} is a directory")
         if not os.path.isdir(os.path.dirname(config.out) or "."):
             raise ParseError(f"cannot write report: the directory of {config.out!r} is missing")
@@ -331,19 +318,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cstarkit",
         description="Batch runner: game values, semidecision, rounding suites, "
                     "norm enumeration.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a flag left off never reaches the namespace, so it takes RunConfig's default
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, argument_default=argparse.SUPPRESS))
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="report file (JSON lines)")
-        p.add_argument("--tol-algebraic", type=float, default=None, dest="tol_algebraic")
-        p.add_argument("--tol-spectral", type=float, default=None, dest="tol_spectral")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", help="report file (JSON lines)")
+        p.add_argument("--tol-algebraic", type=float, dest="tol_algebraic")
+        p.add_argument("--tol-spectral", type=float, dest="tol_spectral")
 
     def stream(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--delta", type=float, default=1.0)
-        p.add_argument("--budget", type=int, default=10_000)
-        p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
-        p.add_argument("--grid-denominator", type=int, default=1024, dest="grid_denominator")
+        p.add_argument("--delta", type=float)
+        p.add_argument("--budget", type=int)
+        p.add_argument("--dims", type=_parse_dims)
+        p.add_argument("--grid-denominator", type=int, dest="grid_denominator")
         common(p)
 
     p = sub.add_parser("classical-value", help="exact classical game value")
@@ -357,15 +346,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semidecide", help="semidecide via the candidate stream")
     p.add_argument("--game", required=True)
-    p.add_argument("--z", default="", help="input word for the game family (0/1 string)")
+    p.add_argument("--z", help="input word for the game family (0/1 string)")
     stream(p)
 
     p = sub.add_parser("seesaw", help="alternating local optimization of a game value")
     p.add_argument("--game", required=True)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=10.0)
-    p.add_argument("--iters", type=int, default=50)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--iters", type=int)
     common(p)
 
     p = sub.add_parser("perturb-suite",
@@ -380,8 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pres-id", required=True, dest="pres_id",
                    help="registered presentation id, e.g. free_unitaries:1")
     p.add_argument("--poly", required=True, help="polynomial string, e.g. 'u1 + u1*'")
-    p.add_argument("--presentation", default=None,
-                   help="presentation file overriding the registered one")
+    p.add_argument("--presentation", help="presentation file overriding the registered one")
     p.add_argument("--budget", type=int, default=1000,
                    help="catalog representations examined")
     p.add_argument("--dims", type=_parse_dims, default=tuple(range(1, 17)))
@@ -390,18 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    defaults = RunConfig(command=args.command)
-    kwargs = {}
-    for f in fields(RunConfig):
-        kwargs[f.name] = getattr(args, f.name, getattr(defaults, f.name))
-    return RunConfig(**kwargs)
-
-
 def console_main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(RunConfig(**vars(args)))
     except ParseError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -410,9 +411,24 @@ def report_lines(records: Iterable[dict]) -> Iterator[str]:
 
 
 def write_report(path: str, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in report_lines(records):
-            fh.write(line + "\n")
+    """Write the canonical lines to path: all of them, or none and path as it was.
+
+    The lines go to a new file beside the one path names, with the mode a plain
+    open(path, "w") gives (not tempfile's 0600), which then replaces it; a
+    device or a pipe such as /dev/null is written in place.
+    """
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    swap = os.path.isfile(target) or not os.path.exists(target)
+    temp = f"{target}.{os.urandom(8).hex()}.tmp" if swap else target
+    try:
+        with open(temp, "x" if swap else "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in report_lines(records))
+        if swap:
+            os.replace(temp, target)
+    except BaseException:
+        if swap and os.path.exists(temp):
+            os.remove(temp)
+        raise
 
 
 def sha256_file(path: str) -> str:

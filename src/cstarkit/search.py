@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,11 +89,13 @@ class CandidateStream:
             raise PreconditionError("dims must be nonempty")
         object.__setattr__(self, "dims", dims)
         q = integral(self.grid_denominator, "grid_denominator")
-        if q < 2 or q & (q - 1):
-            raise PreconditionError("grid_denominator must be a power of two, at least 2, "
-                                    f"got {self.grid_denominator!r}")
+        # snapping to the grid multiplies by float(q), which overflows from 2^1024 on
+        if not 2 <= q <= 2 ** 1023 or q & (q - 1):
+            raise PreconditionError("grid_denominator must be a power of two from 2 to 2^1023, "
+                                    f"got {q}")
         object.__setattr__(self, "grid_denominator", q)
-        object.__setattr__(self, "budget", integral(self.budget, "budget", 1))
+        # sys.maxsize is the most positions itertools.islice can cut the stream at
+        object.__setattr__(self, "budget", integral(self.budget, "budget", 1, sys.maxsize))
         object.__setattr__(self, "seed", integral(self.seed, "seed", 0))
         object.__setattr__(self, "planted", tuple(self.planted))
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cstarkit
 import cstarkit.cli as cli
+import cstarkit.formats as formats
 import cstarkit.sampling as sampling
 from cstarkit.cli import RunConfig, _parse_dims, console_main
 from cstarkit.errors import HypothesisError, PreconditionError
@@ -73,6 +74,7 @@ _CONTRACT_CASES = {
     "out is a directory": (None, lambda tmp: _made(tmp / "reports"), "cannot write report"),
     "out is in a missing directory": (None, lambda tmp: tmp / "absent" / "report.jsonl",
                                       "cannot write report"),
+    "out is empty": (None, lambda tmp: "", "cannot write report"),
 }
 
 # every --out case for every command, the input cases for the commands that read a file
@@ -92,13 +94,18 @@ def _made(path):
 
 
 @pytest.mark.parametrize("command, case", _CONTRACT)
-def test_file_system_inputs_keep_the_exit_code_contract(tmp_path, capsys, command, case):
+def test_file_system_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys,
+                                                        command, case):
     """A bad input file or --out path exits 2 or 3 with one stderr line and writes no report.
 
     A directory or a non-UTF-8 file as an input used to end in a traceback
     (exit 1), a directory as --out in one after the whole run, and an --out
-    in a missing directory in a message about an input file.
+    in a missing directory in a message about an input file.  A bad --out
+    is refused before the command runs; an empty one used to be refused
+    only after the whole run.
     """
+    ran, real = [], cli._RUNNERS[command]
+    monkeypatch.setitem(cli._RUNNERS, command, lambda *args: ran.append(1) or real(*args))
     make_input, make_out, fragment = _CONTRACT_CASES[case]
     argv = _CONTRACT_COMMANDS[command]
     pres = _presentation_file(tmp_path) if command == "norm-enumerate" else DATA / "chsh.json"
@@ -112,6 +119,7 @@ def test_file_system_inputs_keep_the_exit_code_contract(tmp_path, capsys, comman
     assert fragment in captured.err
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
+    assert ran == ([] if make_input is None else [1])
 
 
 def test_failed_report_write_exit_two(tmp_path, monkeypatch, capsys):
@@ -126,6 +134,23 @@ def test_failed_report_write_exit_two(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_a_write_that_fails_midway_keeps_the_earlier_report(tmp_path, monkeypatch, capsys):
+    """A full disk after the first line exits 2 and leaves --out as it was, with no
+    temporary file beside it; the report used to be cut after that line."""
+
+    def first_line_then_full(records, _real=formats.report_lines):
+        yield next(_real(records))
+        raise OSError(28, "No space left on device")
+
+    out = tmp_path / "report.jsonl"
+    out.write_bytes(b"earlier report\n")
+    monkeypatch.setattr(formats, "report_lines", first_line_then_full)
+    assert run_cli(["classical-value", "--game", DATA / "chsh.json", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("parse error: cannot write report: [Errno 28]")
+    assert out.read_bytes() == b"earlier report\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_malformed_game_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2, "k": 2, "pi": [[0.5, 0.5], [0.5, 0.5]], "win": []}')
@@ -138,6 +163,40 @@ def test_unknown_flag_exit_two():
     with pytest.raises(SystemExit) as exc:
         run_cli(["classical-value", "--nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cstarkit {command} ")
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["game-value", "--game", "g.json"], {"game": "g.json"}),
+    (["seesaw", "--game", "g.json", "--iters", "3"], {"game": "g.json", "iters": 3}),
+    (["perturb-suite", "--seed", "2"], {"budget": 200, "dims": tuple(range(2, 17)), "seed": 2}),
+    (["norm-enumerate", "--pres-id", "trivial", "--poly", "e"],
+     {"pres_id": "trivial", "poly": "e", "budget": 1000, "dims": tuple(range(1, 17))}),
+], ids=["game-value", "seesaw", "perturb-suite", "norm-enumerate"])
+def test_parser_passes_on_only_the_flags_given(argv, given):
+    """Absent flags never reach the namespace, but for four per-command defaults, so
+    they take RunConfig's."""
+    assert vars(cli._build_parser().parse_args(argv)) == {"command": argv[0], **given}
+
+
+def test_console_main_builds_one_run_config(monkeypatch, tmp_path):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(RunConfig(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "RunConfig", counted)
+    out = tmp_path / "report.jsonl"
+    assert run_cli(["classical-value", "--game", DATA / "chsh.json", "--out", out]) == 0
+    assert len(built) == 1
 
 
 def test_unregistered_presentation_exit_three(capsys):
@@ -175,6 +234,34 @@ def test_invalid_parameters_exit_three(tmp_path, capsys, argv):
     assert any(line.startswith("precondition error: ") for line in err_lines)
 
 
+_HUGE_COUNT = 10 ** 23
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semidecide", "--game", DATA / "chsh.json", "--budget", _HUGE_COUNT], "budget must be"),
+    (["game-value", "--game", DATA / "chsh.json", "--budget", _HUGE_COUNT], "budget must be"),
+    (["game-value", "--game", DATA / "chsh.json", "--grid-denominator", 2 ** 1024],
+     "grid_denominator must be a power of two from 2 to 2^1023"),
+    (["seesaw", "--game", DATA / "chsh.json", "--iters", _HUGE_COUNT], "iters must be"),
+    (["norm-enumerate", "--pres-id", "free_unitaries:1", "--poly", "u1", "--budget", _HUGE_COUNT],
+     "budget must be"),
+    (["perturb-suite", "--budget", _HUGE_COUNT], "budget must be"),
+], ids=["semidecide", "game-value", "grid-denominator", "seesaw", "norm-enumerate",
+        "perturb-suite"])
+def test_huge_integer_flags_exit_three_at_once(argv, message):
+    """Budgets and iteration counts stop at 10^6, grid denominators at 2^1023.
+
+    The two budgets of the candidate stream and the grid denominator past
+    2^1023 ended in tracebacks (exit 1); the other three ran without end.
+    Each case runs in its own process, so a run without end fails by timeout.
+    """
+    proc = subprocess.run([sys.executable, "-m", "cstarkit", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("precondition error: " + message)
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("mu, code", [(1e308, 3), (5.6e306, 0)])
 def test_seesaw_refuses_a_mu_whose_penalty_overflows(tmp_path, capsys, mu, code):
     """mu times the largest CHSH penalty, 2 n^2 k^2 = 32, must be finite; 1e308 ended in a
@@ -201,6 +288,15 @@ def test_dimension_above_cap_exit_three(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("precondition error: dimension ")
     assert "is above the supported 64" in err
+
+
+@pytest.mark.parametrize("dims", ["0", "", "a", "3..2", "2,,3"])
+def test_malformed_dims_exit_two(capsys, dims):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["game-value", "--game", DATA / "chsh.json", "--dims", dims])
+    assert exc.value.code == 2
+    assert f"dims must be positive integers like '2,3,4' or '2..16', got {dims!r}" in \
+        capsys.readouterr().err
 
 
 def test_dims_range_past_cap_is_not_built():
@@ -545,6 +641,17 @@ def test_game_value_finds_classical_floor(tmp_path):
     assert result["candidates_examined"] == 20
     assert result["certified_value"] >= 0.75 - 2.0 ** -7 - 1e-12
     assert result["witness"]["alice"]["n"] == 2
+
+
+def test_game_value_without_a_gated_candidate(tmp_path, capsys):
+    """At delta 0 no candidate passes the commutation gate: no value and no witness."""
+    out = tmp_path / "report.jsonl"
+    code = run_cli(["game-value", "--game", DATA / "chsh.json", "--budget", 30, "--delta", 0,
+                    "--out", out])
+    assert code == 0
+    result = read_records(out)[1]
+    assert result == {"type": "result", "candidates_examined": 30, "certified_value": None}
+    assert "no candidate passed the gates in 30 examined" in capsys.readouterr().out
 
 
 def test_seesaw_report(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,8 @@ def test_parse_game_pi_number_entries():
     (lambda d: d.update(win=[[2, 0, 0, 0]]), "question indices"),
     (lambda d: d.update(pi=[[True, 0.25], [0.25, 0.25]]), "numbers or 'p/q'"),
     (lambda d: d.update(pi=[["1e400", 0.25], [0.25, 0.25]]), r"lie in \[0, 1\]"),
+    (lambda d: d.update(pi=[["abc", 0.25], [0.25, 0.25]]), "not a rational number: 'abc'"),
+    (lambda d: d.update(pi=[["1/0", 0.25], [0.25, 0.25]]), "not a rational number: '1/0'"),
 ])
 def test_parse_game_errors(mutate, fragment):
     doc = {"n": 2, "k": 2,
@@ -203,6 +207,9 @@ def test_polynomial_declared_names_enforced():
     ("(1 i + 2 i) g", "two imag parts"),
     ("(1 ; 2) g", "expected"),
     ("g g쇼", "unexpected character"),
+    ("u1 ( u2", "expected '\\+' or '-' between terms, got '\\('"),
+    ("(1 2) u1", "expected '\\+', '-' or '\\)' in coefficient, got '2'"),
+    ("1/ u1", "expected int"),
 ])
 def test_polynomial_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
@@ -285,6 +292,31 @@ def test_write_report_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert sha256_file(str(p1)) == sha256_file(str(p2))
     assert p1.read_bytes().endswith(b"\n")
+
+
+def test_write_report_follows_links_and_keeps_the_plain_write_mode(tmp_path):
+    """A link keeps pointing at the report, and a new report's mode is the umask's."""
+    real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    write_report(str(link), [{"n": 1}])
+    assert link.is_symlink() and real.read_bytes() == b'{"n":1}\n'
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert stat.S_IMODE(real.stat().st_mode) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+
+
+def test_write_report_writes_a_pipe_in_place(tmp_path):
+    """A pipe (like /dev/null, not a regular file) is written to, never replaced."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_report(str(pipe), [{"n": 1}])
+        assert os.read(reader, 64) == b'{"n":1}\n'
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(pipe.stat().st_mode) and list(tmp_path.iterdir()) == [pipe]
 
 
 def test_numpy_scalars_serialize():

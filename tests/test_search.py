@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -113,6 +114,17 @@ def test_stream_deterministic_across_runs():
         assert i1 == i2 and c1 == c2
         assert np.array_equal(a1.ops, a2.ops)
         assert np.array_equal(b1.ops, b2.ops)
+
+
+def test_stream_bounds_are_what_the_stream_can_run():
+    """2^1023 is the finest grid whose snapping stays in float range, sys.maxsize the
+    largest budget itertools.islice takes; one past either ended in a traceback."""
+    stream = CandidateStream(dims=(2,), budget=8, grid_denominator=2 ** 1023)
+    assert any(a.dim > 1 for _, a, _, _ in enumerate_candidates(constant_game(1), stream, 1.0))
+    assert CandidateStream(dims=(2,), budget=sys.maxsize).budget == sys.maxsize
+    for field, value in (("grid_denominator", 2 ** 1024), ("budget", sys.maxsize + 1)):
+        with pytest.raises(PreconditionError, match=f"{field} must be"):
+            CandidateStream(**{"dims": (2,), field: value})
 
 
 def test_stream_random_phase_snaps_to_grid():
