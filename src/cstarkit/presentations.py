@@ -34,7 +34,7 @@ from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials
 from .rounding import (_check_exact, _check_moved, _isometry_cut, _refuse, isometry_defect,
                        round_to_projection, round_to_pvm, round_to_unitary,
                        stability_modulus)
-from .sampling import _draw_ginibre, _haar_unitaries, _rank_projections, rng_from_seed
+from .sampling import _haar_unitaries, _rank_projections, rng_from_seed
 
 
 class _DefectTable(NamedTuple):
@@ -167,35 +167,43 @@ def _image_errors(pres: Presentation, dim: int, images: Mapping[str, np.ndarray]
 
 
 def _relation_values(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
-                     errors: list) -> None:
-    """Refuses each item of a stack where a relation's value overflows."""
+                     errors: list) -> np.ndarray:
+    """A stack's relation values; refuses each item where one overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         relations = pres._table.relations.evaluate(images, dim, (len(errors),))
     _refuse(errors, ~np.isfinite(relations).all(axis=(0, 2, 3)), lambda i: PreconditionError(
         f"a relation overflows float range at dimension {dim}"))
+    return relations
 
 
 def _defects(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
-             gate: Fraction | float = 0.0) -> np.ndarray:
+             gate: Fraction | float = 0.0, relations: np.ndarray | None = None) -> np.ndarray:
     """Per item of a stack _screen admitted, its largest norm-bound excess or relation norm.
 
     The relation norms come from op_norms gated at gate, so <, <=, > and >=
     with gate decide as on the exact defect, and each value at or above
-    gate/2 is exact; gate 0 gives every value exactly.
+    gate/2 is exact; gate 0 gives every value exactly.  relations, when
+    given, are the stack's relation values, which are then not evaluated.
     """
     generators = np.stack([images[name] for name in pres.names], axis=1)
     excess = (op_norms(generators) - pres._table.bounds).max(axis=1)
-    relations = pres._table.relations.evaluate(images, dim, generators.shape[:1])
+    if relations is None:
+        relations = pres._table.relations.evaluate(images, dim, generators.shape[:1])
     return np.maximum(excess, op_norms(relations, gate).max(axis=0, initial=0.0))
 
 
 def _screened_defect(pres: Presentation, rep: Representation, gate: Fraction | float) -> float:
-    """rep's relation defect as _defects gives it at gate, after _screen raises its refusal."""
+    """rep's relation defect as _defects gives it at gate, after _screen raises its refusal.
+
+    _defects takes the relation values _screen evaluated, if any.
+    """
     images = {name: img[None] for name, img in rep.images.items()}
-    error, = _screen(pres, rep.dim, images, 1)
+    held = []
+    error, = _screen(pres, rep.dim, images, 1, held)
     if error is not None:
         raise error
-    return max(0.0, float(_defects(pres, rep.dim, images, gate)[0]))
+    relations = held[0] if held else None
+    return max(0.0, float(_defects(pres, rep.dim, images, gate, relations)[0]))
 
 
 def relation_defect(pres: Presentation, rep: Representation) -> float:
@@ -294,9 +302,11 @@ class RegisteredFamily(NamedTuple):
 
     A catalog round yields `canonical`, then seeded draws.  draw(rng, dim)
     takes one item's random numbers from the generator and returns the
-    item's dimension and those numbers as a tuple of arrays; finish(*stacks)
-    turns the draws of one dimension, each array stacked on a new first
-    axis, into one (L, d, d) image stack per non-unit generator.
+    item's dimension and those numbers as a tuple of arrays, raw: each
+    Ginibre matrix as the (2, d, d) normal parts of one rng.normal call.
+    finish(*stacks) turns the draws of one dimension, each array stacked on
+    a new first axis, into one (L, d, d) image stack per non-unit generator;
+    it forms the Ginibre matrices of the whole stack at once (_ginibre).
     """
 
     presentation: Presentation
@@ -337,24 +347,29 @@ def registered_presentation(pres_id: str) -> RegisteredFamily:
     if head == "free_unitaries" and size is not None:
         return _one_by_one(free_unitaries(size), pres_id, "unitary",
                            lambda a, eps, tol: round_to_unitary(a, eps, tol),
-                           lambda rng, dim: (_draw_ginibre(rng, dim),),
-                           lambda z: _haar_unitaries(z), (1.0, -1.0))
+                           lambda rng, dim: (rng.normal(size=(2, dim, dim)),),
+                           lambda g: _haar_unitaries(_ginibre(g)), (1.0, -1.0))
     if head == "projections" and size is not None:
         return _one_by_one(projections_presentation(size), pres_id, "projection",
                            lambda a, eps, tol: round_to_projection(a, eps, tol),
                            lambda rng, dim: (int(rng.integers(0, dim + 1)),
-                                             _draw_ginibre(rng, dim)),
-                           lambda ranks, z: _rank_projections(_haar_unitaries(z), ranks),
-                           (0.0, 1.0))
+                                             rng.normal(size=(2, dim, dim))),
+                           lambda ranks, g: _rank_projections(
+                               _haar_unitaries(_ginibre(g)), ranks), (0.0, 1.0))
     if head == "matrix_units" and size is not None:
         return RegisteredFamily(
             matrix_units(size), StabilityModulusTable(pres_id, _matrix_units_modulus),
             partial(_witness_matrix_units, size),
             (Representation(size, _exact_matrix_unit_images(size, size)),),
             partial(_draw_matrix_units, size),
-            lambda z: _exact_matrix_unit_images(size, z.shape[-1], _haar_unitaries(z)))
+            lambda g: _exact_matrix_unit_images(size, g.shape[-1], _haar_unitaries(_ginibre(g))))
     raise UnsupportedPresentationError(
         f"presentation id {pres_id!r} has no registered stability witness")
+
+
+def _ginibre(parts: np.ndarray) -> np.ndarray:
+    """Complex Gaussian matrices from a (..., 2, d, d) stack of real, then imaginary parts."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
 def _one_by_one(pres: Presentation, pres_id: str, kind: str, round_one, draw_one, finish_one,
@@ -429,21 +444,31 @@ def _exact_matrix_unit_images(k: int, dim: int, u: np.ndarray | None = None) -> 
     """e{i}{j} as E_ij (x) 1 on dim = k * (dim // k), conjugated by u when given.
 
     A (..., dim, dim) stack of unitaries gives a (..., dim, dim) stack per unit.
+    With v = u, or the identity when u is None, v (E_ij (x) 1) is v's column
+    block i moved to column block j, zeros elsewhere.  So the units are
+    placed, not multiplied, and conjugation is one (k^2 dim x dim) product
+    with u^H per item; its bytes are those of u @ (E_ij (x) 1) @ u^H.
     """
-    units = np.eye(k * k, dtype=np.complex128).reshape(k * k, k, k)
     reps = dim // k
-    imgs = np.einsum("nab,cd->nacbd", units, np.eye(reps, dtype=np.complex128))
-    imgs = imgs.reshape(k * k, k * reps, k * reps)
+    full = k * reps
+    v = np.eye(full, dtype=np.complex128) if u is None else u
+    lead = v.shape[:-2]
+    # axes (..., i, j, row, column block, column in block)
+    placed = np.zeros((*lead, k, k, full, k, reps), dtype=np.complex128)
+    blocks = np.moveaxis(v.reshape(*lead, full, k, reps), -2, -3)
+    for j in range(k):
+        placed[..., j, :, j, :] = blocks
+    imgs = placed.reshape(*lead, k * k * full, full)
     if u is not None:
-        imgs = np.moveaxis(u[..., None, :, :] @ imgs @ dagger(u)[..., None, :, :], -3, 0)
-    return {f"e{i}{j}": img
-            for (i, j), img in zip(itertools.product(range(1, k + 1), repeat=2), imgs)}
+        imgs = imgs @ dagger(u)
+    names = [f"e{i}{j}" for i, j in itertools.product(range(1, k + 1), repeat=2)]
+    return dict(zip(names, np.moveaxis(imgs.reshape(*lead, k * k, full, full), -3, 0)))
 
 
 def _draw_matrix_units(k: int, rng, dim: int) -> tuple[int, tuple]:
     """The largest multiple of k up to dim (at least k), and a draw to rotate matrix units by."""
     full = max(1, dim // k) * k
-    return full, (_draw_ginibre(rng, full),)
+    return full, (rng.normal(size=(2, full, full)),)
 
 
 def stability_witness(pres_id: str, rep: Representation, eps: float,
@@ -596,12 +621,13 @@ def _stacks(block: _Block, table: CompiledPolynomials,
 
 
 def _screen(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
-            count: int) -> list:
+            count: int, values: list | None = None) -> list:
     """Per item of a stack, None or the error relation_defect raises on it.
 
     Every refusal is made here: _image_errors, then, at the items whose
     relations in_range cannot clear only, _relation_values in _stacks of
-    the relation table.
+    the relation table.  values, when given, receives each such stack's
+    relation values in turn; a stack of one item gets one or none.
     """
     errors = _image_errors(pres, dim, images, count)
     if None not in errors:
@@ -609,7 +635,9 @@ def _screen(pres: Presentation, dim: int, images: Mapping[str, np.ndarray],
     rows = np.flatnonzero(~pres._table.relations.in_range(images, (count,)))
     for at, stack in _stacks(_Block(dim, list(range(count)), images), pres._table.relations, rows):
         held = [errors[i] for i in at]
-        _relation_values(pres, dim, stack, held)
+        relations = _relation_values(pres, dim, stack, held)
+        if values is not None:
+            values.append(relations)
         for i, error in zip(at, held):
             errors[i] = error
     return errors

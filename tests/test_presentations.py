@@ -215,6 +215,35 @@ def test_relation_defect_matches_per_relation_loop():
         relation_defect(matrix_units(2), Representation(2, huge))
 
 
+def test_single_representation_evaluates_its_relations_once(monkeypatch):
+    """relation_defect measures the relation values _screen evaluated.
+
+    A coefficient of 2^1001 keeps in_range from clearing matrix_units:3's
+    relations plus 2^1001 (e - e*), so _screen evaluates them for its
+    overflow check; _defects takes those values instead of evaluating again.
+    """
+    e = generator("e")
+    units = registered_presentation("matrix_units:3").presentation
+    pres = Presentation(units.generators, units.relations + (2 ** 1001 * (e - e.adjoint()),))
+    rng = rng_from_seed(92)
+    rep = noisy_rep(_exact_matrix_unit_images(3, 6, random_unitary(rng, 6)), rng, 1e-3, 6)
+    images = {name: img[None] for name, img in rep.images.items()}
+    expected = float(_defects(pres, 6, images)[0])
+    assert expected > 0
+    calls = []
+    original = CompiledPolynomials.evaluate
+
+    def spy(self, images, dim, lead=()):
+        calls.append((self, math.prod(lead)))
+        return original(self, images, dim, lead)
+    monkeypatch.setattr(CompiledPolynomials, "evaluate", spy)
+    assert relation_defect(pres, rep) == expected
+    assert calls == [(pres._table.relations, 1)]
+    calls.clear()
+    assert relation_defect(units, rep) == expected
+    assert calls == [(units._table.relations, 1)]
+
+
 def _defect_below(pres, rep, gate):
     """relation_defect(pres, rep) < gate, decided by _screen and one gated _defects pass.
 
@@ -422,23 +451,32 @@ def test_presentation_compiles_relations_once(monkeypatch):
 
 
 def test_matrix_unit_images_match_kron_reference():
-    """The stacked einsum images are the per-unit kron images, conjugated, bit for bit."""
+    """The images are the per-unit kron images, conjugated, bit for bit.
+
+    Conjugation runs on single unitaries and on stacks of 1, 3 and 8; every
+    item of a stack is compared with u @ kron(E_ij, 1) @ u^H on its own
+    unitary, by bytes, so signed zeros count too.
+    """
     rng = rng_from_seed(85)
     for k in (1, 2, 3, 4):
         for dim in (k, 2 * k + 1, 3 * k):
             full = k * (dim // k)
-            for u in (None, random_unitary(rng, full)):
+            stacks = [np.array([random_unitary(rng, full) for _ in range(n)]) for n in (1, 3, 8)]
+            for u in (None, random_unitary(rng, full), *stacks):
                 images = _exact_matrix_unit_images(k, dim, u)
                 assert list(images) == [f"e{i}{j}" for i in range(1, k + 1)
                                         for j in range(1, k + 1)]
+                items = [None] if u is None else [u] if u.ndim == 2 else list(u)
                 for i in range(1, k + 1):
                     for j in range(1, k + 1):
                         block = np.zeros((k, k), dtype=np.complex128)
                         block[i - 1, j - 1] = 1.0
-                        expected = np.kron(block, np.eye(dim // k, dtype=np.complex128))
-                        if u is not None:
-                            expected = u @ expected @ dagger(u)
-                        assert images[f"e{i}{j}"].tobytes() == expected.tobytes()
+                        unit = np.kron(block, np.eye(dim // k, dtype=np.complex128))
+                        image = images[f"e{i}{j}"]
+                        assert image.shape == ((full, full) if u is None else u.shape)
+                        for got, one in zip(image.reshape(-1, full, full), items):
+                            expected = unit if one is None else one @ unit @ dagger(one)
+                            assert got.tobytes() == expected.tobytes()
 
 
 # --- registered families and modulus tables ------------------------------------------
