@@ -92,8 +92,8 @@ def chsh() -> NonlocalGame:
 class Measurement:
     """One POVM per question: ops[x][a] is outcome a of question x.
 
-    ops has shape (n, k, dim, dim); each element is Hermitian within
-    tolerance and each question's row has povm_residual within tolerance.
+    ops has shape (n, k, dim, dim); each element A's |A - A^H| (operator
+    norm) and each question's row's povm_residual are within tolerance.
     """
 
     ops: np.ndarray
@@ -104,7 +104,7 @@ class Measurement:
         if ops.ndim != 4:
             raise ValueError(f"ops must have shape (n, k, dim, dim), got {ops.shape}")
         tol = DEFAULT_TOL
-        herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, 2, 3))))
+        herm = float(op_norms(ops - dagger(ops), tol.algebraic).max())
         if herm > tol.algebraic:
             raise ValueError(f"POVM elements must be Hermitian within tolerance, defect {herm:.3e}")
         worst = float(_povm_residual(ops, tol.algebraic).max())
@@ -325,7 +325,7 @@ def is_delta_op_commuting(alice: Measurement, bob: Measurement,
 
 def _commutation_check(table: np.ndarray, delta: float) -> CommutationCheck:
     """The strict delta check on one (n_a, n_b) commutator_defects table."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
     x, y = np.unravel_index(np.argmax(table), table.shape)
     worst = float(table[x, y])

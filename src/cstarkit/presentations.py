@@ -34,7 +34,7 @@ from .polynomials import (CompiledPolynomials, NCPolynomial, compile_polynomials
 from .rounding import (_check_exact, _check_moved, _isometry_cut, _refuse, isometry_defect,
                        round_to_projection, round_to_pvm, round_to_unitary,
                        stability_modulus)
-from .sampling import _haar_unitaries, _rank_projections, rng_from_seed
+from .sampling import _draw_ginibre, _haar_unitaries, _rank_projections, rng_from_seed
 
 
 class _DefectTable(NamedTuple):
@@ -302,11 +302,11 @@ class RegisteredFamily(NamedTuple):
 
     A catalog round yields `canonical`, then seeded draws.  draw(rng, dim)
     takes one item's random numbers from the generator and returns the
-    item's dimension and those numbers as a tuple of arrays, raw: each
-    Ginibre matrix as the (2, d, d) normal parts of one rng.normal call.
+    item's dimension and those numbers as a tuple of arrays, raw, as the
+    samplers' draws are (each Ginibre matrix by sampling._draw_ginibre).
     finish(*stacks) turns the draws of one dimension, each array stacked on
     a new first axis, into one (L, d, d) image stack per non-unit generator;
-    it forms the Ginibre matrices of the whole stack at once (_ginibre).
+    _haar_unitaries forms the Ginibre matrices of the whole stack at once.
     """
 
     presentation: Presentation
@@ -347,29 +347,24 @@ def registered_presentation(pres_id: str) -> RegisteredFamily:
     if head == "free_unitaries" and size is not None:
         return _one_by_one(free_unitaries(size), pres_id, "unitary",
                            lambda a, eps, tol: round_to_unitary(a, eps, tol),
-                           lambda rng, dim: (rng.normal(size=(2, dim, dim)),),
-                           lambda g: _haar_unitaries(_ginibre(g)), (1.0, -1.0))
+                           lambda rng, dim: (_draw_ginibre(rng, dim),),
+                           lambda g: _haar_unitaries(g), (1.0, -1.0))
     if head == "projections" and size is not None:
         return _one_by_one(projections_presentation(size), pres_id, "projection",
                            lambda a, eps, tol: round_to_projection(a, eps, tol),
                            lambda rng, dim: (int(rng.integers(0, dim + 1)),
-                                             rng.normal(size=(2, dim, dim))),
-                           lambda ranks, g: _rank_projections(
-                               _haar_unitaries(_ginibre(g)), ranks), (0.0, 1.0))
+                                             _draw_ginibre(rng, dim)),
+                           lambda ranks, g: _rank_projections(_haar_unitaries(g), ranks),
+                           (0.0, 1.0))
     if head == "matrix_units" and size is not None:
         return RegisteredFamily(
             matrix_units(size), StabilityModulusTable(pres_id, _matrix_units_modulus),
             partial(_witness_matrix_units, size),
             (Representation(size, _exact_matrix_unit_images(size, size)),),
             partial(_draw_matrix_units, size),
-            lambda g: _exact_matrix_unit_images(size, g.shape[-1], _haar_unitaries(_ginibre(g))))
+            lambda g: _exact_matrix_unit_images(size, g.shape[-1], _haar_unitaries(g)))
     raise UnsupportedPresentationError(
         f"presentation id {pres_id!r} has no registered stability witness")
-
-
-def _ginibre(parts: np.ndarray) -> np.ndarray:
-    """Complex Gaussian matrices from a (..., 2, d, d) stack of real, then imaginary parts."""
-    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
 def _one_by_one(pres: Presentation, pres_id: str, kind: str, round_one, draw_one, finish_one,
@@ -468,7 +463,7 @@ def _exact_matrix_unit_images(k: int, dim: int, u: np.ndarray | None = None) -> 
 def _draw_matrix_units(k: int, rng, dim: int) -> tuple[int, tuple]:
     """The largest multiple of k up to dim (at least k), and a draw to rotate matrix units by."""
     full = max(1, dim // k) * k
-    return full, (rng.normal(size=(2, full, full)),)
+    return full, (_draw_ginibre(rng, full),)
 
 
 def stability_witness(pres_id: str, rep: Representation, eps: float,

@@ -6,14 +6,15 @@ own defects and shrink the perturbation until the requested hypothesis holds,
 so callers can rely on admissibility by construction.
 
 Each builder is a draw followed by a stacked finish, as the presentation
-catalog's ``draw``/``finish`` rows are: ``_draw_*`` takes only random numbers
-from the generator (Ginibre matrices, ranks, PVM labels, Gram normals and
-bumps), and ``_*_instances`` builds the exact structures of a stack of such
-draws at once (one QR per stack of Haar unitaries, one Gram ``eigh`` per
-outcome count, rank projections per rank), then normalizes and shrinks the
-perturbations, one item per draw, with one delta per item.  A builder is the
-two steps on a stack of one draw, so drawing n instances in order and
-finishing them together gives the builder's n results bit for bit.
+catalog's ``draw``/``finish`` rows are: ``_draw_*`` takes only raw random
+numbers (ranks, PVM labels, and each Ginibre, Gram or bump matrix as its
+(2, d, d) normal parts), and ``_*_instances`` builds the exact structures of
+a stack of such draws at once (``_ginibre`` alone forms the complex matrices,
+one QR per stack of Haar unitaries, one Gram ``eigh`` per outcome count, rank
+projections per rank), then normalizes and shrinks the perturbations, one
+item per draw, with one delta per item.  A builder is the two steps on a
+stack of one draw, so drawing n instances in order and finishing them
+together gives the builder's n results bit for bit.
 """
 from __future__ import annotations
 
@@ -50,13 +51,18 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _draw_ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A complex Gaussian matrix: the real parts drawn first, then the imaginary parts."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    """A Ginibre matrix's (2, d, d) normal parts: the real parts, then the imaginary parts."""
+    return rng.normal(size=(2, dim, dim))
 
 
-def _haar_unitaries(z: np.ndarray) -> np.ndarray:
-    """random_unitary over a (..., d, d) stack of draws: one batched QR, phases fixed per item."""
-    q, r = np.linalg.qr(z)
+def _ginibre(parts: np.ndarray) -> np.ndarray:
+    """Complex Gaussian matrices from a (..., 2, d, d) stack of real, then imaginary parts."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+
+
+def _haar_unitaries(parts: np.ndarray) -> np.ndarray:
+    """random_unitary over a (..., 2, d, d) stack of Ginibre parts: one QR, phases fixed."""
+    q, r = np.linalg.qr(_ginibre(parts))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
@@ -93,27 +99,21 @@ def random_hermitian(rng: np.random.Generator, dim: int, norm: float = 1.0) -> n
     dim = integral(dim, "dim", 1)
     if not 0 <= norm < math.inf:
         raise PreconditionError(f"norm must be nonnegative and finite, got {norm!r}")
-    return _scaled(_draw_hermitians(rng, dim, 1)[0], norm)
+    return _hermitians(_draw_ginibre(rng, dim)[None], norm)[0]
 
 
-def _draw_hermitians(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """random_hermitian's draw, count times: Hermitian parts of complex Gaussian matrices.
+def _hermitians(parts: np.ndarray, norm: float = 1.0) -> np.ndarray:
+    """random_hermitian over a (..., 2, d, d) stack of Ginibre parts.
 
-    One normal call of shape (count, 2, d, d) gives the numbers that 2 count
-    calls of shape (d, d) give, in the same order.
+    Each Hermitian part is scaled to operator norm `norm`; zero stays zero.
     """
-    g = rng.normal(size=(count, 2, dim, dim))
-    return herm_part(g[:, 0] + 1j * g[:, 1])
-
-
-def _scaled(h: np.ndarray, norm: float) -> np.ndarray:
-    """Each matrix of a (..., d, d) stack scaled to operator norm `norm`; zero stays zero."""
+    h = herm_part(_ginibre(parts))
     scale = op_norms(h)[..., None, None]
     return np.where(scale > 0, h * (norm / np.where(scale > 0, scale, 1.0)), h)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = _draw_ginibre(rng, integral(dim, "dim", 1))
+    g = _ginibre(_draw_ginibre(rng, integral(dim, "dim", 1)))
     rho = g @ dagger(g)
     return rho / float(np.trace(rho).real)
 
@@ -143,7 +143,7 @@ def _gram_povms(normals: np.ndarray) -> np.ndarray:
     normals is a (..., k, 2, d, d) stack: the real and imaginary parts of each G_i.
     """
     dim = normals.shape[-1]
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    g = _ginibre(normals)
     raw = g @ dagger(g) / dim + 0.1 * np.eye(dim)
     w, v = np.linalg.eigh(herm_part(_ordered_sum(raw, -3)))
     root = ((v * (w ** -0.5)[..., None, :]) @ dagger(v))[..., None, :, :]
@@ -231,13 +231,13 @@ def almost_unitary_instance(rng: np.random.Generator, dim: int, delta: float):
 
 
 def _draw_unitary(rng: np.random.Generator, dim: int) -> tuple:
-    return _draw_ginibre(rng, dim), _draw_hermitians(rng, dim, 1)[0]
+    return _draw_ginibre(rng, dim), _draw_ginibre(rng, dim)
 
 
 def _unitary_instances(z: np.ndarray, h: np.ndarray, delta: np.ndarray):
-    """almost_unitary_instance over (n, d, d) stacks of draws."""
+    """almost_unitary_instance over (n, 2, d, d) stacks of Ginibre parts: seeds, then bumps."""
     u = _haar_unitaries(z)
-    h = _scaled(h, 1.0)
+    h = _hermitians(h)
     eye = np.eye(u.shape[-1])
 
     def build(items, scale):
@@ -255,14 +255,15 @@ def almost_projection_instance(rng: np.random.Generator, dim: int, delta: float)
 
 def _draw_projection(rng: np.random.Generator, dim: int) -> tuple:
     rank = int(rng.integers(1, dim)) if dim > 1 else 1
-    return rank, _draw_ginibre(rng, dim), _draw_hermitians(rng, dim, 1)[0], _draw_ginibre(rng, dim)
+    return rank, _draw_ginibre(rng, dim), _draw_ginibre(rng, dim), _draw_ginibre(rng, dim)
 
 
 def _projection_instances(ranks: np.ndarray, z: np.ndarray, h: np.ndarray, g: np.ndarray,
                           delta: np.ndarray):
-    """almost_projection_instance over (n,) ranks and (n, d, d) stacks of draws."""
+    """almost_projection_instance over (n,) ranks and (n, 2, d, d) stacks of Ginibre parts."""
     p = _rank_projections(_haar_unitaries(z), ranks)
-    h = _scaled(h, 1.0)
+    h = _hermitians(h)
+    g = _ginibre(g)
     skew = (g - dagger(g)) / 2
     skew = skew / _pymax(op_norms(skew), 1e-300)[:, None, None]
 
@@ -288,7 +289,7 @@ def _draw_partial_isometry(rng: np.random.Generator, dim: int) -> tuple:
 
 def _partial_isometry_instances(ranks: np.ndarray, z1: np.ndarray, z2: np.ndarray,
                                 e: np.ndarray, delta: np.ndarray):
-    """almost_partial_isometry_instance over (n,) ranks and (n, d, d) stacks of draws.
+    """almost_partial_isometry_instance over (n,) ranks and (n, 2, d, d) stacks of Ginibre parts.
 
     v maps the first rank columns of one Haar unitary onto those of another;
     p1 and p2 are its support and range projections.
@@ -296,6 +297,7 @@ def _partial_isometry_instances(ranks: np.ndarray, z1: np.ndarray, z2: np.ndarra
     u1, u2 = _haar_unitaries(np.array([z1, z2]))
     v = _rank_products(u2, u1, ranks)
     p1, p2 = _rank_projections(u1, ranks), _rank_projections(u2, ranks)
+    e = _ginibre(e)
     e = e / op_norms(e)[:, None, None]
 
     def build(items, scale):
@@ -311,10 +313,11 @@ def _family_instances(base: np.ndarray, bumps: np.ndarray, measure, delta: np.nd
                       start: np.ndarray) -> tuple:
     """base plus one shrinking unit-norm Hermitian bump per member, per (k, d, d) family.
 
-    Families shorter than the stack are zero-padded in front; a zero member
-    stays zero and changes no family defect (see _povm_instances).
+    Each bump is finished from its member's Ginibre parts.  Families shorter
+    than the stack are zero-padded in front; a zero member stays zero and
+    changes no family defect (see _povm_instances).
     """
-    bumps = _scaled(bumps, 1.0)
+    bumps = _hermitians(bumps)
 
     def build(items, scale):
         return base[items] + scale[:, None, None, None] * bumps[items]
@@ -331,12 +334,12 @@ def almost_povm_instance(rng: np.random.Generator, dim: int, k: int, delta: floa
 
 
 def _draw_povm(rng: np.random.Generator, dim: int, k: int) -> tuple:
-    return rng.normal(size=(k, 2, dim, dim)), _draw_hermitians(rng, dim, k)
+    return rng.normal(size=(k, 2, dim, dim)), rng.normal(size=(k, 2, dim, dim))
 
 
 def _povm_instances(normals: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
                     members: np.ndarray):
-    """almost_povm_instance over (n, k, ...) stacks of draws; measured by _povm_parts.
+    """almost_povm_instance over (n, k, 2, d, d) stacks of draws; measured by _povm_parts.
 
     Item i has members[i] outcomes, after k - members[i] zero outcomes in
     front.  The member sums start from those zeros, and 0 + x equals the
@@ -356,12 +359,12 @@ def almost_pvm_instance(rng: np.random.Generator, dim: int, k: int, delta: float
 
 
 def _draw_pvm(rng: np.random.Generator, dim: int, k: int) -> tuple:
-    return rng.integers(0, k, size=dim), _draw_ginibre(rng, dim), _draw_hermitians(rng, dim, k)
+    return rng.integers(0, k, size=dim), _draw_ginibre(rng, dim), rng.normal(size=(k, 2, dim, dim))
 
 
 def _pvm_instances(labels: np.ndarray, z: np.ndarray, bumps: np.ndarray, delta: np.ndarray,
                    members: np.ndarray):
-    """almost_pvm_instance over (n, d) labels, (n, d, d) Ginibre draws and (n, k, d, d) bumps.
+    """almost_pvm_instance over (n, d) labels, (n, 2, d, d) Ginibre and (n, k, 2, d, d) bump parts.
 
     Padded as in _povm_instances.
     """
@@ -402,10 +405,10 @@ def perturbation_suite(dims, budget: int, seed: int, tol: Tolerance = DEFAULT_TO
 def _stacked(parts) -> np.ndarray:
     """One draw part of every item as one stack.
 
-    Family parts, the (k, ...) ones of three or more axes, are zero-padded
-    in front to the longest family.
+    Family parts, the (k, 2, d, d) ones, are zero-padded in front to the
+    longest family.
     """
-    if np.ndim(parts[0]) < 3 or len({len(part) for part in parts}) == 1:
+    if np.ndim(parts[0]) < 4 or len({len(part) for part in parts}) == 1:
         return np.array(parts)
     longest = max(len(part) for part in parts)
     stack = np.zeros((len(parts), longest) + parts[0].shape[1:], parts[0].dtype)
@@ -445,9 +448,9 @@ def _suite_block(kind: str, rngs: list, dims: np.ndarray, first: int, count: int
     for dim in list(groups):
         # popped, so each group's draws are freed once it is rounded
         group = groups.pop(dim)
-        # every draw ends in its bumps or perturbation direction, shaped as its
-        # base: d^2 entries, or k d^2 for a family of k members
-        size = max(1, _SUITE_STACK_ENTRIES // max(draw[-1].size for _, draw in group))
+        # every draw ends in its bumps or perturbation direction, two normals per
+        # base entry: d^2 base entries, or k d^2 for a family of k members
+        size = max(1, _SUITE_STACK_ENTRIES // max(draw[-1].size // 2 for _, draw in group))
         for start in range(0, len(group), size):
             ids, draws = zip(*group[start:start + size])
             cells = [cell for cell, _ in ids]

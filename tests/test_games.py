@@ -117,7 +117,7 @@ def test_measurement_rejects_non_finite_entries_without_warning(entry):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_measurement_raises_iff_residual_or_hermitian_defect_exceeds_tolerance(seed):
-    """Each row's povm_residual and the entrywise Hermitian defect decide, against 1e-10."""
+    """Each row's povm_residual and the operator-norm Hermitian defect decide, against 1e-10."""
     rng = rng_from_seed(seed)
     dim = 2 + seed % 3
     base = np.array([random_povm(rng, dim, 2) for _ in range(2)])
@@ -136,7 +136,7 @@ def test_measurement_raises_iff_residual_or_hermitian_defect_exceeds_tolerance(s
         negative[0, 1, 1, 1] = 1 + size
         for ops in (scaled, tilted, negative):
             residual = max(povm_residual(row) for row in ops)
-            herm = np.max(np.abs(ops - np.conj(np.swapaxes(ops, 2, 3))))
+            herm = max(op_norm(m - dagger(m)) for row in ops for m in row)
             assert bool(residual > 1e-10 or herm > 1e-10) is expected
             if herm > 1e-10:
                 with pytest.raises(ValueError, match="Hermitian"):
@@ -146,6 +146,16 @@ def test_measurement_raises_iff_residual_or_hermitian_defect_exceeds_tolerance(s
                     Measurement(ops)
             else:
                 Measurement(ops)
+
+
+def test_measurement_hermitian_defect_is_the_operator_norm():
+    """|A - A^H| is 1.6e-10 with entries of 4e-11: refused, as hermitian_eig refuses it."""
+    skew = 2e-11j * np.ones((4, 4))
+    ops = np.array([[np.eye(4) / 2 + skew, np.eye(4) / 2 - skew]] * 2)
+    with pytest.raises(ValueError, match="Hermitian within tolerance, defect 1.600e-10"):
+        Measurement(ops)
+    m = Measurement(ops / 2 + dagger(ops) / 2)
+    best_value(chsh(), m, m)
 
 
 def test_state_validation():
@@ -527,6 +537,8 @@ def test_is_delta_op_commuting():
     assert check.worst_defect < 1e-12
     with pytest.raises(ValueError):
         is_delta_op_commuting(strategy.alice, strategy.bob, -0.5)
+    with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
+        is_delta_op_commuting(strategy.alice, strategy.bob, math.nan)
 
 
 def test_commuting_strategies_satisfy_plain_product():

@@ -1,21 +1,25 @@
 """Tests for the samplers' draw / stacked-shrink split."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from cstarkit import sampling
 from cstarkit.errors import PreconditionError
 from cstarkit.operators import DEFAULT_TOL, dagger
+from cstarkit.presentations import registered_presentation
 from cstarkit.rounding import ROUNDING_KINDS, _povm_parts, isometry_defect, stability_modulus
 from cstarkit.sampling import (_draw_ginibre, _draw_partial_isometry, _draw_povm,
-                               _draw_projection, _draw_pvm, _draw_unitary, _gram_bases,
-                               _haar_unitaries, _partial_isometry_instances, _pvm_bases,
-                               _rank_projections, _povm_instances, _projection_instances,
-                               _pvm_instances, _shrink, _unitary_instances,
-                               almost_partial_isometry_instance, almost_povm_instance,
-                               almost_projection_instance, almost_pvm_instance,
-                               almost_unitary_instance, perturbation_suite, random_hermitian,
-                               random_povm, random_projection, random_pvm, random_unitary,
-                               rng_from_seed)
+                               _draw_projection, _draw_pvm, _draw_unitary, _ginibre,
+                               _gram_bases, _haar_unitaries, _hermitians,
+                               _partial_isometry_instances, _pvm_bases, _rank_projections,
+                               _povm_instances, _projection_instances, _pvm_instances, _shrink,
+                               _unitary_instances, almost_partial_isometry_instance,
+                               almost_povm_instance, almost_projection_instance,
+                               almost_pvm_instance, almost_unitary_instance, perturbation_suite,
+                               random_density, random_hermitian, random_povm, random_projection,
+                               random_pvm, random_unitary, rng_from_seed)
 
 
 def _stacked(kind, rng, dim, k, deltas):
@@ -150,7 +154,7 @@ def test_stacked_shrink_gives_up_after_sixty_halvings():
 
 def _front_padded(parts, longest):
     """One draw part of every item as a stack; (k, ...) family parts zero-padded in front."""
-    if np.ndim(parts[0]) < 3:
+    if np.ndim(parts[0]) < 4:
         return np.array(parts)
     stack = np.zeros((len(parts), longest) + parts[0].shape[1:], parts[0].dtype)
     for item, part in zip(stack, parts):
@@ -192,7 +196,7 @@ def test_stacked_haar_cores_match_per_item_draws(dim):
     unitaries = _haar_unitaries(z)
     for i in range(6):
         assert unitaries[i].tobytes() == random_unitary(item_rng, dim).tobytes()
-    assert _haar_unitaries(z.reshape(2, 3, dim, dim)).tobytes() == unitaries.tobytes()
+    assert _haar_unitaries(z.reshape(2, 3, 2, dim, dim)).tobytes() == unitaries.tobytes()
     ranks, z = zip(*((int(stacked_rng.integers(0, dim + 1)), _draw_ginibre(stacked_rng, dim))
                      for _ in range(6)))
     projections = _rank_projections(_haar_unitaries(np.array(z)), np.array(ranks))
@@ -210,6 +214,53 @@ def test_stacked_haar_cores_match_per_item_draws(dim):
                 assert np.array(sampler(item_rng, dim, k)).tobytes() == family[-k:].tobytes()
                 assert not family[:-k].any()
     assert stacked_rng.bit_generator.state == item_rng.bit_generator.state
+
+
+def _raw_parts(draw):
+    """The numbers of one draw, out of its (possibly nested) tuples."""
+    if isinstance(draw, tuple):
+        return [part for item in draw for part in _raw_parts(item)]
+    return [draw]
+
+
+def _is_raw(part) -> bool:
+    """An integer, or an array of integers or of float64 normals."""
+    if isinstance(part, (int, np.integer)):
+        return True
+    return isinstance(part, np.ndarray) and (part.dtype == np.float64
+                                             or np.issubdtype(part.dtype, np.integer))
+
+
+_DRAWS = sorted(name for name in vars(sampling) if name.startswith("_draw_"))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_draws_take_only_raw_random_numbers(dim):
+    """Every sampling._draw_* and every registered family's draw returns integers and
+    float64 arrays, never a complex array: the finishes form the matrices."""
+    rng = rng_from_seed((85, dim))
+    assert len(_DRAWS) >= 6, _DRAWS
+    for name in _DRAWS:
+        draw = getattr(sampling, name)
+        k = (3,) if "k" in inspect.signature(draw).parameters else ()
+        assert all(map(_is_raw, _raw_parts(draw(rng, dim, *k)))), name
+    for pres_id in ("trivial", "free_unitaries:2", "projections:3", "matrix_units:2"):
+        parts = _raw_parts(registered_presentation(pres_id).draw(rng, dim))
+        assert all(map(_is_raw, parts)), pres_id
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hermitian_and_density_finish_their_raw_draw_as_a_stack_of_one(dim):
+    """random_hermitian and random_density take one (2, d, d) normal draw each and
+    equal it finished as a stack of one, bit for bit."""
+    rng, raw_rng = rng_from_seed((86, dim)), rng_from_seed((86, dim))
+    h = random_hermitian(rng, dim, norm=2.5)
+    assert h.tobytes() == _hermitians(raw_rng.normal(size=(1, 2, dim, dim)), 2.5)[0].tobytes()
+    rho = random_density(rng, dim)
+    g = _ginibre(raw_rng.normal(size=(1, 2, dim, dim)))[0]
+    gram = g @ dagger(g)
+    assert rho.tobytes() == (gram / float(np.trace(gram).real)).tobytes()
+    assert rng.bit_generator.state == raw_rng.bit_generator.state
 
 
 def test_random_pvm_matches_per_block_construction():

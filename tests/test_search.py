@@ -538,6 +538,8 @@ def test_witness_reverifies():
     assert verdict.witness.defect == audit.worst_defect
     assert audit.povm_residual <= 1e-10
     assert audit.value > 0.5
+    with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
+        verify_witness(chsh(), verdict.witness, delta=float("nan"))
 
 
 def test_povm_residual_zero_on_exact_and_matches_rounding():
