@@ -9,7 +9,7 @@ times, and the --out path itself is not echoed.
 
 Exit codes: 0 success, 2 parse error (bad flags or malformed input files),
 3 hypothesis/precondition error, 4 budget exhausted without acceptance
-(semidecide only).
+(semidecide only); run maps the summary status to 0 or 4, console_main errors to 2 or 3.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError, PreconditionError, integral
-from .formats import (FORMAT_VERSION, parse_game, parse_polynomial,
-                      parse_presentation, report_lines, write_report)
+from .formats import (FORMAT_VERSION, parse_game, parse_polynomial, parse_presentation,
+                      report_lines, report_target, write_report)
 from .games import Measurement, NonlocalGame, game_value
 # op_norm is unused here but stays bound: perfbench's test_rebinding_is_undone
 # checks that tracing rebinds cstarkit.cli.op_norm
@@ -160,9 +160,8 @@ def _cmd_classical_value(config: RunConfig, tol: Tolerance):
     value = classical_value(game)
     records = [{"type": "result", "classical_value": value,
                 "classical_value_float": float(value)}]
-    summary = {"type": "summary", "status": "ok"}
     lines = [f"classical value: {value} ({float(value):.6f})"]
-    return 0, inputs, records, summary, lines
+    return inputs, records, {}, lines
 
 
 def _cmd_game_value(config: RunConfig, tol: Tolerance):
@@ -177,8 +176,7 @@ def _cmd_game_value(config: RunConfig, tol: Tolerance):
         record["witness"] = _witness_record(best)
         lines = [f"best certified value: {best.certified_value:.6f} "
                  f"(commutator defect {best.defect:.3e}, {examined} candidates examined)"]
-    summary = {"type": "summary", "status": "ok"}
-    return 0, inputs, [record], summary, lines
+    return inputs, [record], {}, lines
 
 
 def _cmd_semidecide(config: RunConfig, tol: Tolerance):
@@ -187,15 +185,12 @@ def _cmd_semidecide(config: RunConfig, tol: Tolerance):
     verdict = semidecide_membership(family, config.z, _stream(config), tol)
     record = {"type": "result", "outcome": verdict.outcome,
               "candidates_tried": verdict.candidates_tried}
-    if verdict.witness is not None:
+    lines = [f"budget exhausted after {verdict.candidates_tried} candidates, no acceptance"]
+    if verdict.witness is not None:  # accepted
         record["witness"] = _witness_record(verdict.witness)
-    summary = {"type": "summary", "status": verdict.outcome}
-    if verdict.outcome == "accepted":
         lines = [f"accepted at candidate {verdict.candidates_tried}: "
                  f"certified value {verdict.witness.certified_value:.6f} > 1/2"]
-        return 0, inputs, [record], summary, lines
-    lines = [f"budget exhausted after {verdict.candidates_tried} candidates, no acceptance"]
-    return 4, inputs, [record], summary, lines
+    return inputs, [record], {"status": verdict.outcome}, lines
 
 
 def _cmd_seesaw(config: RunConfig, tol: Tolerance):
@@ -206,10 +201,9 @@ def _cmd_seesaw(config: RunConfig, tol: Tolerance):
     records = [{"type": "result", "objective": result.trace[-1],
                 "game_value": value, "iterations": config.iters,
                 "dim": config.dim, "trace": list(result.trace)}]
-    summary = {"type": "summary", "status": "ok"}
     lines = [f"seesaw objective: {result.trace[-1]:.6f} (game value {value:.6f}, "
              f"dim {config.dim}, {config.iters} iterations)"]
-    return 0, inputs, records, summary, lines
+    return inputs, records, {}, lines
 
 
 def _cmd_perturb_suite(config: RunConfig, tol: Tolerance):
@@ -222,7 +216,7 @@ def _cmd_perturb_suite(config: RunConfig, tol: Tolerance):
                         "worst_distance": worst_distance, "ok": True})
         lines.append(f"{kind:17s} eps={eps:<6g} {config.budget} instances: "
                      f"residual {worst_residual:.2e}, distance {worst_distance:.4f} ok")
-    return 0, [], records, {"type": "summary", "status": "ok"}, lines
+    return [], records, {}, lines
 
 
 def _cmd_norm_enumerate(config: RunConfig, tol: Tolerance):
@@ -244,12 +238,12 @@ def _cmd_norm_enumerate(config: RunConfig, tol: Tolerance):
         records.append({"type": "emission", "index": index, "value": value,
                         "value_float": float(value)})
         best = value
-    summary = {"type": "summary", "status": "ok", "emissions": len(records),
-               "best": best, "best_float": None if best is None else float(best)}
+    summary = {"emissions": len(records), "best": best,
+               "best_float": None if best is None else float(best)}
     lines = [f"{len(records)} emissions within budget {config.budget}"]
     if best is not None:
         lines.append(f"best certified lower bound: {best} ({float(best):.6f})")
-    return 0, inputs, records, summary, lines
+    return inputs, records, summary, lines
 
 
 _RUNNERS = {
@@ -265,18 +259,20 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one configured command; write the report; return the exit code.
 
-    Raises ParseError / PreconditionError for the caller to map to exit
-    codes (console_main does this); budget exhaustion is not an exception.
-    An --out that is empty or a directory, or whose directory is missing,
-    is a ParseError before any work, and so is a failed write after it.
+    A runner gives inputs, records, summary fields and console lines.  The
+    summary status is "ok" unless a field sets it; run returns 4 for
+    "budget_exhausted", else 0, and console_main maps ParseError and
+    PreconditionError to 2 and 3.  An --out that is empty, a directory or
+    bound for a missing directory is a ParseError before the run, as is a failed write.
     """
     if config.out is not None:
-        if os.path.isdir(config.out or "."):  # '' names the working directory
+        target = report_target(config.out)
+        if os.path.isdir(target or "."):  # '' names the working directory
             raise ParseError(f"cannot write report: {config.out!r} is a directory")
-        if not os.path.isdir(os.path.dirname(config.out) or "."):
+        if not os.path.isdir(os.path.dirname(target) or "."):
             raise ParseError(f"cannot write report: the directory of {config.out!r} is missing")
-    code, inputs, records, summary, lines = _RUNNERS[config.command](
-        config, config.tolerance())
+    inputs, records, fields, lines = _RUNNERS[config.command](config, config.tolerance())
+    summary = {"type": "summary", "status": "ok", **fields}
     report = [_header(config, inputs)] + records + [summary]
     if config.out is not None:
         try:
@@ -289,7 +285,7 @@ def run(config: RunConfig) -> int:
     else:
         for line in report_lines(report):
             print(line)
-    return code
+    return 4 if summary["status"] == "budget_exhausted" else 0
 
 
 def _parse_dims(text: str) -> tuple:

@@ -410,6 +410,11 @@ def report_lines(records: Iterable[dict]) -> Iterator[str]:
         yield _canon(record)
 
 
+def report_target(path: str) -> str:
+    """The file a report written to path lands in: a link's target, else path."""
+    return os.path.realpath(path) if os.path.islink(path) else path
+
+
 def write_report(path: str, records: Iterable[dict]) -> None:
     """Write the canonical lines to path: all of them, or none and path as it was.
 
@@ -417,7 +422,7 @@ def write_report(path: str, records: Iterable[dict]) -> None:
     open(path, "w") gives (not tempfile's 0600), which then replaces it; a
     device or a pipe such as /dev/null is written in place.
     """
-    target = os.path.realpath(path) if os.path.islink(path) else path
+    target = report_target(path)
     swap = os.path.isfile(target) or not os.path.exists(target)
     temp = f"{target}.{os.urandom(8).hex()}.tmp" if swap else target
     try:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -116,7 +115,6 @@ class SearchVerdict:
     outcome: str
     witness: Witness | None
     candidates_tried: int
-    wall_time: float
 
     def __post_init__(self) -> None:
         if self.outcome not in _OUTCOMES:
@@ -321,15 +319,11 @@ def semidecide_membership(family: GameFamily, z: str, stream: CandidateStream,
         raise PreconditionError(f"z must be a string of 0s and 1s, got {z!r}")
     game = family.encode(z)
     delta = _unit_delta(float(family.delta(len(z))), f"delta({len(z)})")
-    start = time.perf_counter()
     for scored in _witnesses(game, stream, delta, tol):
         if scored[3] > 0.5:
             return SearchVerdict(outcome="accepted", witness=_witness(game, stream, *scored),
-                                 candidates_tried=scored[0],
-                                 wall_time=time.perf_counter() - start)
-    return SearchVerdict(outcome="budget_exhausted", witness=None,
-                         candidates_tried=stream.budget,
-                         wall_time=time.perf_counter() - start)
+                                 candidates_tried=scored[0])
+    return SearchVerdict(outcome="budget_exhausted", witness=None, candidates_tried=stream.budget)
 
 
 def evaluate_stream(game: NonlocalGame, stream: CandidateStream, delta: float,

@@ -75,6 +75,9 @@ _CONTRACT_CASES = {
     "out is in a missing directory": (None, lambda tmp: tmp / "absent" / "report.jsonl",
                                       "cannot write report"),
     "out is empty": (None, lambda tmp: "", "cannot write report"),
+    "out is a link into a missing directory": (
+        None, lambda tmp: _linked(tmp / "link.jsonl", tmp / "absent" / "report.jsonl"),
+        "cannot write report"),
 }
 
 # every --out case for every command, the input cases for the commands that read a file
@@ -93,6 +96,11 @@ def _made(path):
     return path
 
 
+def _linked(path, target):
+    path.symlink_to(target)
+    return path
+
+
 @pytest.mark.parametrize("command, case", _CONTRACT)
 def test_file_system_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys,
                                                         command, case):
@@ -101,8 +109,8 @@ def test_file_system_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch, c
     A directory or a non-UTF-8 file as an input used to end in a traceback
     (exit 1), a directory as --out in one after the whole run, and an --out
     in a missing directory in a message about an input file.  A bad --out
-    is refused before the command runs; an empty one used to be refused
-    only after the whole run.
+    is refused before the command runs; an empty one, and a link into a
+    missing directory, used to be refused only after the whole run.
     """
     ran, real = [], cli._RUNNERS[command]
     monkeypatch.setitem(cli._RUNNERS, command, lambda *args: ran.append(1) or real(*args))

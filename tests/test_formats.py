@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cstarkit.dyadic import largest_pow2_leq
+from cstarkit.dyadic import ceil_log2, floor_log2, largest_pow2_leq
 from cstarkit.errors import ParseError
 from cstarkit.formats import (canonical_number, parse_game, parse_polynomial,
                               parse_presentation, report_lines, sha256_file,
@@ -261,6 +261,39 @@ def test_largest_pow2_leq_brackets(q):
     assert p.numerator == 1 or p.denominator == 1
     assert (p.numerator & (p.numerator - 1)) == 0
     assert (p.denominator & (p.denominator - 1)) == 0
+
+
+def _is_pow2(q):
+    """q is 2^e for an integer e: in lowest terms, one side is 1 and the other a power of two."""
+    n, d = q.numerator, q.denominator
+    return (n == 1 or d == 1) and n & (n - 1) == 0 and d & (d - 1) == 0
+
+
+_EXPONENTS = st.integers(min_value=-3000, max_value=3000)
+# positive rationals: desk-scale, huge and tiny ones, exact powers of two and their neighbours
+_POSITIVE_FRACTIONS = st.one_of(
+    st.fractions(min_value=Fraction(1, 10 ** 12), max_value=Fraction(10 ** 12)),
+    st.builds(Fraction, st.integers(1, 2 ** 3000), st.integers(1, 2 ** 3000)),
+    _EXPONENTS.map(lambda e: Fraction(2) ** e),
+    st.builds(lambda e, s: Fraction(2) ** e * (1 + Fraction(s, 2 ** 64)), _EXPONENTS,
+              st.sampled_from((-1, 1))),
+)
+
+
+@given(_POSITIVE_FRACTIONS)
+def test_floor_log2_is_the_exponent_rule_of_both_power_helpers(x):
+    f = floor_log2(x)
+    assert Fraction(2) ** f <= x < Fraction(2) ** (f + 1)
+    assert ceil_log2(x) == (f if _is_pow2(x) else f + 1)
+    assert largest_pow2_leq(x) == Fraction(2) ** f
+
+
+@given(st.one_of(st.just(Fraction(0)), st.fractions(max_value=0),
+                 _EXPONENTS.map(lambda e: -Fraction(2) ** e)))
+def test_exponent_rules_refuse_nonpositive_values(x):
+    for rule in (floor_log2, ceil_log2, largest_pow2_leq):
+        with pytest.raises(ValueError, match="expected a positive value"):
+            rule(x)
 
 
 def test_report_lines_sorted_and_typed():

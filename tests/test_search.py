@@ -505,6 +505,15 @@ def test_semidecide_never_win_exhausts():
     assert verdict.candidates_tried == 50
 
 
+def test_semidecide_verdicts_are_reproducible():
+    """The same family and stream give equal verdicts; a wall-clock field used to differ."""
+    family = constant_family(constant_game(0), delta=1.0)
+    stream = CandidateStream(dims=(2, 3), seed=5, budget=40)
+    first = semidecide_membership(family, "01", stream)
+    assert first.outcome == "budget_exhausted"
+    assert semidecide_membership(family, "01", stream) == first
+
+
 def test_semidecide_examines_in_stream_order():
     """Distinct-answers game: (0,0) loses, (0,1) wins, so acceptance is at 2."""
     family = constant_family(distinct_answers_game(), delta=1.0)
